@@ -2,95 +2,18 @@
 games: closed forms over exact rationals, a brute-force enumeration oracle,
 seeded Monte Carlo, and CLT/Chebyshev trial-count planning."""
 
-from .analytic import (
-    GameParams,
-    GameVariant,
-    PartitionProbabilities,
-    WinningProfile,
-    as_probability,
-    linear_coefficients,
-    partition_probabilities,
-    win_given_stay,
-    win_given_switch,
-    win_marginal,
-    winning_profile,
-)
-from .oracle import (
-    CarDistribution,
-    Trajectory,
-    enumerate_trajectories,
-    exact_initial_correct,
-    exact_partition,
-    exact_win_probability,
-    random_car_distribution,
-)
-from .planner import (
-    PlanMethod,
-    PlanRequest,
-    SampleSizePlan,
-    band_halfwidth,
-    normal_quantile,
-    sample_size,
-)
-from .simulate import (
-    DEFAULT_CHUNK_SIZE,
-    GRID_STEP_DEFAULT,
-    RNG_ALGORITHM,
-    SimulationConfig,
-    SimulationResult,
-    SweepResult,
-    SweepRow,
-    TrialOutcome,
-    TrialTrace,
-    run_batch,
-    run_trial,
-    substream,
-    sweep,
-    switch_probability_grid,
-    trace_trial,
-)
+from . import analytic, oracle, planner, simulate
+from .analytic import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .planner import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GameParams",
-    "GameVariant",
-    "PartitionProbabilities",
-    "WinningProfile",
-    "as_probability",
-    "linear_coefficients",
-    "partition_probabilities",
-    "win_given_stay",
-    "win_given_switch",
-    "win_marginal",
-    "winning_profile",
-    "CarDistribution",
-    "Trajectory",
-    "enumerate_trajectories",
-    "exact_initial_correct",
-    "exact_partition",
-    "exact_win_probability",
-    "random_car_distribution",
-    "PlanMethod",
-    "PlanRequest",
-    "SampleSizePlan",
-    "band_halfwidth",
-    "normal_quantile",
-    "sample_size",
-    "DEFAULT_CHUNK_SIZE",
-    "GRID_STEP_DEFAULT",
-    "RNG_ALGORITHM",
-    "SimulationConfig",
-    "SimulationResult",
-    "SweepResult",
-    "SweepRow",
-    "TrialOutcome",
-    "TrialTrace",
-    "run_batch",
-    "run_trial",
-    "substream",
-    "sweep",
-    "switch_probability_grid",
-    "trace_trial",
+    *analytic.__all__,
+    *oracle.__all__,
+    *planner.__all__,
+    *simulate.__all__,
     "__version__",
 ]

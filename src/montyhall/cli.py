@@ -109,9 +109,9 @@ def write_sweep_csv(result: SweepResult, epsilon: float, fh: IO[str]) -> None:
         fh.write(
             ",".join(
                 (
-                    fmt12(row.p_exact),
+                    fmt12(row.p),
                     fmt12(row.result.empirical),
-                    fmt12(row.analytic_exact),
+                    fmt12(row.analytic),
                     fmt12(row.clt_halfwidth),
                     fmt12(row.chebyshev_halfwidth),
                 )
@@ -130,8 +130,8 @@ def _print_sweep_table(result: SweepResult, epsilon: float) -> None:
     print(header)
     for row in result.rows:
         print(
-            f"{fmt12(row.p_exact):>6} {row.result.empirical:>12.6f} "
-            f"{fmt12(row.analytic_exact):>14} {row.clt_halfwidth:>10.6f} "
+            f"{fmt12(row.p):>6} {row.result.empirical:>12.6f} "
+            f"{fmt12(row.analytic):>14} {row.clt_halfwidth:>10.6f} "
             f"{row.chebyshev_halfwidth:>10.6f}"
         )
 
@@ -200,14 +200,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     variant = VARIANTS[args.variant]
     seed = _resolve_seed(args.seed)
-    if args.plan_trials is not None:
-        # Worst-case variance keeps the guarantee valid across the whole grid.
-        plan = planner.sample_size(
-            PlanRequest(0.5, args.epsilon, args.delta, PlanMethod(args.plan_trials))
-        )
-        trials = plan.l0
-    else:
+    # The request checks epsilon and delta before any simulation runs, on both
+    # paths.  Worst-case variance keeps a planned guarantee valid across the
+    # whole grid.
+    request = PlanRequest(
+        0.5, args.epsilon, args.delta, PlanMethod(args.plan_trials or "chebyshev")
+    )
+    if args.plan_trials is None:
         trials = args.trials
+    else:
+        trials = planner.sample_size(request).l0
     result = simulate.sweep(
         variant,
         args.doors,
@@ -269,18 +271,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
             uniform = oracle.CarDistribution.uniform(n)
             for p in grid:
                 params = GameParams(n, p)
+                # One enumeration yields both the cells and their win total.
+                got_cells = oracle.exact_partition(variant, params, uniform)
                 want = analytic.win_marginal(variant, params)
-                got = oracle.exact_win_probability(variant, params, uniform)
-                analytic_checks += 1
+                got = got_cells.p_win
+                analytic_checks += 2
                 if got != want:
                     failures.append(
                         f"win probability mismatch at ({variant.value}, n={n}, "
                         f"p={p}): enumeration {got} vs closed form {want}"
                     )
-                want_cells = analytic.partition_probabilities(variant, params)
-                got_cells = oracle.exact_partition(variant, params, uniform)
-                analytic_checks += 1
-                if got_cells != want_cells:
+                if got_cells != analytic.partition_probabilities(variant, params):
                     failures.append(
                         f"partition mismatch at ({variant.value}, n={n}, p={p})"
                     )

@@ -17,6 +17,7 @@ No randomness anywhere in this module.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
@@ -94,52 +95,73 @@ def _check_inputs(params: GameParams, cars: CarDistribution) -> None:
 
 def _raw_trajectories(
     variant: GameVariant, params: GameParams, cars: CarDistribution
-) -> Iterator[tuple[int, int, int, bool, int, Fraction]]:
+) -> Iterator[tuple[int, int, int, bool, int, tuple[int, int]]]:
     """Yield (car, pick, host_door, switched, final, weight) tuples.
 
     ``host_door`` encodes the host action compactly: the single door left
     closed besides the pick (leave-two-closed) or the single door opened
-    (open-one).  Zero-weight branches are skipped so every yielded weight is
-    positive.
+    (open-one).  ``weight`` is the exact probability as a reduced
+    ``(numerator, denominator)`` pair of ints, cheap to hash and tally.
+    Zero-weight branches are skipped so every yielded weight is positive.
     """
     n, p = params.n, params.p
     q = 1 - p
     doors = range(1, n + 1)
-    pick_w = Fraction(1, n)
     for car in doors:
         alpha = cars.alpha[car - 1]
         if alpha == 0:
             continue
         for pick in doors:
-            base = alpha * pick_w
             if variant is GameVariant.LEAVE_TWO_CLOSED:
                 # Host opens all but one other door; the car door must stay
                 # closed, so the host only has a choice when pick == car.
                 if pick == car:
-                    closed_choices = [y for y in doors if y != pick]
+                    hosts = [y for y in doors if y != pick]
                 else:
-                    closed_choices = [car]
-                w0 = base * Fraction(1, len(closed_choices))
-                stay_w = w0 * q
-                switch_w = w0 * p
-                for y in closed_choices:
+                    hosts = [car]
+                w0 = alpha / (n * len(hosts))
+                stay_w = (w0 * q).as_integer_ratio()
+                switch_w = (w0 * p).as_integer_ratio()
+                for y in hosts:
                     if q:
                         yield car, pick, y, False, pick, stay_w
                     if p:
                         yield car, pick, y, True, y, switch_w
             else:
-                # Host opens one goat door other than the pick.
-                goat_choices = [y for y in doors if y != pick and y != car]
-                w0 = base * Fraction(1, len(goat_choices))
-                stay_w = w0 * q
-                switch_each = w0 * p * Fraction(1, n - 2)
-                for y in goat_choices:
+                # Host opens one goat door other than the pick; a switcher
+                # then picks uniformly among the n - 2 other closed doors.
+                hosts = [y for y in doors if y != pick and y != car]
+                w0 = alpha / (n * len(hosts))
+                stay_w = (w0 * q).as_integer_ratio()
+                switch_w = (w0 * p / (n - 2)).as_integer_ratio()
+                for y in hosts:
                     if q:
                         yield car, pick, y, False, pick, stay_w
                     if p:
                         for final in doors:
                             if final != pick and final != y:
-                                yield car, pick, y, True, final, switch_each
+                                yield car, pick, y, True, final, switch_w
+
+
+def _cells(
+    variant: GameVariant, params: GameParams, cars: CarDistribution
+) -> dict[Cell, Fraction]:
+    """Total trajectory weight in each (correct, switched, won) cell.
+
+    Trajectories share only a handful of distinct weights, so the walk counts
+    (cell, weight) pairs and multiplies out each distinct pair once.
+    """
+    _check_inputs(params, cars)
+    tally = Counter(
+        (pick == car, switched, final == car, weight)
+        for car, pick, _host, switched, final, weight in _raw_trajectories(
+            variant, params, cars
+        )
+    )
+    cells = dict.fromkeys(CELL_ORDER, Fraction(0))
+    for (correct, switched, won, (num, den)), count in tally.items():
+        cells[correct, switched, won] += Fraction(num * count, den)
+    return cells
 
 
 def enumerate_trajectories(
@@ -149,21 +171,14 @@ def enumerate_trajectories(
     _check_inputs(params, cars)
     n = params.n
     all_doors = frozenset(range(1, n + 1))
-    for car, pick, host_door, switched, final, weight in _raw_trajectories(
+    for car, pick, host_door, switched, final, (num, den) in _raw_trajectories(
         variant, params, cars
     ):
         if variant is GameVariant.LEAVE_TWO_CLOSED:
             opens = all_doors - {pick, host_door}
         else:
             opens = frozenset((host_door,))
-        yield Trajectory(car, pick, opens, switched, final, weight)
-
-
-def _tally_to_fraction(tally: dict[tuple[int, int], int]) -> Fraction:
-    return sum(
-        (Fraction(num, den) * count for (num, den), count in tally.items()),
-        Fraction(0),
-    )
+        yield Trajectory(car, pick, opens, switched, final, Fraction(num, den))
 
 
 def exact_win_probability(
@@ -174,17 +189,8 @@ def exact_win_probability(
     For a uniform car distribution this equals the closed-form marginal win
     probability exactly, for every n and p.
     """
-    _check_inputs(params, cars)
-    # Tally (numerator, denominator) counts instead of summing Fractions one
-    # by one; trajectories share only a handful of distinct weights.
-    tally: dict[tuple[int, int], int] = {}
-    for car, _pick, _host, _switched, final, weight in _raw_trajectories(
-        variant, params, cars
-    ):
-        if final == car:
-            key = (weight.numerator, weight.denominator)
-            tally[key] = tally.get(key, 0) + 1
-    return _tally_to_fraction(tally)
+    cells = _cells(variant, params, cars)
+    return sum((v for (_, _, won), v in cells.items() if won), Fraction(0))
 
 
 def exact_partition(
@@ -192,17 +198,7 @@ def exact_partition(
 ) -> PartitionProbabilities:
     """Accumulate trajectory weights into the eight (correct, switched, won)
     cells.  The cells sum to 1 by construction of the probability tree."""
-    _check_inputs(params, cars)
-    tallies: dict[Cell, dict[tuple[int, int], int]] = {cell: {} for cell in CELL_ORDER}
-    for car, pick, _host, switched, final, weight in _raw_trajectories(
-        variant, params, cars
-    ):
-        tally = tallies[(pick == car, switched, final == car)]
-        key = (weight.numerator, weight.denominator)
-        tally[key] = tally.get(key, 0) + 1
-    return PartitionProbabilities(
-        {cell: _tally_to_fraction(tally) for cell, tally in tallies.items()}
-    )
+    return PartitionProbabilities(_cells(variant, params, cars))
 
 
 def exact_initial_correct(params: GameParams, cars: CarDistribution) -> Fraction:
@@ -211,15 +207,8 @@ def exact_initial_correct(params: GameParams, cars: CarDistribution) -> Fraction
     Equals 1/n for every valid car distribution: the host strategy happens
     after the pick, so the cheaper leave-two-closed tree is enumerated.
     """
-    _check_inputs(params, cars)
-    tally: dict[tuple[int, int], int] = {}
-    for car, pick, _host, _switched, _final, weight in _raw_trajectories(
-        GameVariant.LEAVE_TWO_CLOSED, params, cars
-    ):
-        if pick == car:
-            key = (weight.numerator, weight.denominator)
-            tally[key] = tally.get(key, 0) + 1
-    return _tally_to_fraction(tally)
+    cells = _cells(GameVariant.LEAVE_TWO_CLOSED, params, cars)
+    return sum((v for (correct, _, _), v in cells.items() if correct), Fraction(0))
 
 
 def random_car_distribution(n: int, rng) -> CarDistribution:

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from statistics import NormalDist
 from typing import Optional
 
 __all__ = [
@@ -49,8 +50,8 @@ class PlanRequest:
     def __post_init__(self) -> None:
         if not 0 <= self.p_win <= 1:
             raise ValueError(f"p_win must be in [0, 1], got {self.p_win}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
 
@@ -64,71 +65,12 @@ class SampleSizePlan:
     z_x: Optional[float] = None
 
 
-# Acklam's rational approximation to the standard normal quantile.
-# Coefficients from "An algorithm for computing the inverse normal
-# cumulative distribution function" (P.J. Acklam, 2003).
-_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-_P_LOW = 0.02425
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _norm_cdf(z: float) -> float:
-    # erfc keeps full relative accuracy in the tails, unlike 0.5 + erf/2.
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def normal_quantile(x: float) -> float:
-    """Standard normal quantile: the z with Phi(z) = x, for x in (0, 1).
-
-    Acklam's rational approximation followed by one Halley refinement step
-    against the erfc-based CDF; absolute error is far below 1e-8 across
-    (0, 1).
-    """
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"quantile argument must be in (0, 1), got {x}")
-    if x < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(x))
-        z = (
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    elif x <= 1.0 - _P_LOW:
-        q = x - 0.5
-        r = q * q
-        z = (
-            (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5])
-            * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - x))
-        z = -(
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-
-    # One Halley step: u = (Phi(z) - x) / phi(z), then z -= u / (1 + z*u/2).
-    half_zz = 0.5 * z * z
-    if half_zz >= 700.0:
-        # 1/phi(z) overflows a double; the tail approximation stands alone
-        return z
-    err = _norm_cdf(z) - x
-    u = err * _SQRT_2PI * math.exp(half_zz)
-    return z - u / (1.0 + 0.5 * z * u)
+#: Standard normal quantile: the z with Phi(z) = x, for x in (0, 1).  The
+#: stdlib implements Wichura's algorithm AS241 ("The Percentage Points of the
+#: Normal Distribution", Applied Statistics, 1988), accurate to about one
+#: part in 1e16.  An argument outside (0, 1) raises
+#: ``statistics.StatisticsError``, a ``ValueError``.
+normal_quantile = NormalDist().inv_cdf
 
 
 def _ceil_at_least_one(value: Fraction) -> int:

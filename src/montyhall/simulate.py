@@ -16,8 +16,8 @@ Within a chunk the kernel draws whole columns in a fixed order: initial picks
 first, then switch decisions, then (open-one only) the switcher's choice among
 the remaining closed doors.  Host bookkeeping that cannot change a win --
 which goat doors the host touches -- is collapsed out of the batch kernel;
-:func:`run_trial` plays single games with the full door-by-door mechanics and
-is what trajectory-level tests should sample.
+:func:`trace_trial` plays single games with the full door-by-door mechanics
+and is what trajectory-level tests should sample.
 
 Integer draws use ``Generator.integers`` (Lemire's bounded-rejection method,
 no modulo bias); switch decisions compare one uniform double against ``p``.
@@ -33,7 +33,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import GameParams, GameVariant, RationalLike, win_marginal
+from .analytic import (
+    GameParams,
+    GameVariant,
+    RationalLike,
+    _require_doors,
+    win_marginal,
+)
 from .planner import PlanMethod, band_halfwidth
 
 __all__ = [
@@ -41,14 +47,12 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "GRID_STEP_DEFAULT",
     "SimulationConfig",
-    "TrialOutcome",
     "TrialTrace",
     "SimulationResult",
     "SweepRow",
     "SweepResult",
     "switch_probability_grid",
     "substream",
-    "run_trial",
     "trace_trial",
     "run_batch",
     "sweep",
@@ -77,23 +81,15 @@ class SimulationConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"doors must be >= 3, got {self.n}")
+        _require_doors(self.n)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"switch probability must be in [0, 1], got {self.p}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not isinstance(self.trials, int) or self.trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One Bernoulli game outcome."""
-
-    won: bool
 
 
 class TrialTrace(NamedTuple):
@@ -129,14 +125,12 @@ class SimulationResult:
 
 
 class SweepRow(NamedTuple):
-    """One grid point of a sweep, with exact reference values kept alongside
-    the float views for lossless reporting."""
+    """One grid point of a sweep: the exact switch probability and win
+    probability, the simulated result, and the confidence half-widths."""
 
-    p: float
-    p_exact: Fraction
+    p: Fraction
     result: SimulationResult
-    analytic: float
-    analytic_exact: Fraction
+    analytic: Fraction
     clt_halfwidth: float
     chebyshev_halfwidth: float
 
@@ -178,8 +172,7 @@ def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
     ``[low, high)`` and ``random()`` returning a uniform float in ``[0, 1)``;
     a ``numpy.random.Generator`` fits.
     """
-    if n < 3:
-        raise ValueError(f"doors must be >= 3, got {n}")
+    _require_doors(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"switch probability must be in [0, 1], got {p}")
     pick = int(rng.integers(1, n + 1))
@@ -211,11 +204,6 @@ def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
         if final >= hi:
             final += 1
     return TrialTrace(pick, host_opens, switched, final, final == _CAR_DOOR)
-
-
-def run_trial(variant: GameVariant, n: int, p: float, rng) -> TrialOutcome:
-    """One simulated game; see :func:`trace_trial` for the mechanics."""
-    return TrialOutcome(won=trace_trial(variant, n, p, rng).won)
 
 
 def _chunk_wins(
@@ -278,25 +266,23 @@ def sweep(
     reference value and CLT/Chebyshev confidence half-widths per row."""
     grid = switch_probability_grid(grid_step)
     rows = []
-    for k, p_exact in enumerate(grid):
+    for k, p in enumerate(grid):
         config = SimulationConfig(
             variant=variant,
             n=n,
-            p=float(p_exact),
+            p=float(p),
             trials=trials,
             master_seed=master_seed,
             chunk_size=chunk_size,
         )
         result = run_batch(config, stream=k, workers=workers)
-        exact = win_marginal(variant, GameParams(n, p_exact))
+        exact = win_marginal(variant, GameParams(n, p))
         p_win = float(exact)
         rows.append(
             SweepRow(
-                p=float(p_exact),
-                p_exact=p_exact,
+                p=p,
                 result=result,
-                analytic=p_win,
-                analytic_exact=exact,
+                analytic=exact,
                 clt_halfwidth=band_halfwidth(p_win, trials, delta, PlanMethod.CLT),
                 chebyshev_halfwidth=band_halfwidth(
                     p_win, trials, delta, PlanMethod.CHEBYSHEV

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 import montyhall.analytic
+import montyhall.oracle
+import montyhall.simulate
 from montyhall.cli import (
     CSV_COLUMNS,
     EXIT_IO,
@@ -65,6 +67,7 @@ def test_analytic_open_one_csv(capsys):
         ("plan", "--delta", "1.0"),
         ("verify", "--doors-max", "2"),
         ("simulate", "--trials", "0"),
+        ("plan", "--epsilon", "inf"),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -196,6 +199,27 @@ def test_sweep_planned_trials(tmp_path):
         assert abs(float(row[1]) - float(row[2])) < 0.01
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--epsilon", "-1", "--trials", "10"),
+        ("--delta", "2"),
+        ("--plan-trials", "clt", "--epsilon", "inf"),
+    ],
+)
+def test_sweep_rejects_bad_plan_inputs_before_simulating(
+    flags, tmp_path, monkeypatch, capsys
+):
+    def no_batch(*args, **kwargs):
+        raise AssertionError("simulated before the inputs were checked")
+
+    monkeypatch.setattr(montyhall.simulate, "run_batch", no_batch)
+    path = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--doors", "3", "--out", str(path), *flags) == EXIT_USAGE
+    assert "error" in capsys.readouterr().err.lower()
+    assert not path.exists()
+
+
 def test_sweep_table_format(capsys):
     assert run_cli("sweep", "--doors", "3", "--trials", "2000", "--seed", "1",
                    "--grid-step", "1/2", "--format", "table") == EXIT_OK
@@ -243,6 +267,23 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "analytic checks passed" in out
     assert "placement checks passed" in out
+
+
+def test_verify_walks_each_tree_once(monkeypatch, capsys):
+    walk = montyhall.oracle._raw_trajectories
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(montyhall.oracle, "_raw_trajectories", counted)
+    assert run_cli("verify", "--doors-max", "5", "--placement-checks", "3") == EXIT_OK
+    assert "252 analytic checks passed, 3 placement checks passed" in (
+        capsys.readouterr().out
+    )
+    # one walk per (variant, n, p) closed-form point, one per placement check
+    assert len(walks) == 2 * 3 * 21 + 3
 
 
 def test_verify_minimal_doors(capsys):

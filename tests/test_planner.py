@@ -100,6 +100,7 @@ def test_degenerate_variance_clamps_to_one(p_win, method):
         dict(p_win=0.5, epsilon=0.01, delta=0.0),
         dict(p_win=0.5, epsilon=0.01, delta=1.0),
         dict(p_win=1.5, epsilon=0.01, delta=0.01),
+        dict(p_win=0.5, epsilon=float("inf"), delta=0.01),
     ],
 )
 def test_invalid_plan_requests_rejected(kwargs):

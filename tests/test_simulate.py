@@ -14,7 +14,6 @@ from montyhall.simulate import (
     SimulationConfig,
     SimulationResult,
     run_batch,
-    run_trial,
     substream,
     sweep,
     switch_probability_grid,
@@ -28,7 +27,7 @@ F = Fraction
 
 
 class ScriptedRNG:
-    """Feeds predetermined raw draws to trace_trial/run_trial."""
+    """Feeds predetermined raw draws to trace_trial."""
 
     def __init__(self, ints=(), floats=()):
         self._ints = list(ints)
@@ -60,14 +59,13 @@ def test_grid_coarse_and_invalid_steps():
 
 def test_forced_goat_pick_switching_wins_leave_two():
     # pick door 2, forced switch: the host must leave the car door closed
-    outcome = run_trial(LEAVE_TWO, 3, 1.0, ScriptedRNG(ints=[2], floats=[0.9]))
-    assert outcome.won
+    assert trace_trial(LEAVE_TWO, 3, 1.0, ScriptedRNG(ints=[2], floats=[0.9])).won
 
 
 def test_forced_car_pick_never_switching_wins():
     for variant, ints in ((LEAVE_TWO, [1, 3]), (OPEN_ONE, [1, 3])):
-        outcome = run_trial(variant, 4, 0.0, ScriptedRNG(ints=ints, floats=[0.7]))
-        assert outcome.won
+        trace = trace_trial(variant, 4, 0.0, ScriptedRNG(ints=ints, floats=[0.7]))
+        assert trace.won
 
 
 def test_forced_open_one_final_choice():
@@ -88,6 +86,8 @@ def test_trace_rejects_bad_arguments():
         trace_trial(LEAVE_TWO, 2, 0.5, ScriptedRNG())
     with pytest.raises(ValueError):
         trace_trial(LEAVE_TWO, 3, 1.5, ScriptedRNG())
+    with pytest.raises(ValueError):
+        trace_trial(LEAVE_TWO, 3.5, 0.5, ScriptedRNG())
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
@@ -235,7 +235,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(LEAVE_TWO, 3, 1.5, 100)
     with pytest.raises(ValueError):
+        SimulationConfig(LEAVE_TWO, 3.5, 0.5, 100)
+    with pytest.raises(ValueError):
         SimulationConfig(LEAVE_TWO, 3, 0.5, 0)
+    with pytest.raises(ValueError):
+        SimulationConfig(LEAVE_TWO, 3, 0.5, 1e5)
     with pytest.raises(ValueError):
         SimulationConfig(LEAVE_TWO, 3, 0.5, 100, chunk_size=0)
     with pytest.raises(ValueError):
@@ -247,13 +251,11 @@ def test_config_validation():
 def test_sweep_rows_and_reference_tracking():
     result = sweep(LEAVE_TWO, 3, F(1, 20), trials=20000, master_seed=1)
     assert len(result.rows) == 21
-    ps = [row.p_exact for row in result.rows]
+    ps = [row.p for row in result.rows]
     assert ps == sorted(ps) and len(set(ps)) == 21
     inside = 0
     for row in result.rows:
-        assert row.analytic_exact == win_marginal(LEAVE_TWO, GameParams(3, row.p_exact))
-        assert row.analytic == pytest.approx(float(row.analytic_exact))
-        assert row.p == float(row.p_exact)
+        assert row.analytic == win_marginal(LEAVE_TWO, GameParams(3, row.p))
         if abs(row.result.empirical - row.analytic) <= row.clt_halfwidth:
             inside += 1
     assert inside >= 20  # delta = 0.01 per row, one excursion allowed
@@ -261,7 +263,7 @@ def test_sweep_rows_and_reference_tracking():
 
 def test_sweep_coarse_grid():
     result = sweep(LEAVE_TWO, 3, F(1, 2), trials=1000, master_seed=1)
-    assert [row.p_exact for row in result.rows] == [F(0), F(1, 2), F(1)]
+    assert [row.p for row in result.rows] == [F(0), F(1, 2), F(1)]
 
 
 def test_sweep_within_chebyshev_epsilon_everywhere():
@@ -269,7 +271,7 @@ def test_sweep_within_chebyshev_epsilon_everywhere():
         OPEN_ONE, 4, F(1, 20), trials=250000, master_seed=3, chunk_size=65536
     )
     for row in result.rows:
-        assert abs(row.result.empirical - float(row.analytic_exact)) < 0.01
+        assert abs(row.result.empirical - float(row.analytic)) < 0.01
 
 
 def test_sweep_is_reproducible_across_workers():
