@@ -19,6 +19,7 @@ rational equalities.  Convert to ``float`` only at the output boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -58,6 +59,34 @@ class GameVariant(Enum):
     OPEN_ONE = "open-one"
 
 
+def _require_int(name: str, value: int, low: int, high: float = math.inf) -> None:
+    """An ``int``, not a ``bool``, in ``[low, high)``."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value < high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be {bound} and an integer, got {value!r}")
+
+
+def _require_unit(name: str, value: float, *, open_interval: bool = False) -> None:
+    """A real number in ``[0, 1]``, or in ``(0, 1)`` when ``open_interval``."""
+    real = isinstance(value, (int, float, Fraction))
+    if not (real and (0 < value < 1 if open_interval else 0 <= value <= 1)):
+        bounds = "(0, 1)" if open_interval else "[0, 1]"
+        raise ValueError(f"{name} must be in {bounds}, got {value!r}")
+
+
+def _require_member(enum: type[Enum], value: Enum) -> None:
+    if not isinstance(value, enum):
+        raise ValueError(f"expected a {enum.__name__}, got {value!r}")
+
+
+def _require_doors(n: int) -> None:
+    _require_int("doors", n, 3)
+
+
+def _require_seed(seed: int) -> None:
+    _require_int("seed", seed, 0, 2**64)
+
+
 def as_probability(value: RationalLike) -> Fraction:
     """Parse ``value`` into an exact probability.
 
@@ -68,16 +97,8 @@ def as_probability(value: RationalLike) -> Fraction:
         p = Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ValueError(f"not a rational probability: {value!r}") from exc
-    if not 0 <= p <= 1:
-        raise ValueError(f"probability must be in [0, 1], got {value!r}")
+    _require_unit("probability", p)
     return p
-
-
-def _require_doors(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"doors must be an integer, got {n!r}")
-    if n < 3:
-        raise ValueError(f"doors must be >= 3, got {n}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +128,7 @@ class PartitionProbabilities:
         if set(self.cells) != set(CELL_ORDER):
             raise ValueError("partition needs exactly the eight (e, c, w) cells")
         for key, value in self.cells.items():
-            if not 0 <= value <= 1:
-                raise ValueError(f"cell {key} out of [0, 1]: {value}")
+            _require_unit(f"cell {key}", value)
         if sum(self.cells.values()) != 1:
             raise ValueError(f"partition cells sum to {sum(self.cells.values())}, not 1")
         ordered = {cell: Fraction(self.cells[cell]) for cell in CELL_ORDER}
@@ -142,6 +162,7 @@ def _win_given_events(variant: GameVariant, n: int) -> dict[tuple[bool, bool], F
     goat reaches the car with certainty when only the car door remains closed,
     and with chance 1/(n-2) when picking among the other closed doors.
     """
+    _require_member(GameVariant, variant)
     if variant is GameVariant.LEAVE_TWO_CLOSED:
         win_from_goat = Fraction(1)
     else:
@@ -161,6 +182,7 @@ def win_given_switch(variant: GameVariant, n: int) -> Fraction:
     when the host opens a single door.  Independent of ``p``: the switch
     decision is independent of the pick, so ``p`` cancels in the conditional.
     """
+    _require_member(GameVariant, variant)
     _require_doors(n)
     if variant is GameVariant.LEAVE_TWO_CLOSED:
         return Fraction(n - 1, n)

@@ -10,9 +10,11 @@ Subcommands::
     verify     exhaustive oracle-vs-closed-form equality checks
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
-The master seed defaults to ``$MONTY_SEED``, then 0; runs are reproducible
-by default.  Decimals are rendered to 12 significant digits (half-even) so
-identical invocations produce byte-identical output.
+Bad input exits 2 with one ``error:`` line before any simulation.  Seeds
+(``--seed``, else ``$MONTY_SEED``, else 0) lie in [0, 2**64), trials below
+2**63, and the grid step is 1/k with k <= 10**6.  Decimals are rendered to
+12 significant digits (half-even), so identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -38,10 +40,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-VARIANTS = {
-    "leave-two": GameVariant.LEAVE_TWO_CLOSED,
-    "open-one": GameVariant.OPEN_ONE,
-}
+VARIANTS = {v.value: v for v in GameVariant}
 
 CSV_COLUMNS = "p,empirical,analytic,clt_halfwidth,chebyshev_halfwidth"
 
@@ -75,18 +74,6 @@ def _rng_description() -> str:
         f"{RNG_ALGORITHM}; numpy {np.__version__}; "
         "substream=SeedSequence(seed, spawn_key=(grid_index, chunk_index))"
     )
-
-
-def _resolve_seed(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("MONTY_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"MONTY_SEED must be an integer, got {env!r}") from None
 
 
 def write_sweep_csv(result: SweepResult, epsilon: float, fh: IO[str]) -> None:
@@ -162,13 +149,12 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     variant = VARIANTS[args.variant]
     p_exact = as_probability(args.switch_prob)
-    seed = _resolve_seed(args.seed)
     config = SimulationConfig(
         variant=variant,
         n=args.doors,
         p=float(p_exact),
         trials=args.trials,
-        master_seed=seed,
+        master_seed=args.seed,
         chunk_size=args.chunk_size,
     )
     result = simulate.run_batch(config, workers=args.workers)
@@ -178,7 +164,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ("doors", args.doors),
         ("switch_prob", p_exact),
         ("trials", result.trials),
-        ("seed", seed),
+        ("seed", args.seed),
         ("chunk_size", args.chunk_size),
         ("rng", _rng_description()),
         ("wins", result.wins),
@@ -199,23 +185,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     variant = VARIANTS[args.variant]
-    seed = _resolve_seed(args.seed)
-    # The request checks epsilon and delta before any simulation runs, on both
-    # paths.  Worst-case variance keeps a planned guarantee valid across the
-    # whole grid.
-    request = PlanRequest(
-        0.5, args.epsilon, args.delta, PlanMethod(args.plan_trials or "chebyshev")
-    )
-    if args.plan_trials is None:
-        trials = args.trials
-    else:
-        trials = planner.sample_size(request).l0
+    # Plan on both paths, at worst-case variance, to check inputs before simulating.
+    method = PlanMethod(args.plan_trials or "clt")
+    plan = planner.sample_size(PlanRequest(0.5, args.epsilon, args.delta, method))
+    trials = args.trials if args.plan_trials is None else plan.l0
     result = simulate.sweep(
         variant,
         args.doors,
-        grid_step=Fraction(args.grid_step),
+        grid_step=args.grid_step,
         trials=trials,
-        master_seed=seed,
+        master_seed=args.seed,
         delta=args.delta,
         chunk_size=args.chunk_size,
         workers=args.workers,
@@ -257,11 +236,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.doors_max < 3:
-        raise ValueError(f"doors-max must be >= 3, got {args.doors_max}")
-    if args.placement_checks < 0:
-        raise ValueError("placement-checks must be >= 0")
-    seed = _resolve_seed(args.seed)
+    analytic._require_int("doors-max", args.doors_max, 3)
+    analytic._require_int("placement-checks", args.placement_checks, 0)
+    analytic._require_seed(args.seed)
     grid = simulate.switch_probability_grid()
     failures: list[str] = []
 
@@ -286,7 +263,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         f"partition mismatch at ({variant.value}, n={n}, p={p})"
                     )
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     for index in range(args.placement_checks):
         n = 3 + index % (args.doors_max - 2)
         cars = oracle.random_car_distribution(n, rng)
@@ -332,7 +309,7 @@ def _add_seed_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--seed",
         type=int,
-        default=None,
+        default=os.environ.get("MONTY_SEED", "0"),
         metavar="S",
         help="master seed (default: $MONTY_SEED, else 0)",
     )

@@ -29,6 +29,8 @@ from .analytic import (
     GameVariant,
     PartitionProbabilities,
     RationalLike,
+    _require_doors,
+    _require_member,
 )
 
 __all__ = [
@@ -50,8 +52,7 @@ class CarDistribution:
 
     def __post_init__(self) -> None:
         alpha = tuple(Fraction(a) for a in self.alpha)
-        if len(alpha) < 3:
-            raise ValueError("car distribution needs at least 3 doors")
+        _require_doors(len(alpha))
         if any(a < 0 for a in alpha):
             raise ValueError("car placement probabilities must be non-negative")
         if sum(alpha) != 1:
@@ -86,7 +87,10 @@ class Trajectory(NamedTuple):
     weight: Fraction
 
 
-def _check_inputs(params: GameParams, cars: CarDistribution) -> None:
+def _check_inputs(
+    variant: GameVariant, params: GameParams, cars: CarDistribution
+) -> None:
+    _require_member(GameVariant, variant)
     if len(cars) != params.n:
         raise ValueError(
             f"car distribution covers {len(cars)} doors, game has {params.n}"
@@ -151,7 +155,7 @@ def _cells(
     Trajectories share only a handful of distinct weights, so the walk counts
     (cell, weight) pairs and multiplies out each distinct pair once.
     """
-    _check_inputs(params, cars)
+    _check_inputs(variant, params, cars)
     tally = Counter(
         (pick == car, switched, final == car, weight)
         for car, pick, _host, switched, final, weight in _raw_trajectories(
@@ -168,7 +172,7 @@ def enumerate_trajectories(
     variant: GameVariant, params: GameParams, cars: CarDistribution
 ) -> Iterator[Trajectory]:
     """Every game trajectory with positive weight; weights sum to exactly 1."""
-    _check_inputs(params, cars)
+    _check_inputs(variant, params, cars)
     n = params.n
     all_doors = frozenset(range(1, n + 1))
     for car, pick, host_door, switched, final, (num, den) in _raw_trajectories(

@@ -23,6 +23,8 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Optional
 
+from .analytic import _require_int, _require_member, _require_unit
+
 __all__ = [
     "PlanMethod",
     "PlanRequest",
@@ -48,12 +50,11 @@ class PlanRequest:
     method: PlanMethod
 
     def __post_init__(self) -> None:
-        if not 0 <= self.p_win <= 1:
-            raise ValueError(f"p_win must be in [0, 1], got {self.p_win}")
+        _require_member(PlanMethod, self.method)
+        _require_unit("p_win", self.p_win)
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        _require_unit("delta", self.delta, open_interval=True)
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,6 @@ class SampleSizePlan:
     """Minimum trial count; ``z_x`` is set for the CLT method only."""
 
     l0: int
-    method: PlanMethod
     z_x: Optional[float] = None
 
 
@@ -71,10 +71,6 @@ class SampleSizePlan:
 #: part in 1e16.  An argument outside (0, 1) raises
 #: ``statistics.StatisticsError``, a ``ValueError``.
 normal_quantile = NormalDist().inv_cdf
-
-
-def _ceil_at_least_one(value: Fraction) -> int:
-    return max(1, math.ceil(value))
 
 
 def sample_size(req: PlanRequest) -> SampleSizePlan:
@@ -88,10 +84,10 @@ def sample_size(req: PlanRequest) -> SampleSizePlan:
     eps_sq = Fraction(req.epsilon) ** 2
     if req.method is PlanMethod.CLT:
         z = normal_quantile(1.0 - req.delta / 2.0)
-        l0 = _ceil_at_least_one(Fraction(z) ** 2 * variance / eps_sq)
-        return SampleSizePlan(l0=l0, method=req.method, z_x=z)
-    l0 = _ceil_at_least_one(variance / (Fraction(req.delta) * eps_sq))
-    return SampleSizePlan(l0=l0, method=req.method)
+        l0 = max(1, math.ceil(Fraction(z) ** 2 * variance / eps_sq))
+        return SampleSizePlan(l0=l0, z_x=z)
+    l0 = max(1, math.ceil(variance / (Fraction(req.delta) * eps_sq)))
+    return SampleSizePlan(l0=l0)
 
 
 def band_halfwidth(p_win: float, l: int, delta: float, method: PlanMethod) -> float:
@@ -101,12 +97,10 @@ def band_halfwidth(p_win: float, l: int, delta: float, method: PlanMethod) -> fl
     Inverse of :func:`sample_size`: plugging the planned ``l0`` back in gives
     a half-width of at most the planned epsilon (up to the integer ceiling).
     """
-    if not 0 <= p_win <= 1:
-        raise ValueError(f"p_win must be in [0, 1], got {p_win}")
-    if l < 1:
-        raise ValueError(f"trial count must be >= 1, got {l}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _require_member(PlanMethod, method)
+    _require_unit("p_win", p_win)
+    _require_int("trial count", l, 1)
+    _require_unit("delta", delta, open_interval=True)
     variance = p_win * (1.0 - p_win)
     if method is PlanMethod.CLT:
         return normal_quantile(1.0 - delta / 2.0) * math.sqrt(variance / l)

@@ -26,6 +26,7 @@ no modulo bias); switch decisions compare one uniform double against ``p``.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,11 @@ from .analytic import (
     GameVariant,
     RationalLike,
     _require_doors,
+    _require_int,
+    _require_member,
+    _require_seed,
+    _require_unit,
+    as_probability,
     win_marginal,
 )
 from .planner import PlanMethod, band_halfwidth
@@ -66,6 +72,8 @@ DEFAULT_CHUNK_SIZE = 4096
 #: Default grid step: 21 switch probabilities 0.00, 0.05, ..., 1.00.
 GRID_STEP_DEFAULT = Fraction(1, 20)
 
+_MAX_GRID_INTERVALS = 10**6
+
 _CAR_DOOR = 1  # car placement is fixed; arbitrary placement loses no generality
 
 
@@ -81,15 +89,12 @@ class SimulationConfig:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
+        _require_member(GameVariant, self.variant)
         _require_doors(self.n)
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"switch probability must be in [0, 1], got {self.p}")
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        _require_unit("switch probability", self.p)
+        _require_int("trials", self.trials, 1, 2**63)
+        _require_int("chunk_size", self.chunk_size, 1)
+        _require_seed(self.master_seed)
 
 
 class TrialTrace(NamedTuple):
@@ -104,24 +109,22 @@ class TrialTrace(NamedTuple):
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Aggregate of a batch: win count, empirical frequency, standard error."""
+    """Aggregate of a batch: trial and win counts."""
 
     trials: int
     wins: int
-    empirical: float
-    std_error: float
 
-    @classmethod
-    def from_wins(cls, trials: int, wins: int) -> "SimulationResult":
-        if not 0 <= wins <= trials:
-            raise ValueError(f"wins {wins} outside [0, {trials}]")
-        freq = wins / trials
-        return cls(
-            trials=trials,
-            wins=wins,
-            empirical=freq,
-            std_error=math.sqrt(freq * (1.0 - freq) / trials),
-        )
+    def __post_init__(self) -> None:
+        if not 0 <= self.wins <= self.trials:
+            raise ValueError(f"wins {self.wins} outside [0, {self.trials}]")
+
+    @property
+    def empirical(self) -> float:
+        return self.wins / self.trials
+
+    @property
+    def std_error(self) -> float:
+        return math.sqrt(self.empirical * (1.0 - self.empirical) / self.trials)
 
 
 class SweepRow(NamedTuple):
@@ -150,12 +153,11 @@ class SweepResult:
 
 
 def switch_probability_grid(step: RationalLike = GRID_STEP_DEFAULT) -> list[Fraction]:
-    """Exact grid {k * step : 0 <= k <= 1/step}; step must divide 1 evenly."""
-    step = Fraction(step)
-    if step <= 0 or step > 1 or (1 / step).denominator != 1:
-        raise ValueError(f"grid step must evenly divide 1, got {step}")
-    points = int(1 / step)
-    return [k * step for k in range(points + 1)]
+    """Exact grid {k * step : 0 <= k <= 1/step} for a step 1/k, k <= 10**6."""
+    step = as_probability(step)
+    if step.numerator != 1 or step.denominator > _MAX_GRID_INTERVALS:
+        raise ValueError(f"grid step must be 1/k, k <= {_MAX_GRID_INTERVALS}: {step}")
+    return [k * step for k in range(step.denominator + 1)]
 
 
 def substream(master_seed: int, stream: int, chunk: int) -> np.random.Generator:
@@ -172,9 +174,9 @@ def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
     ``[low, high)`` and ``random()`` returning a uniform float in ``[0, 1)``;
     a ``numpy.random.Generator`` fits.
     """
+    _require_member(GameVariant, variant)
     _require_doors(n)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"switch probability must be in [0, 1], got {p}")
+    _require_unit("switch probability", p)
     pick = int(rng.integers(1, n + 1))
     if variant is GameVariant.LEAVE_TWO_CLOSED:
         # Host leaves one other door closed: any other door if the pick is
@@ -232,23 +234,23 @@ def run_batch(
     ``stream`` selects the substream family (sweeps pass the grid index);
     ``workers`` only controls execution, never the result.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    full, rest = divmod(config.trials, config.chunk_size)
-    sizes = [config.chunk_size] * full + ([rest] if rest else [])
+    _require_int("workers", workers, 1)
+    chunks = -(-config.trials // config.chunk_size)
+    threads = 1 if workers == 1 else min(workers, chunks, os.cpu_count() or 1)
 
-    def chunk_wins(job: tuple[int, int]) -> int:
-        index, size = job
-        rng = substream(config.master_seed, stream, index)
-        return _chunk_wins(config.variant, config.n, config.p, rng, size)
+    def strided_wins(first: int) -> int:
+        wins = 0
+        for index in range(first, chunks, threads):
+            size = min(config.chunk_size, config.trials - index * config.chunk_size)
+            rng = substream(config.master_seed, stream, index)
+            wins += _chunk_wins(config.variant, config.n, config.p, rng, size)
+        return wins
 
-    jobs = list(enumerate(sizes))
-    if workers == 1 or len(jobs) == 1:
-        wins = sum(map(chunk_wins, jobs))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            wins = sum(pool.map(chunk_wins, jobs))
-    return SimulationResult.from_wins(config.trials, wins)
+    if threads == 1:
+        return SimulationResult(config.trials, strided_wins(0))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        wins = sum(pool.map(strided_wins, range(threads)))
+    return SimulationResult(config.trials, wins)
 
 
 def sweep(
@@ -265,6 +267,7 @@ def sweep(
     """One batch per grid point, each on its own substream, with the exact
     reference value and CLT/Chebyshev confidence half-widths per row."""
     grid = switch_probability_grid(grid_step)
+    _require_unit("delta", delta, open_interval=True)
     rows = []
     for k, p in enumerate(grid):
         config = SimulationConfig(

@@ -127,6 +127,10 @@ def test_invalid_params_rejected():
         GameParams(3, Fraction(3, 2))
     with pytest.raises(ValueError):
         GameParams(3, Fraction(-1, 2))
+    with pytest.raises(ValueError):
+        win_marginal("leave-two", GameParams(5, Fraction(1)))
+    with pytest.raises(ValueError):
+        partition_probabilities("leave-two", GameParams(5, Fraction(1)))
 
 
 def test_as_probability_parses_exactly():

@@ -68,6 +68,11 @@ def test_analytic_open_one_csv(capsys):
         ("verify", "--doors-max", "2"),
         ("simulate", "--trials", "0"),
         ("plan", "--epsilon", "inf"),
+        ("sweep", "--grid-step", "1/0", "--trials", "10"),
+        ("sweep", "--grid-step", "1e-400", "--trials", "10"),
+        ("sweep", "--plan-trials", "chebyshev", "--epsilon", "1e-300",
+         "--delta", "0.5", "--grid-step", "1/2"),
+        ("verify", "--seed", "18446744073709551616"),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -205,6 +210,7 @@ def test_sweep_planned_trials(tmp_path):
         ("--epsilon", "-1", "--trials", "10"),
         ("--delta", "2"),
         ("--plan-trials", "clt", "--epsilon", "inf"),
+        ("--trials", "10", "--delta", "1e-300"),
     ],
 )
 def test_sweep_rejects_bad_plan_inputs_before_simulating(

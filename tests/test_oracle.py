@@ -187,6 +187,8 @@ def test_input_validation():
     with pytest.raises(ValueError):
         exact_win_probability(LEAVE_TWO, GameParams(4, F(1, 2)), CarDistribution.uniform(3))
     with pytest.raises(ValueError):
+        exact_win_probability("leave-two", GameParams(5, F(1)), CarDistribution.uniform(5))
+    with pytest.raises(ValueError):
         CarDistribution((F(1, 2), F(1, 2), F(1, 2)))
     with pytest.raises(ValueError):
         CarDistribution((F(3, 2), F(-1, 4), F(-1, 4)))

@@ -101,11 +101,12 @@ def test_degenerate_variance_clamps_to_one(p_win, method):
         dict(p_win=0.5, epsilon=0.01, delta=1.0),
         dict(p_win=1.5, epsilon=0.01, delta=0.01),
         dict(p_win=0.5, epsilon=float("inf"), delta=0.01),
+        dict(p_win=0.5, epsilon=0.01, delta=0.01, method="clt"),
     ],
 )
 def test_invalid_plan_requests_rejected(kwargs):
     with pytest.raises(ValueError):
-        PlanRequest(method=PlanMethod.CLT, **kwargs)
+        PlanRequest(**{"method": PlanMethod.CLT, **kwargs})
 
 
 @pytest.mark.parametrize("method", list(PlanMethod))
@@ -164,6 +165,10 @@ def test_band_halfwidth_rejects_bad_inputs():
         band_halfwidth(0.5, 100, 0.0, PlanMethod.CLT)
     with pytest.raises(ValueError):
         band_halfwidth(1.5, 100, 0.01, PlanMethod.CLT)
+    with pytest.raises(ValueError):
+        band_halfwidth(0.5, 1.5, 0.01, PlanMethod.CLT)
+    with pytest.raises(ValueError):
+        band_halfwidth(0.5, 100, 0.01, "clt")
 
 
 @given(

@@ -88,6 +88,8 @@ def test_trace_rejects_bad_arguments():
         trace_trial(LEAVE_TWO, 3, 1.5, ScriptedRNG())
     with pytest.raises(ValueError):
         trace_trial(LEAVE_TWO, 3.5, 0.5, ScriptedRNG())
+    with pytest.raises(ValueError):
+        trace_trial("leave-two", 3, 0.5, ScriptedRNG())
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
@@ -222,11 +224,11 @@ def test_planning_at_analytic_probability_keeps_error_in_band(variant, n, p_exac
 
 
 def test_result_fields_and_validation():
-    result = SimulationResult.from_wins(2000, 700)
+    result = SimulationResult(2000, 700)
     assert result.empirical == 0.35
     assert result.std_error == pytest.approx(math.sqrt(0.35 * 0.65 / 2000))
     with pytest.raises(ValueError):
-        SimulationResult.from_wins(10, 11)
+        SimulationResult(10, 11)
 
 
 def test_config_validation():
@@ -246,6 +248,38 @@ def test_config_validation():
         SimulationConfig(LEAVE_TWO, 3, 0.5, 100, master_seed=-1)
     with pytest.raises(ValueError):
         run_batch(SimulationConfig(LEAVE_TWO, 3, 0.5, 100), workers=0)
+    with pytest.raises(ValueError):
+        SimulationConfig("leave-two", 3, 0.5, 100)
+    with pytest.raises(ValueError):
+        SimulationConfig(LEAVE_TWO, 3, 0.5, 100, chunk_size=2.5)
+    with pytest.raises(ValueError):
+        SimulationConfig(LEAVE_TWO, 3, 0.5, 100, master_seed=1.5)
+    with pytest.raises(ValueError):
+        SimulationConfig(LEAVE_TWO, 3, 0.5, True)
+    with pytest.raises(ValueError):
+        SimulationConfig(LEAVE_TWO, 3, 0.5, 2**63)
+    with pytest.raises(ValueError):
+        run_batch(SimulationConfig(LEAVE_TWO, 3, 0.5, 100), workers=1.5)
+
+
+def test_thread_count_is_capped_by_chunks_and_cpus(monkeypatch):
+    import montyhall.simulate as simulate
+
+    started = []
+    real_pool = simulate.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+    two_chunks = SimulationConfig(OPEN_ONE, 5, 0.5, 200, master_seed=4, chunk_size=100)
+    ten_chunks = SimulationConfig(OPEN_ONE, 5, 0.5, 1000, master_seed=4, chunk_size=100)
+    for config in (two_chunks, ten_chunks):
+        assert run_batch(config, workers=8) == run_batch(config)
+    # workers=1 runs inline; the chunk count, then the CPU count, caps the rest
+    assert started == [2, 3]
 
 
 def test_sweep_rows_and_reference_tracking():
