@@ -30,7 +30,6 @@ __all__ = [
     "GameVariant",
     "GameParams",
     "PartitionProbabilities",
-    "WinningProfile",
     "CELL_ORDER",
     "as_probability",
     "win_given_switch",
@@ -38,7 +37,6 @@ __all__ = [
     "win_marginal",
     "linear_coefficients",
     "partition_probabilities",
-    "winning_profile",
 ]
 
 RationalLike = Union[Fraction, int, str]
@@ -142,18 +140,6 @@ class PartitionProbabilities:
         return sum((v for (_, _, w), v in self.cells.items() if w), Fraction(0))
 
 
-@dataclass(frozen=True)
-class WinningProfile:
-    """Win probabilities at one (variant, n, p) point plus the affine form
-    ``p_win_marginal = intercept + slope * p`` of the marginal."""
-
-    p_win_switch: Fraction
-    p_win_stay: Fraction
-    p_win_marginal: Fraction
-    intercept: Fraction
-    slope: Fraction
-
-
 def _win_given_events(variant: GameVariant, n: int) -> dict[tuple[bool, bool], Fraction]:
     """P(win | initial pick correct?, switched?) for each of the four combinations.
 
@@ -225,14 +211,3 @@ def partition_probabilities(variant: GameVariant, params: GameParams) -> Partiti
             cells[(correct, switched, False)] = base * (1 - p_win)
     return PartitionProbabilities(cells)
 
-
-def winning_profile(variant: GameVariant, params: GameParams) -> WinningProfile:
-    """Bundle the switch/stay/marginal probabilities and affine coefficients."""
-    intercept, slope = linear_coefficients(variant, params.n)
-    return WinningProfile(
-        p_win_switch=win_given_switch(variant, params.n),
-        p_win_stay=win_given_stay(variant, params.n),
-        p_win_marginal=intercept + slope * params.p,
-        intercept=intercept,
-        slope=slope,
-    )

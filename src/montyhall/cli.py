@@ -11,10 +11,11 @@ Subcommands::
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 Bad input exits 2 with one ``error:`` line before any simulation.  Seeds
-(``--seed``, else ``$MONTY_SEED``, else 0) lie in [0, 2**64), trials below
-2**63, and the grid step is 1/k with k <= 10**6.  Decimals are rendered to
-12 significant digits (half-even), so identical invocations produce
-byte-identical output.
+(``--seed``, else ``$MONTY_SEED``, else 0) lie in [0, 2**64), trials and
+simulated door counts below 2**63, and the grid step is 1/k with k <= 10**6;
+every accepted flag is checked, even where a path leaves it unread.
+Decimals are rendered to 12 significant digits (half-even), so identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ import os
 import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from typing import IO, Optional, Sequence
+from typing import IO, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import analytic, oracle, planner, simulate
 from .analytic import GameParams, GameVariant, as_probability
 from .planner import PlanMethod, PlanRequest
-from .simulate import RNG_ALGORITHM, SimulationConfig, SweepResult
+from .simulate import RNG_ALGORITHM, SimulationConfig, SweepRow
 
 __all__ = ["main", "EXIT_OK", "EXIT_VERIFY_FAILED", "EXIT_USAGE", "EXIT_IO"]
 
@@ -76,23 +77,14 @@ def _rng_description() -> str:
     )
 
 
-def write_sweep_csv(result: SweepResult, epsilon: float, fh: IO[str]) -> None:
+def write_sweep_csv(
+    rows: Sequence[SweepRow], meta: Mapping[str, object], fh: IO[str]
+) -> None:
     """CSV with '#'-prefixed metadata, then the fixed five-column layout."""
-    meta = (
-        ("seed", result.master_seed),
-        ("rng", _rng_description()),
-        ("variant", result.variant.value),
-        ("doors", result.n),
-        ("trials", result.trials),
-        ("epsilon", epsilon),
-        ("delta", result.delta),
-        ("chunk_size", result.chunk_size),
-        ("grid_step", result.grid_step),
-    )
-    for key, value in meta:
+    for key, value in meta.items():
         fh.write(f"# {key}={value}\n")
     fh.write(CSV_COLUMNS + "\n")
-    for row in result.rows:
+    for row in rows:
         fh.write(
             ",".join(
                 (
@@ -107,15 +99,12 @@ def write_sweep_csv(result: SweepResult, epsilon: float, fh: IO[str]) -> None:
         )
 
 
-def _print_sweep_table(result: SweepResult, epsilon: float) -> None:
-    print(
-        f"sweep: variant={result.variant.value} doors={result.n} "
-        f"trials={result.trials} seed={result.master_seed} "
-        f"epsilon={epsilon} delta={result.delta}"
-    )
+def _print_sweep_table(rows: Sequence[SweepRow], meta: Mapping[str, object]) -> None:
+    keys = ("variant", "doors", "trials", "seed", "epsilon", "delta")
+    print("sweep: " + " ".join(f"{key}={meta[key]}" for key in keys))
     header = f"{'p':>6} {'empirical':>12} {'analytic':>14} {'clt_hw':>10} {'cheb_hw':>10}"
     print(header)
-    for row in result.rows:
+    for row in rows:
         print(
             f"{fmt12(row.p):>6} {row.result.empirical:>12.6f} "
             f"{fmt12(row.analytic):>14} {row.clt_halfwidth:>10.6f} "
@@ -126,14 +115,14 @@ def _print_sweep_table(result: SweepResult, epsilon: float) -> None:
 def cmd_analytic(args: argparse.Namespace) -> int:
     variant = VARIANTS[args.variant]
     params = GameParams(args.doors, as_probability(args.switch_prob))
-    profile = analytic.winning_profile(variant, params)
+    intercept, slope = analytic.linear_coefficients(variant, params.n)
     partition = analytic.partition_probabilities(variant, params)
     rows = [
-        ("P(win | switch)", profile.p_win_switch),
-        ("P(win | stay)", profile.p_win_stay),
-        ("P(win)", profile.p_win_marginal),
-        ("intercept", profile.intercept),
-        ("slope", profile.slope),
+        ("P(win | switch)", analytic.win_given_switch(variant, params.n)),
+        ("P(win | stay)", analytic.win_given_stay(variant, params.n)),
+        ("P(win)", analytic.win_marginal(variant, params)),
+        ("intercept", intercept),
+        ("slope", slope),
     ] + [(_cell_label(cell), value) for cell, value in partition.cells.items()]
     if args.format == "csv":
         print("quantity,exact,decimal")
@@ -184,15 +173,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    variant = VARIANTS[args.variant]
+    grid_step = as_probability(args.grid_step)
     # Plan on both paths, at worst-case variance, to check inputs before simulating.
     method = PlanMethod(args.plan_trials or "clt")
     plan = planner.sample_size(PlanRequest(0.5, args.epsilon, args.delta, method))
     trials = args.trials if args.plan_trials is None else plan.l0
-    result = simulate.sweep(
-        variant,
+    meta = {
+        "seed": args.seed,
+        "rng": _rng_description(),
+        "variant": args.variant,
+        "doors": args.doors,
+        "trials": trials,
+        "epsilon": args.epsilon,
+        "delta": args.delta,
+        "chunk_size": args.chunk_size,
+        "grid_step": grid_step,
+    }
+    rows = simulate.sweep(
+        VARIANTS[args.variant],
         args.doors,
-        grid_step=args.grid_step,
+        grid_step=grid_step,
         trials=trials,
         master_seed=args.seed,
         delta=args.delta,
@@ -200,25 +200,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     if args.format == "table":
-        _print_sweep_table(result, args.epsilon)
+        _print_sweep_table(rows, meta)
         return EXIT_OK
     if args.out is None:
-        write_sweep_csv(result, args.epsilon, sys.stdout)
+        write_sweep_csv(rows, meta, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_sweep_csv(result, args.epsilon, fh)
+            write_sweep_csv(rows, meta, fh)
     return EXIT_OK
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     method = PlanMethod(args.method)
+    # Checked on both paths, though only the analytic one reads them.
+    params = GameParams(args.doors, as_probability(args.switch_prob))
     if args.at == "worst-case":
         p_win = 0.5
         source = "worst-case"
     else:
-        variant = VARIANTS[args.variant]
-        params = GameParams(args.doors, as_probability(args.switch_prob))
-        p_win = float(analytic.win_marginal(variant, params))
+        p_win = float(analytic.win_marginal(VARIANTS[args.variant], params))
         source = (
             f"analytic({args.variant}, doors={args.doors}, "
             f"switch_prob={params.p})"
@@ -297,6 +297,9 @@ def _add_game_flags(sub: argparse.ArgumentParser) -> None:
         help="host strategy (default: leave-two)",
     )
     sub.add_argument("--doors", type=int, default=3, metavar="N", help="door count, >= 3")
+
+
+def _add_switch_prob_flag(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--switch-prob",
         default="1/2",
@@ -329,11 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("analytic", help="exact probabilities at one (n, p)")
     _add_game_flags(sub)
+    _add_switch_prob_flag(sub)
     _add_format_flag(sub, "table")
     sub.set_defaults(handler=cmd_analytic)
 
     sub = commands.add_parser("simulate", help="one Monte Carlo batch")
     _add_game_flags(sub)
+    _add_switch_prob_flag(sub)
     _add_seed_flag(sub)
     sub.add_argument("--trials", type=int, default=100000)
     sub.add_argument("--chunk-size", type=int, default=simulate.DEFAULT_CHUNK_SIZE)
@@ -363,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("plan", help="minimum trial count for a target accuracy")
     _add_game_flags(sub)
+    _add_switch_prob_flag(sub)
     sub.add_argument("--epsilon", type=float, default=0.01)
     sub.add_argument("--delta", type=float, default=0.01)
     sub.add_argument("--method", choices=[m.value for m in PlanMethod], default="clt")

@@ -38,7 +38,6 @@ from .analytic import (
     GameParams,
     GameVariant,
     RationalLike,
-    _require_doors,
     _require_int,
     _require_member,
     _require_seed,
@@ -56,7 +55,6 @@ __all__ = [
     "TrialTrace",
     "SimulationResult",
     "SweepRow",
-    "SweepResult",
     "switch_probability_grid",
     "substream",
     "trace_trial",
@@ -90,7 +88,7 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         _require_member(GameVariant, self.variant)
-        _require_doors(self.n)
+        _require_int("doors", self.n, 3, 2**63)
         _require_unit("switch probability", self.p)
         _require_int("trials", self.trials, 1, 2**63)
         _require_int("chunk_size", self.chunk_size, 1)
@@ -138,20 +136,6 @@ class SweepRow(NamedTuple):
     chebyshev_halfwidth: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    """All grid points of a sweep plus the metadata that reproduces it."""
-
-    variant: GameVariant
-    n: int
-    trials: int
-    master_seed: int
-    chunk_size: int
-    grid_step: Fraction
-    delta: float
-    rows: tuple[SweepRow, ...]
-
-
 def switch_probability_grid(step: RationalLike = GRID_STEP_DEFAULT) -> list[Fraction]:
     """Exact grid {k * step : 0 <= k <= 1/step} for a step 1/k, k <= 10**6."""
     step = as_probability(step)
@@ -175,7 +159,7 @@ def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
     a ``numpy.random.Generator`` fits.
     """
     _require_member(GameVariant, variant)
-    _require_doors(n)
+    _require_int("doors", n, 3, 2**63)
     _require_unit("switch probability", p)
     pick = int(rng.integers(1, n + 1))
     if variant is GameVariant.LEAVE_TWO_CLOSED:
@@ -263,9 +247,9 @@ def sweep(
     delta: float = 0.01,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
-) -> SweepResult:
-    """One batch per grid point, each on its own substream, with the exact
-    reference value and CLT/Chebyshev confidence half-widths per row."""
+) -> tuple[SweepRow, ...]:
+    """One row per grid point, each batch on its own substream, with the
+    exact reference value and CLT/Chebyshev confidence half-widths."""
     grid = switch_probability_grid(grid_step)
     _require_unit("delta", delta, open_interval=True)
     rows = []
@@ -292,13 +276,4 @@ def sweep(
                 ),
             )
         )
-    return SweepResult(
-        variant=variant,
-        n=n,
-        trials=trials,
-        master_seed=master_seed,
-        chunk_size=chunk_size,
-        grid_step=Fraction(grid_step),
-        delta=delta,
-        rows=tuple(rows),
-    )
+    return tuple(rows)

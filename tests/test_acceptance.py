@@ -153,7 +153,7 @@ def test_09_empirical_sweeps_track_exact_values(variant, door_counts):
                     master_seed=seed,
                     chunk_size=65536,
                 )
-                for row in result.rows:
+                for row in result:
                     cells += 1
                     if abs(row.result.empirical - float(row.analytic)) >= 0.01:
                         misses += 1

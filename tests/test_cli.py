@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import montyhall.analytic
@@ -73,6 +74,10 @@ def test_analytic_open_one_csv(capsys):
         ("sweep", "--plan-trials", "chebyshev", "--epsilon", "1e-300",
          "--delta", "0.5", "--grid-step", "1/2"),
         ("verify", "--seed", "18446744073709551616"),
+        ("sweep", "--switch-prob", "1/2", "--trials", "10", "--grid-step", "1/2"),
+        ("plan", "--doors", "2"),
+        ("plan", "--switch-prob", "abc"),
+        ("simulate", "--doors", str(2**63), "--trials", "10"),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -88,6 +93,22 @@ def test_unknown_flag_exits_2(capsys):
 def test_doors_error_message(capsys):
     assert run_cli("analytic", "--doors", "2") == EXIT_USAGE
     assert "doors must be >= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("simulate", "--trials", "10"), ("sweep", "--trials", "10", "--grid-step", "1/2")],
+)
+def test_simulated_doors_stop_below_2_to_63(argv, monkeypatch, capsys):
+    assert run_cli(*argv, "--doors", str(2**63 - 1)) == EXIT_OK
+    capsys.readouterr()
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("simulated before the inputs were checked")
+
+    monkeypatch.setattr(montyhall.simulate, "run_batch", no_batch)
+    assert run_cli(*argv, "--doors", str(2**63)) == EXIT_USAGE
+    assert "doors must be" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -142,18 +163,28 @@ def test_sweep_csv_layout(tmp_path):
     assert run_cli(*_sweep_args(path)) == EXIT_OK
     lines = path.read_text(encoding="utf-8").splitlines()
     meta = [line for line in lines if line.startswith("# ")]
-    keys = [line[2:].split("=", 1)[0] for line in meta]
-    for key in ("seed", "rng", "variant", "doors", "trials", "epsilon", "delta",
-                "chunk_size"):
-        assert key in keys
-    assert "# seed=1" in meta
-    assert "# trials=20000" in meta
+    assert meta == [
+        "# seed=1",
+        "# rng=Philox4x64-10 (numpy.random.Philox); numpy "
+        f"{np.__version__}; substream=SeedSequence(seed, "
+        "spawn_key=(grid_index, chunk_index))",
+        "# variant=leave-two",
+        "# doors=3",
+        "# trials=20000",
+        "# epsilon=0.01",
+        "# delta=0.01",
+        "# chunk_size=4096",
+        "# grid_step=1/20",
+    ]
     header_index = len(meta)
     assert lines[header_index] == CSV_COLUMNS
     data = lines[header_index + 1 :]
     assert len(data) == 21
     assert data[0].split(",")[0] == "0"
     assert data[-1].split(",")[0] == "1"
+    # A decimal step is parsed exactly and written as a fraction.
+    assert run_cli(*_sweep_args(path, "--grid-step", "0.05")) == EXIT_OK
+    assert path.read_text(encoding="utf-8").splitlines()[:9] == meta
 
 
 def test_sweep_csv_analytic_column_is_exact(tmp_path):

@@ -31,8 +31,11 @@ def game_flags():
     return [
         ("--variant", ("leave-two", "open-one"), ("abc",)),
         ("--doors", DOORS, HOSTILE),
-        ("--switch-prob", SWITCH_PROBS, HOSTILE),
     ]
+
+
+#: Taken by analytic, simulate and plan; sweep has no switch probability.
+SWITCH_PROB = ("--switch-prob", SWITCH_PROBS, HOSTILE)
 
 
 def batch_flags():
@@ -55,9 +58,9 @@ def argvs(draw):
     commands = ("analytic", "simulate", "sweep", "sweep", "plan", "verify")
     command = draw(st.sampled_from(commands))
     if command == "analytic":
-        flags = game_flags() + [FORMAT]
+        flags = game_flags() + [SWITCH_PROB, FORMAT]
     elif command == "simulate":
-        flags = game_flags() + batch_flags() + [TRIALS, FORMAT]
+        flags = game_flags() + [SWITCH_PROB] + batch_flags() + [TRIALS, FORMAT]
     elif command == "sweep" and draw(st.booleans()):
         # A planned sweep runs at most 10,000 trials (epsilon >= 0.05) on at
         # most five points.
@@ -78,6 +81,7 @@ def argvs(draw):
         ]
     elif command == "plan":
         flags = game_flags() + [
+            SWITCH_PROB,
             ("--epsilon", ("0.01", "0.05"), HOSTILE),
             ("--delta", ("0.01", "0.5"), HOSTILE),
             ("--method", ("clt", "chebyshev"), ("abc",)),

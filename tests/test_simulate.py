@@ -90,6 +90,8 @@ def test_trace_rejects_bad_arguments():
         trace_trial(LEAVE_TWO, 3.5, 0.5, ScriptedRNG())
     with pytest.raises(ValueError):
         trace_trial("leave-two", 3, 0.5, ScriptedRNG())
+    with pytest.raises(ValueError):
+        trace_trial(LEAVE_TWO, 2**63, 0.5, ScriptedRNG())
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
@@ -260,6 +262,8 @@ def test_config_validation():
         SimulationConfig(LEAVE_TWO, 3, 0.5, 2**63)
     with pytest.raises(ValueError):
         run_batch(SimulationConfig(LEAVE_TWO, 3, 0.5, 100), workers=1.5)
+    with pytest.raises(ValueError):
+        SimulationConfig(LEAVE_TWO, 2**63, 0.5, 100)
 
 
 def test_thread_count_is_capped_by_chunks_and_cpus(monkeypatch):
@@ -284,11 +288,11 @@ def test_thread_count_is_capped_by_chunks_and_cpus(monkeypatch):
 
 def test_sweep_rows_and_reference_tracking():
     result = sweep(LEAVE_TWO, 3, F(1, 20), trials=20000, master_seed=1)
-    assert len(result.rows) == 21
-    ps = [row.p for row in result.rows]
+    assert len(result) == 21
+    ps = [row.p for row in result]
     assert ps == sorted(ps) and len(set(ps)) == 21
     inside = 0
-    for row in result.rows:
+    for row in result:
         assert row.analytic == win_marginal(LEAVE_TWO, GameParams(3, row.p))
         if abs(row.result.empirical - row.analytic) <= row.clt_halfwidth:
             inside += 1
@@ -297,14 +301,14 @@ def test_sweep_rows_and_reference_tracking():
 
 def test_sweep_coarse_grid():
     result = sweep(LEAVE_TWO, 3, F(1, 2), trials=1000, master_seed=1)
-    assert [row.p for row in result.rows] == [F(0), F(1, 2), F(1)]
+    assert [row.p for row in result] == [F(0), F(1, 2), F(1)]
 
 
 def test_sweep_within_chebyshev_epsilon_everywhere():
     result = sweep(
         OPEN_ONE, 4, F(1, 20), trials=250000, master_seed=3, chunk_size=65536
     )
-    for row in result.rows:
+    for row in result:
         assert abs(row.result.empirical - float(row.analytic)) < 0.01
 
 
@@ -313,5 +317,5 @@ def test_sweep_is_reproducible_across_workers():
     base = sweep(OPEN_ONE, 5, **kwargs)
     again = sweep(OPEN_ONE, 5, **kwargs)
     threaded = sweep(OPEN_ONE, 5, workers=5, **kwargs)
-    assert [r.result.wins for r in base.rows] == [r.result.wins for r in again.rows]
-    assert [r.result.wins for r in base.rows] == [r.result.wins for r in threaded.rows]
+    assert [r.result.wins for r in base] == [r.result.wins for r in again]
+    assert [r.result.wins for r in base] == [r.result.wins for r in threaded]
