@@ -72,8 +72,9 @@ def _cell_label(cell: tuple[bool, bool, bool]) -> str:
 
 def _rng_description() -> str:
     return (
-        f"{RNG_ALGORITHM}; numpy {np.__version__}; "
-        "substream=SeedSequence(seed, spawn_key=(grid_index, chunk_index))"
+        f"{RNG_ALGORITHM}; numpy {np.__version__}; stream=v2; "
+        "key=SeedSequence(seed).generate_state(2, uint64); "
+        "counter=(0, 0, grid_index, chunk_index)"
     )
 
 

@@ -1,20 +1,27 @@
 """Seeded Monte Carlo simulation of the two Monty Hall game variants.
 
-Reproducibility contract
-------------------------
-All randomness flows from numpy's counter-based Philox generator.  The
-substream for grid point ``k`` and chunk ``j`` of a run is
-``Generator(Philox(SeedSequence(master_seed, spawn_key=(k, j))))``, a pure
-function of ``(master_seed, k, j)``: results are bit-for-bit reproducible for
+Reproducibility contract (stream v2)
+------------------------------------
+All randomness flows from numpy's counter-based Philox4x64-10 generator, in
+the key = stream, counter = position scheme of Salmon et al., "Parallel
+Random Numbers: As Easy as 1, 2, 3" (SC'11).  A run has one Philox key,
+``SeedSequence(master_seed).generate_state(2, np.uint64)``, and chunk ``j``
+of grid point ``k`` starts at counter ``(0, 0, k, j)`` (low word first), so
+its draws are ``Generator(Philox(key=key, counter=[0, 0, k, j]))``'s: a pure
+function of ``(master_seed, k, j)``.  A chunk advances only the low counter
+words, so chunks never overlap, and results are bit-for-bit reproducible for
 a fixed configuration regardless of how many workers execute the chunks.
 Changing ``chunk_size`` changes the substream layout and therefore the draws,
 so it is part of :class:`SimulationConfig`.
 
 Batch draw order
 ----------------
-Within a chunk the kernel draws whole columns in a fixed order: initial picks
-first, then switch decisions, then (open-one only) the switcher's choice among
-the remaining closed doors.  Host bookkeeping that cannot change a win --
+Under stream v2, chunk ``j`` of grid point ``k`` draws from counter
+``(0, 0, k, j)`` under the run's key.  Within a chunk the kernel draws whole
+columns in a fixed order: initial picks first, then switch decisions, then
+(open-one only) the switcher's choice among the remaining closed doors.
+Picks and slots are drawn in the narrowest unsigned dtype that holds ``n``
+(``np.min_scalar_type(n)``).  Host bookkeeping that cannot change a win --
 which goat doors the host touches -- is collapsed out of the batch kernel;
 :func:`trace_trial` plays single games with the full door-by-door mechanics
 and is what trajectory-level tests should sample.
@@ -25,8 +32,10 @@ no modulo bias); switch decisions compare one uniform double against ``p``.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,7 +74,7 @@ __all__ = [
 #: Generator recorded in output metadata, with the substream derivation rule.
 RNG_ALGORITHM = "Philox4x64-10 (numpy.random.Philox)"
 
-DEFAULT_CHUNK_SIZE = 4096
+DEFAULT_CHUNK_SIZE = 65536
 
 #: Default grid step: 21 switch probabilities 0.00, 0.05, ..., 1.00.
 GRID_STEP_DEFAULT = Fraction(1, 20)
@@ -73,6 +82,8 @@ GRID_STEP_DEFAULT = Fraction(1, 20)
 _MAX_GRID_INTERVALS = 10**6
 
 _CAR_DOOR = 1  # car placement is fixed; arbitrary placement loses no generality
+
+_local = threading.local()  # each thread's reused substream generator
 
 
 @dataclass(frozen=True)
@@ -144,11 +155,32 @@ def switch_probability_grid(step: RationalLike = GRID_STEP_DEFAULT) -> list[Frac
     return [k * step for k in range(step.denominator + 1)]
 
 
+@functools.lru_cache(maxsize=16)
+def _philox_key(master_seed: int) -> tuple[int, int]:
+    words = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+    return int(words[0]), int(words[1])
+
+
 def substream(master_seed: int, stream: int, chunk: int) -> np.random.Generator:
-    """The generator for chunk ``chunk`` of stream ``stream``; pure function
-    of its arguments."""
-    seq = np.random.SeedSequence(master_seed, spawn_key=(stream, chunk))
-    return np.random.Generator(np.random.Philox(seq))
+    """The generator for chunk ``chunk`` of stream ``stream``, positioned at
+    counter ``(0, 0, stream, chunk)`` under ``master_seed``'s key.
+
+    Its draws are a pure function of the arguments.  The generator is the
+    calling thread's own, reset on each call, so it is valid until the
+    thread's next call.
+    """
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, stream, chunk), "key": _philox_key(master_seed)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # empty: the next draw runs the counter
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
 
 
 def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
@@ -192,22 +224,31 @@ def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
     return TrialTrace(pick, host_opens, switched, final, final == _CAR_DOOR)
 
 
+def _count_wins(
+    hit: np.ndarray, switch: np.ndarray, slot0: np.ndarray | None = None
+) -> int:
+    """Wins among games whose pick hit the car (``hit``) or not, that switched
+    (``switch``) or stayed, and, in open-one, whose switcher took slot 0
+    (``slot0``; ``None`` in leave-two).
+
+    A stayer wins on a hit.  A switcher wins on a miss: in leave-two the one
+    other closed door is then the car, and in open-one door 1 is the
+    lowest-numbered closed door a switcher can reach, so slot 0 is the car.
+    """
+    to_car = switch if slot0 is None else switch & slot0
+    return int(np.count_nonzero(hit > switch)) + int(np.count_nonzero(to_car > hit))
+
+
 def _chunk_wins(
     variant: GameVariant, n: int, p: float, rng: np.random.Generator, size: int
 ) -> int:
-    picks = rng.integers(1, n + 1, size=size)
-    hit = picks == _CAR_DOOR
+    dtype = np.min_scalar_type(n)
+    hit = rng.integers(1, n + 1, size=size, dtype=dtype) == _CAR_DOOR
     switch = rng.random(size) < p
-    if variant is GameVariant.LEAVE_TWO_CLOSED:
-        # Switching reaches the car exactly when the pick missed it.
-        win_if_switch = ~hit
-    else:
-        # Door 1 is always the lowest-numbered closed door a switcher can
-        # reach when the pick missed, so slot 0 of the remaining doors is
-        # the car.
-        slot = rng.integers(0, n - 2, size=size)
-        win_if_switch = ~hit & (slot == 0)
-    return int(np.count_nonzero(np.where(switch, win_if_switch, hit)))
+    slot0 = None
+    if variant is GameVariant.OPEN_ONE:
+        slot0 = rng.integers(0, n - 2, size=size, dtype=dtype) == 0
+    return _count_wins(hit, switch, slot0)
 
 
 def run_batch(
@@ -221,19 +262,26 @@ def run_batch(
     _require_int("workers", workers, 1)
     chunks = -(-config.trials // config.chunk_size)
     threads = 1 if workers == 1 else min(workers, chunks, os.cpu_count() or 1)
+    indices = iter(range(chunks))
+    lock = threading.Lock()
 
-    def strided_wins(first: int) -> int:
+    def pulled_wins() -> int:
+        # Each thread pulls the next chunk index, so none waits on another.
         wins = 0
-        for index in range(first, chunks, threads):
+        while True:
+            with lock:
+                index = next(indices, None)
+            if index is None:
+                return wins
             size = min(config.chunk_size, config.trials - index * config.chunk_size)
             rng = substream(config.master_seed, stream, index)
             wins += _chunk_wins(config.variant, config.n, config.p, rng, size)
-        return wins
 
     if threads == 1:
-        return SimulationResult(config.trials, strided_wins(0))
+        return SimulationResult(config.trials, pulled_wins())
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        wins = sum(pool.map(strided_wins, range(threads)))
+        futures = [pool.submit(pulled_wins) for _ in range(threads)]
+        wins = sum(future.result() for future in futures)
     return SimulationResult(config.trials, wins)
 
 

@@ -162,11 +162,37 @@ def test_09_empirical_sweeps_track_exact_values(variant, door_counts):
         assert elapsed < 60.0, f"sweeps took {elapsed:.1f}s"
 
 
+@pytest.mark.parametrize(
+    "variant, doors",
+    [(OPEN_ONE, 15), (LEAVE_TWO, 10)],
+    ids=["open-one", "leave-two"],
+)
+def test_09b_pooled_z_over_the_sweep_panel(variant, doors):
+    # test_09 bounds each cell's error; a small bias passes every cell but
+    # not the pooled z of the 420 cells (105M games) at these fixed seeds.
+    with criterion(f"pooled |z| <= 5 over 420 sweep cells ({variant.value})"):
+        excess = F(0)
+        variance = F(0)
+        cells = 0
+        for seed in range(20):
+            for row in sweep(
+                variant, doors, F(1, 20), trials=250000, master_seed=seed,
+                chunk_size=65536,
+            ):
+                trials, pi = row.result.trials, row.analytic
+                excess += row.result.wins - trials * pi
+                variance += trials * pi * (1 - pi)
+                cells += 1
+        z = float(excess) / float(variance) ** 0.5
+        assert cells == 420
+        assert abs(z) <= 5.0, f"pooled z = {z:.2f}"
+
+
 def test_10_sweep_csv_determinism(tmp_path):
     with criterion("byte-identical CSV across runs and worker counts"):
         flags = [
             "sweep", "--variant", "leave-two", "--doors", "3",
-            "--trials", "50000", "--seed", "123", "--out",
+            "--trials", "50000", "--chunk-size", "4096", "--seed", "123", "--out",
         ]
         paths = [tmp_path / name for name in ("one.csv", "two.csv", "three.csv")]
         assert main(flags + [str(paths[0])]) == 0

@@ -166,14 +166,15 @@ def test_sweep_csv_layout(tmp_path):
     assert meta == [
         "# seed=1",
         "# rng=Philox4x64-10 (numpy.random.Philox); numpy "
-        f"{np.__version__}; substream=SeedSequence(seed, "
-        "spawn_key=(grid_index, chunk_index))",
+        f"{np.__version__}; stream=v2; "
+        "key=SeedSequence(seed).generate_state(2, uint64); "
+        "counter=(0, 0, grid_index, chunk_index)",
         "# variant=leave-two",
         "# doors=3",
         "# trials=20000",
         "# epsilon=0.01",
         "# delta=0.01",
-        "# chunk_size=4096",
+        "# chunk_size=65536",
         "# grid_step=1/20",
     ]
     header_index = len(meta)
@@ -205,9 +206,10 @@ def test_sweep_csv_analytic_column_is_exact(tmp_path):
 
 def test_sweep_byte_identical_across_runs_and_workers(tmp_path):
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    assert run_cli(*_sweep_args(paths[0])) == EXIT_OK
-    assert run_cli(*_sweep_args(paths[1])) == EXIT_OK
-    assert run_cli(*_sweep_args(paths[2], "--workers", "4")) == EXIT_OK
+    chunks = ("--chunk-size", "4096")
+    assert run_cli(*_sweep_args(paths[0], *chunks)) == EXIT_OK
+    assert run_cli(*_sweep_args(paths[1], *chunks)) == EXIT_OK
+    assert run_cli(*_sweep_args(paths[2], *chunks, "--workers", "4")) == EXIT_OK
     blobs = [path.read_bytes() for path in paths]
     assert blobs[0] == blobs[1] == blobs[2]
 

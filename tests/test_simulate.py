@@ -2,6 +2,7 @@
 cases, and statistical agreement with the exact probabilities."""
 
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from montyhall.oracle import CarDistribution, enumerate_trajectories
 from montyhall.simulate import (
     SimulationConfig,
     SimulationResult,
+    _count_wins,
     run_batch,
     substream,
     sweep,
@@ -133,7 +135,9 @@ def test_trial_distribution_matches_oracle_at_three_doors(variant):
 
 
 def test_batch_reproducible_and_worker_independent():
-    config = SimulationConfig(LEAVE_TWO, 3, 0.35, 50000, master_seed=99)
+    config = SimulationConfig(
+        LEAVE_TWO, 3, 0.35, 50000, master_seed=99, chunk_size=4096
+    )
     reference = run_batch(config)
     assert run_batch(config) == reference
     assert run_batch(config, workers=4) == reference
@@ -147,15 +151,53 @@ def test_batch_depends_on_seed_and_stream():
     assert run_batch(config, stream=3).wins != run_batch(config).wins
 
 
+def _v2_generator(master_seed, stream, chunk):
+    """Chunk ``chunk`` of stream ``stream`` as stream v2 lays it out, built
+    without ``substream``."""
+    key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
+    philox = np.random.Philox(key=key, counter=[0, 0, stream, chunk])
+    return np.random.Generator(philox)
+
+
 def _pick_hits(config, stream=0):
-    """Recount initial picks of door 1 straight from the substreams."""
+    """Recount initial picks of door 1 straight from the v2 layout."""
     full, rest = divmod(config.trials, config.chunk_size)
     sizes = [config.chunk_size] * full + ([rest] if rest else [])
+    dtype = np.min_scalar_type(config.n)
     hits = 0
     for index, size in enumerate(sizes):
-        rng = substream(config.master_seed, stream, index)
-        hits += int(np.count_nonzero(rng.integers(1, config.n + 1, size=size) == 1))
+        rng = _v2_generator(config.master_seed, stream, index)
+        picks = rng.integers(1, config.n + 1, size=size, dtype=dtype)
+        hits += int(np.count_nonzero(picks == 1))
     return hits
+
+
+def test_substream_matches_v2_layout_after_reuse():
+    # The thread's generator is reset on every call, so a call for another
+    # (seed, stream, chunk) in between leaves no trace in the draws.
+    a, b = (5, 3, 7), (6, 0, 2)
+    first = substream(*a).random(8)
+    substream(*b).random(3)
+    again = substream(*a).random(8)
+    expected = _v2_generator(*a).random(8)
+    assert np.array_equal(first, expected)
+    assert np.array_equal(again, expected)
+
+
+@pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
+@pytest.mark.parametrize("n", range(3, 31))
+def test_win_count_is_exact_over_every_cell(variant, n):
+    # One game per (pick, slot) cell; the kernel draws both uniformly.
+    picks, slots = np.meshgrid(np.arange(1, n + 1), np.arange(n - 2), indexing="ij")
+    hit = picks.ravel() == 1
+    slot0 = slots.ravel() == 0 if variant is OPEN_ONE else None
+    cells = hit.size
+    stay = _count_wins(hit, np.zeros(cells, dtype=bool), slot0)
+    switch = _count_wins(hit, np.ones(cells, dtype=bool), slot0)
+    for p in (F(0), F(1, 3), F(1)):
+        assert F(stay, cells) * (1 - p) + F(switch, cells) * p == win_marginal(
+            variant, GameParams(n, p)
+        )
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
@@ -286,6 +328,34 @@ def test_thread_count_is_capped_by_chunks_and_cpus(monkeypatch):
     assert started == [2, 3]
 
 
+def test_threads_pull_each_chunk_exactly_once(monkeypatch):
+    # More threads than cores and a short switch interval: a lost or repeated
+    # pull of the shared chunk iterator would show in the recorded indices.
+    import montyhall.simulate as simulate
+
+    config = SimulationConfig(
+        OPEN_ONE, 5, 0.5, 200 * 64 + 17, master_seed=3, chunk_size=64
+    )
+    reference = run_batch(config)
+    pulled = []
+    real_substream = simulate.substream
+
+    def recording_substream(master_seed, stream, chunk):
+        pulled.append(chunk)
+        return real_substream(master_seed, stream, chunk)
+
+    monkeypatch.setattr(simulate, "substream", recording_substream)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run_batch(config, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(pulled) == list(range(201))
+    assert threaded == reference
+
+
 def test_sweep_rows_and_reference_tracking():
     result = sweep(LEAVE_TWO, 3, F(1, 20), trials=20000, master_seed=1)
     assert len(result) == 21
@@ -313,7 +383,7 @@ def test_sweep_within_chebyshev_epsilon_everywhere():
 
 
 def test_sweep_is_reproducible_across_workers():
-    kwargs = dict(grid_step=F(1, 5), trials=30000, master_seed=11)
+    kwargs = dict(grid_step=F(1, 5), trials=30000, master_seed=11, chunk_size=4096)
     base = sweep(OPEN_ONE, 5, **kwargs)
     again = sweep(OPEN_ONE, 5, **kwargs)
     threaded = sweep(OPEN_ONE, 5, workers=5, **kwargs)
