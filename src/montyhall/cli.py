@@ -264,15 +264,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         f"partition mismatch at ({variant.value}, n={n}, p={p})"
                     )
 
+    # The pick is uniform, so no car placement moves any cell of the partition.
+    variant = GameVariant.LEAVE_TWO_CLOSED
+    expected: dict[int, analytic.PartitionProbabilities] = {}
     rng = np.random.default_rng(args.seed)
     for index in range(args.placement_checks):
         n = 3 + index % (args.doors_max - 2)
         cars = oracle.random_car_distribution(n, rng)
-        got = oracle.exact_initial_correct(GameParams(n, Fraction(1, 2)), cars)
-        if got != Fraction(1, n):
+        params = GameParams(n, Fraction(1, 2))
+        if n not in expected:
+            expected[n] = analytic.partition_probabilities(variant, params)
+        if oracle.exact_partition(variant, params, cars) != expected[n]:
             failures.append(
-                f"initial-pick probability mismatch at n={n}, cars={cars.alpha}: "
-                f"{got} != 1/{n}"
+                f"placement partition mismatch at ({variant.value}, n={n}, "
+                f"p=1/2), cars={cars.alpha}"
             )
 
     if failures:

@@ -10,6 +10,12 @@ not just uniform; the contestant's initial pick is always uniform.
 The host ties are broken uniformly: when the contestant's pick is the car,
 every admissible host action gets weight 1/(n-1).
 
+The switch decision is independent of the car, the pick and the host, so the
+switch probability ``p`` only weights the two branches under each host action.
+The walk therefore weights each trajectory given its switch decision, and one
+walk per (variant, car distribution) serves every ``p``: the eight cell totals
+are cached and multiplied by ``p`` or ``1 - p`` per cell.
+
 Enumeration is O(n^3) states for the leave-two-closed strategy and O(n^4) for
 open-one (the switcher's final pick adds a factor), fine for desk-scale n.
 No randomness anywhere in this module.
@@ -20,7 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .analytic import (
     CELL_ORDER,
@@ -98,18 +106,19 @@ def _check_inputs(
 
 
 def _raw_trajectories(
-    variant: GameVariant, params: GameParams, cars: CarDistribution
+    variant: GameVariant, n: int, cars: CarDistribution
 ) -> Iterator[tuple[int, int, int, bool, int, tuple[int, int]]]:
     """Yield (car, pick, host_door, switched, final, weight) tuples.
 
     ``host_door`` encodes the host action compactly: the single door left
     closed besides the pick (leave-two-closed) or the single door opened
-    (open-one).  ``weight`` is the exact probability as a reduced
-    ``(numerator, denominator)`` pair of ints, cheap to hash and tally.
-    Zero-weight branches are skipped so every yielded weight is positive.
+    (open-one).  ``weight`` is the exact probability of the trajectory given
+    its switch decision, as a reduced ``(numerator, denominator)`` pair of
+    ints, cheap to hash and tally.  The stay and the switch branches each
+    sum to 1, so one walk serves every switch probability ``p``: the caller
+    multiplies by ``1 - p`` or ``p``.  Both branches are always yielded;
+    cars of probability zero are skipped, so every weight is positive.
     """
-    n, p = params.n, params.p
-    q = 1 - p
     doors = range(1, n + 1)
     for car in doors:
         alpha = cars.alpha[car - 1]
@@ -123,49 +132,59 @@ def _raw_trajectories(
                     hosts = [y for y in doors if y != pick]
                 else:
                     hosts = [car]
-                w0 = alpha / (n * len(hosts))
-                stay_w = (w0 * q).as_integer_ratio()
-                switch_w = (w0 * p).as_integer_ratio()
+                w = (alpha / (n * len(hosts))).as_integer_ratio()
                 for y in hosts:
-                    if q:
-                        yield car, pick, y, False, pick, stay_w
-                    if p:
-                        yield car, pick, y, True, y, switch_w
+                    yield car, pick, y, False, pick, w
+                    yield car, pick, y, True, y, w
             else:
                 # Host opens one goat door other than the pick; a switcher
                 # then picks uniformly among the n - 2 other closed doors.
                 hosts = [y for y in doors if y != pick and y != car]
                 w0 = alpha / (n * len(hosts))
-                stay_w = (w0 * q).as_integer_ratio()
-                switch_w = (w0 * p / (n - 2)).as_integer_ratio()
+                stay_w = w0.as_integer_ratio()
+                switch_w = (w0 / (n - 2)).as_integer_ratio()
                 for y in hosts:
-                    if q:
-                        yield car, pick, y, False, pick, stay_w
-                    if p:
-                        for final in doors:
-                            if final != pick and final != y:
-                                yield car, pick, y, True, final, switch_w
+                    yield car, pick, y, False, pick, stay_w
+                    for final in doors:
+                        if final != pick and final != y:
+                            yield car, pick, y, True, final, switch_w
 
 
-def _cells(
-    variant: GameVariant, params: GameParams, cars: CarDistribution
-) -> dict[Cell, Fraction]:
-    """Total trajectory weight in each (correct, switched, won) cell.
+@lru_cache(maxsize=16)
+def _conditional_cells(
+    variant: GameVariant, cars: CarDistribution
+) -> Mapping[Cell, Fraction]:
+    """Weight in each (correct, switched, won) cell given the switch decision.
 
-    Trajectories share only a handful of distinct weights, so the walk counts
-    (cell, weight) pairs and multiplies out each distinct pair once.
+    The stay cells sum to 1 and so do the switch cells.  Trajectories share
+    only a handful of distinct weights, so the walk counts (cell, weight)
+    pairs and multiplies out each distinct pair once.  The tree does not
+    depend on ``p``, so it is walked once and cached; the mapping is
+    read-only, so no caller can change a cached tree.
     """
-    _check_inputs(variant, params, cars)
     tally = Counter(
         (pick == car, switched, final == car, weight)
         for car, pick, _host, switched, final, weight in _raw_trajectories(
-            variant, params, cars
+            variant, len(cars), cars
         )
     )
     cells = dict.fromkeys(CELL_ORDER, Fraction(0))
     for (correct, switched, won, (num, den)), count in tally.items():
         cells[correct, switched, won] += Fraction(num * count, den)
-    return cells
+    return MappingProxyType(cells)
+
+
+def _cells(
+    variant: GameVariant, params: GameParams, cars: CarDistribution
+) -> dict[Cell, Fraction]:
+    """Total trajectory weight in each (correct, switched, won) cell."""
+    _check_inputs(variant, params, cars)
+    p = params.p
+    q = 1 - p
+    return {
+        cell: mass * (p if cell[1] else q)
+        for cell, mass in _conditional_cells(variant, cars).items()
+    }
 
 
 def enumerate_trajectories(
@@ -173,16 +192,20 @@ def enumerate_trajectories(
 ) -> Iterator[Trajectory]:
     """Every game trajectory with positive weight; weights sum to exactly 1."""
     _check_inputs(variant, params, cars)
-    n = params.n
+    n, p = params.n, params.p
+    q = 1 - p
     all_doors = frozenset(range(1, n + 1))
     for car, pick, host_door, switched, final, (num, den) in _raw_trajectories(
-        variant, params, cars
+        variant, n, cars
     ):
+        weight = Fraction(num, den) * (p if switched else q)
+        if not weight:
+            continue
         if variant is GameVariant.LEAVE_TWO_CLOSED:
             opens = all_doors - {pick, host_door}
         else:
             opens = frozenset((host_door,))
-        yield Trajectory(car, pick, opens, switched, final, Fraction(num, den))
+        yield Trajectory(car, pick, opens, switched, final, weight)
 
 
 def exact_win_probability(

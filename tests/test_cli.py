@@ -321,8 +321,31 @@ def test_verify_walks_each_tree_once(monkeypatch, capsys):
     assert "252 analytic checks passed, 3 placement checks passed" in (
         capsys.readouterr().out
     )
-    # one walk per (variant, n, p) closed-form point, one per placement check
-    assert len(walks) == 2 * 3 * 21 + 3
+    # one walk per (variant, n) tree, whatever p; one per placement check
+    assert len(walks) == 2 * 3 + 3
+
+
+def test_verify_placement_checks_compare_the_whole_partition(monkeypatch, capsys):
+    exact = montyhall.oracle.exact_partition
+
+    def skewed(variant, params, cars):
+        # Move mass between two cells with the same "initial pick correct"
+        # flag, which leaves P(initial pick correct) at 1/n.
+        part = exact(variant, params, cars)
+        if cars == montyhall.oracle.CarDistribution.uniform(params.n):
+            return part
+        cells = dict(part.cells)
+        cells[False, True, True] -= F(1, 100)
+        cells[False, True, False] += F(1, 100)
+        return montyhall.analytic.PartitionProbabilities(cells)
+
+    monkeypatch.setattr(montyhall.oracle, "exact_partition", skewed)
+    assert run_cli("verify", "--doors-max", "4", "--placement-checks", "2") == (
+        EXIT_VERIFY_FAILED
+    )
+    out = capsys.readouterr().out
+    assert out.startswith("2 of 170 checks FAILED:")
+    assert out.count("placement") == 2
 
 
 def test_verify_minimal_doors(capsys):

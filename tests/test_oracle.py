@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from montyhall import oracle
 from montyhall.analytic import (
     GameParams,
     GameVariant,
@@ -204,3 +205,50 @@ def test_random_car_distribution_is_valid_and_reproducible():
     assert first == second
     assert len(first) == 6
     assert sum(first.alpha) == 1
+
+
+@pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("p", [F(0), F(1, 20), F(1, 2), F(1)])
+@pytest.mark.parametrize("uniform", [True, False])
+def test_partition_is_the_per_cell_sum_of_trajectory_weights(variant, n, p, uniform):
+    if uniform:
+        cars = CarDistribution.uniform(n)
+    else:
+        cars = CarDistribution.from_weights([0] + list(range(1, n)))
+    params = GameParams(n, p)
+    sums = dict.fromkeys(exact_partition(variant, params, cars).cells, F(0))
+    for t in enumerate_trajectories(variant, params, cars):
+        sums[t.pick == t.car, t.switched, t.final == t.car] += t.weight
+    assert exact_partition(variant, params, cars).cells == sums
+
+
+@pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
+@pytest.mark.parametrize("p", [F(0), F(1)])
+def test_certain_switch_decisions_yield_only_positive_weights(variant, p):
+    trajectories = list(
+        enumerate_trajectories(variant, GameParams(4, p), CarDistribution.uniform(4))
+    )
+    assert trajectories
+    assert all(t.weight > 0 and t.switched == (p == 1) for t in trajectories)
+
+
+@pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
+def test_cached_tree_serves_every_switch_probability(variant):
+    cars = CarDistribution.from_weights([3, 1, 0, 2, 5])
+    third, half = GameParams(5, F(1, 3)), GameParams(5, F(1, 2))
+    first = exact_partition(variant, third, cars)
+    exact_partition(variant, half, cars)
+    again = exact_partition(variant, third, cars)
+    oracle._conditional_cells.cache_clear()
+    fresh = exact_partition(variant, third, cars)
+    assert first == again == fresh
+    assert exact_partition(variant, half, cars) == partition_probabilities(
+        variant, half
+    )
+
+
+def test_cached_tree_is_read_only():
+    cells = oracle._conditional_cells(LEAVE_TWO, CarDistribution.uniform(3))
+    with pytest.raises(TypeError):
+        cells[True, True, True] = F(1)
