@@ -1,13 +1,17 @@
 """Closed-form win probabilities for generalized Monty Hall games.
 
-Two host strategies are modeled for a game with ``n >= 3`` doors, one car,
-and a contestant who first picks a door uniformly at random and then switches
-with probability ``p`` (independently of whether the pick was correct):
+A game has ``n >= 3`` doors and one car.  The contestant first picks a door
+uniformly at random; the host then opens ``k`` goat doors other than the
+pick, chosen uniformly among the admissible ones; and the contestant switches
+with probability ``p`` (independently of whether the pick was correct),
+taking one of the ``n - 1 - k`` other closed doors uniformly.  A switcher who
+had a goat therefore wins with chance ``1/(n - 1 - k)``.  The two host
+strategies are the two ends of ``k``:
 
-* ``LEAVE_TWO_CLOSED`` -- the host opens ``n - 2`` goat doors, so a switching
-  contestant faces a single alternative door.
-* ``OPEN_ONE`` -- the host opens exactly one goat door, and a switching
-  contestant picks uniformly among the ``n - 2`` other closed doors.
+* ``LEAVE_TWO_CLOSED`` -- ``k = n - 2``: the host leaves one other door
+  closed, so a switching contestant faces a single alternative door.
+* ``OPEN_ONE`` -- ``k = 1``: the host opens exactly one goat door, and a
+  switching contestant picks among the ``n - 2`` other closed doors.
 
 At ``n = 3`` the two strategies are the same game.
 
@@ -51,7 +55,8 @@ CELL_ORDER: tuple[Cell, ...] = tuple(
 
 
 class GameVariant(Enum):
-    """Host behaviour after the contestant's initial pick."""
+    """Host behaviour after the contestant's initial pick: how many goat
+    doors ``k`` the host opens, ``n - 2`` (leave two closed) or ``1``."""
 
     LEAVE_TWO_CLOSED = "leave-two"
     OPEN_ONE = "open-one"
@@ -83,6 +88,12 @@ def _require_doors(n: int) -> None:
 
 def _require_seed(seed: int) -> None:
     _require_int("seed", seed, 0, 2**64)
+
+
+def _host_opens(variant: GameVariant, n: int) -> int:
+    """The number ``k`` of goat doors the host opens in an ``n``-door game."""
+    _require_member(GameVariant, variant)
+    return n - 2 if variant is GameVariant.LEAVE_TWO_CLOSED else 1
 
 
 def as_probability(value: RationalLike) -> Fraction:
@@ -145,34 +156,26 @@ def _win_given_events(variant: GameVariant, n: int) -> dict[tuple[bool, bool], F
 
     A contestant who keeps the initial door wins exactly when the pick was
     correct.  A switcher who had the car loses for sure.  A switcher who had a
-    goat reaches the car with certainty when only the car door remains closed,
-    and with chance 1/(n-2) when picking among the other closed doors.
+    goat finds the car among the ``n - 1 - k`` other closed doors.
     """
-    _require_member(GameVariant, variant)
-    if variant is GameVariant.LEAVE_TWO_CLOSED:
-        win_from_goat = Fraction(1)
-    else:
-        win_from_goat = Fraction(1, n - 2)
     return {
         (True, True): Fraction(0),
         (True, False): Fraction(1),
-        (False, True): win_from_goat,
+        (False, True): Fraction(1, n - 1 - _host_opens(variant, n)),
         (False, False): Fraction(0),
     }
 
 
 def win_given_switch(variant: GameVariant, n: int) -> Fraction:
-    """Probability of winning conditional on switching.
+    """Probability of winning conditional on switching: ``(n-1)/(n(n-1-k))``.
 
-    ``(n-1)/n`` when the host leaves two doors closed, ``(n-1)/(n(n-2))``
-    when the host opens a single door.  Independent of ``p``: the switch
-    decision is independent of the pick, so ``p`` cancels in the conditional.
+    That is ``(n-1)/n`` when the host leaves two doors closed and
+    ``(n-1)/(n(n-2))`` when the host opens a single door.  Independent of
+    ``p``: the switch decision is independent of the pick, so ``p`` cancels
+    in the conditional.
     """
-    _require_member(GameVariant, variant)
     _require_doors(n)
-    if variant is GameVariant.LEAVE_TWO_CLOSED:
-        return Fraction(n - 1, n)
-    return Fraction(n - 1, n * (n - 2))
+    return Fraction(n - 1, n * (n - 1 - _host_opens(variant, n)))
 
 
 def win_given_stay(variant: GameVariant, n: int) -> Fraction:

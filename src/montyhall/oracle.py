@@ -7,18 +7,23 @@ rational branch weights, so equalities against the analytic formulas can be
 asserted with zero tolerance.  Car placement may be any rational distribution,
 not just uniform; the contestant's initial pick is always uniform.
 
-The host ties are broken uniformly: when the contestant's pick is the car,
-every admissible host action gets weight 1/(n-1).
+Both variants are one tree, in which the host opens ``k`` goat doors other
+than the pick (see :mod:`montyhall.analytic`).  Host ties are broken
+uniformly: each admissible ``k``-subset of those goat doors gets the same
+weight.  A switcher then takes one of the ``n - 1 - k`` other closed doors,
+uniformly.
 
 The switch decision is independent of the car, the pick and the host, so the
 switch probability ``p`` only weights the two branches under each host action.
 The walk therefore weights each trajectory given its switch decision, and one
-walk per (variant, car distribution) serves every ``p``: the eight cell totals
-are cached and multiplied by ``p`` or ``1 - p`` per cell.
+walk per (``k``, car distribution) serves every ``p`` and both variants where
+they share ``k`` (at ``n = 3``): the eight cell totals are cached and
+multiplied by ``p`` or ``1 - p`` per cell.
 
-Enumeration is O(n^3) states for the leave-two-closed strategy and O(n^4) for
-open-one (the switcher's final pick adds a factor), fine for desk-scale n.
-No randomness anywhere in this module.
+For both variants the walk is O(n^4): car x pick x host subset x final pick,
+where the subsets times the final picks are O(n^2) at ``k = 1`` and at
+``k = n - 2`` alike.  That is fine for desk-scale n.  No randomness anywhere
+in this module.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -37,8 +43,8 @@ from .analytic import (
     GameVariant,
     PartitionProbabilities,
     RationalLike,
+    _host_opens,
     _require_doors,
-    _require_member,
 )
 
 __all__ = [
@@ -97,64 +103,52 @@ class Trajectory(NamedTuple):
 
 def _check_inputs(
     variant: GameVariant, params: GameParams, cars: CarDistribution
-) -> None:
-    _require_member(GameVariant, variant)
+) -> int:
+    """Check that ``cars`` fits the game; return the doors the host opens."""
     if len(cars) != params.n:
         raise ValueError(
             f"car distribution covers {len(cars)} doors, game has {params.n}"
         )
+    return _host_opens(variant, params.n)
 
 
 def _raw_trajectories(
-    variant: GameVariant, n: int, cars: CarDistribution
-) -> Iterator[tuple[int, int, int, bool, int, tuple[int, int]]]:
-    """Yield (car, pick, host_door, switched, final, weight) tuples.
+    k: int, cars: CarDistribution
+) -> Iterator[tuple[int, int, tuple[int, ...], bool, int, tuple[int, int]]]:
+    """Yield (car, pick, opened, switched, final, weight) tuples for a host
+    who opens ``k`` doors.
 
-    ``host_door`` encodes the host action compactly: the single door left
-    closed besides the pick (leave-two-closed) or the single door opened
-    (open-one).  ``weight`` is the exact probability of the trajectory given
-    its switch decision, as a reduced ``(numerator, denominator)`` pair of
-    ints, cheap to hash and tally.  The stay and the switch branches each
-    sum to 1, so one walk serves every switch probability ``p``: the caller
-    multiplies by ``1 - p`` or ``p``.  Both branches are always yielded;
-    cars of probability zero are skipped, so every weight is positive.
+    ``opened`` is the host's ``k``-subset of the goat doors other than the
+    pick, as a sorted tuple.  ``weight`` is the exact probability of the
+    trajectory given its switch decision, as a ``(numerator, denominator)``
+    pair of ints, cheap to build, hash and tally.  The stay and the
+    switch branches each sum to 1, so one walk serves every switch
+    probability ``p``: the caller multiplies by ``1 - p`` or ``p``.  Both
+    branches are always yielded; cars of probability zero are skipped, so
+    every weight is positive.
     """
+    n = len(cars)
     doors = range(1, n + 1)
     for car in doors:
-        alpha = cars.alpha[car - 1]
-        if alpha == 0:
+        num, den = cars.alpha[car - 1].as_integer_ratio()
+        if num == 0:
             continue
         for pick in doors:
-            if variant is GameVariant.LEAVE_TWO_CLOSED:
-                # Host opens all but one other door; the car door must stay
-                # closed, so the host only has a choice when pick == car.
-                if pick == car:
-                    hosts = [y for y in doors if y != pick]
-                else:
-                    hosts = [car]
-                w = (alpha / (n * len(hosts))).as_integer_ratio()
-                for y in hosts:
-                    yield car, pick, y, False, pick, w
-                    yield car, pick, y, True, y, w
-            else:
-                # Host opens one goat door other than the pick; a switcher
-                # then picks uniformly among the n - 2 other closed doors.
-                hosts = [y for y in doors if y != pick and y != car]
-                w0 = alpha / (n * len(hosts))
-                stay_w = w0.as_integer_ratio()
-                switch_w = (w0 / (n - 2)).as_integer_ratio()
-                for y in hosts:
-                    yield car, pick, y, False, pick, stay_w
-                    for final in doors:
-                        if final != pick and final != y:
-                            yield car, pick, y, True, final, switch_w
+            goats = [y for y in doors if y != pick and y != car]
+            hosts = list(combinations(goats, k))
+            stay_w = num, den * n * len(hosts)
+            switch_w = num, stay_w[1] * (n - 1 - k)
+            for opened in hosts:
+                yield car, pick, opened, False, pick, stay_w
+                for final in doors:
+                    if final != pick and final not in opened:
+                        yield car, pick, opened, True, final, switch_w
 
 
 @lru_cache(maxsize=16)
-def _conditional_cells(
-    variant: GameVariant, cars: CarDistribution
-) -> Mapping[Cell, Fraction]:
-    """Weight in each (correct, switched, won) cell given the switch decision.
+def _conditional_cells(k: int, cars: CarDistribution) -> Mapping[Cell, Fraction]:
+    """Weight in each (correct, switched, won) cell given the switch decision,
+    for a host who opens ``k`` doors.
 
     The stay cells sum to 1 and so do the switch cells.  Trajectories share
     only a handful of distinct weights, so the walk counts (cell, weight)
@@ -164,9 +158,7 @@ def _conditional_cells(
     """
     tally = Counter(
         (pick == car, switched, final == car, weight)
-        for car, pick, _host, switched, final, weight in _raw_trajectories(
-            variant, len(cars), cars
-        )
+        for car, pick, _opened, switched, final, weight in _raw_trajectories(k, cars)
     )
     cells = dict.fromkeys(CELL_ORDER, Fraction(0))
     for (correct, switched, won, (num, den)), count in tally.items():
@@ -178,34 +170,23 @@ def _cells(
     variant: GameVariant, params: GameParams, cars: CarDistribution
 ) -> dict[Cell, Fraction]:
     """Total trajectory weight in each (correct, switched, won) cell."""
-    _check_inputs(variant, params, cars)
+    tree = _conditional_cells(_check_inputs(variant, params, cars), cars)
     p = params.p
     q = 1 - p
-    return {
-        cell: mass * (p if cell[1] else q)
-        for cell, mass in _conditional_cells(variant, cars).items()
-    }
+    return {cell: mass * (p if cell[1] else q) for cell, mass in tree.items()}
 
 
 def enumerate_trajectories(
     variant: GameVariant, params: GameParams, cars: CarDistribution
 ) -> Iterator[Trajectory]:
     """Every game trajectory with positive weight; weights sum to exactly 1."""
-    _check_inputs(variant, params, cars)
-    n, p = params.n, params.p
+    k = _check_inputs(variant, params, cars)
+    p = params.p
     q = 1 - p
-    all_doors = frozenset(range(1, n + 1))
-    for car, pick, host_door, switched, final, (num, den) in _raw_trajectories(
-        variant, n, cars
-    ):
+    for car, pick, opened, switched, final, (num, den) in _raw_trajectories(k, cars):
         weight = Fraction(num, den) * (p if switched else q)
-        if not weight:
-            continue
-        if variant is GameVariant.LEAVE_TWO_CLOSED:
-            opens = all_doors - {pick, host_door}
-        else:
-            opens = frozenset((host_door,))
-        yield Trajectory(car, pick, opens, switched, final, weight)
+        if weight:
+            yield Trajectory(car, pick, frozenset(opened), switched, final, weight)
 
 
 def exact_win_probability(

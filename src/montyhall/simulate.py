@@ -1,14 +1,18 @@
 """Seeded Monte Carlo simulation of the two Monty Hall game variants.
 
+Both variants are one game in which the host opens ``k`` goat doors (see
+:mod:`montyhall.analytic`); the batch kernel and :func:`trace_trial` only
+read ``k``.
+
 Reproducibility contract (stream v2)
 ------------------------------------
 All randomness flows from numpy's counter-based Philox4x64-10 generator, in
 the key = stream, counter = position scheme of Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3" (SC'11).  A run has one Philox key,
 ``SeedSequence(master_seed).generate_state(2, np.uint64)``, and chunk ``j``
-of grid point ``k`` starts at counter ``(0, 0, k, j)`` (low word first), so
-its draws are ``Generator(Philox(key=key, counter=[0, 0, k, j]))``'s: a pure
-function of ``(master_seed, k, j)``.  A chunk advances only the low counter
+of grid point ``i`` starts at counter ``(0, 0, i, j)`` (low word first), so
+its draws are ``Generator(Philox(key=key, counter=[0, 0, i, j]))``'s: a pure
+function of ``(master_seed, i, j)``.  A chunk advances only the low counter
 words, so chunks never overlap, and results are bit-for-bit reproducible for
 a fixed configuration regardless of how many workers execute the chunks.
 Changing ``chunk_size`` changes the substream layout and therefore the draws,
@@ -16,11 +20,13 @@ so it is part of :class:`SimulationConfig`.
 
 Batch draw order
 ----------------
-Under stream v2, chunk ``j`` of grid point ``k`` draws from counter
-``(0, 0, k, j)`` under the run's key.  Within a chunk the kernel draws whole
+Under stream v2, chunk ``j`` of grid point ``i`` draws from counter
+``(0, 0, i, j)`` under the run's key.  Within a chunk the kernel draws whole
 columns in a fixed order: initial picks first, then switch decisions, then
-(open-one only) the switcher's choice among the remaining closed doors.
-Picks and slots are drawn in the narrowest unsigned dtype that holds ``n``
+every game's slot: the switcher's choice among the ``n - 1 - k`` other closed
+doors.  In leave-two that range holds one value, and numpy returns zeros for
+it without advancing the Philox state, so the column draws nothing.  Picks
+and slots are drawn in the narrowest unsigned dtype that holds ``n``
 (``np.min_scalar_type(n)``).  Host bookkeeping that cannot change a win --
 which goat doors the host touches -- is collapsed out of the batch kernel;
 :func:`trace_trial` plays single games with the full door-by-door mechanics
@@ -47,6 +53,7 @@ from .analytic import (
     GameParams,
     GameVariant,
     RationalLike,
+    _host_opens,
     _require_int,
     _require_member,
     _require_seed,
@@ -184,58 +191,40 @@ def substream(master_seed: int, stream: int, chunk: int) -> np.random.Generator:
 
 
 def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
-    """Play one game and return its full trajectory.
+    """Play one game and return its full trajectory, in O(n) time.
 
     ``rng`` needs ``integers(low, high)`` returning a uniform integer in
     ``[low, high)`` and ``random()`` returning a uniform float in ``[0, 1)``;
-    a ``numpy.random.Generator`` fits.
+    a ``numpy.random.Generator`` fits.  The draws are the pick, one per door
+    the host opens, the switch decision and, for a switcher, the slot.
     """
-    _require_member(GameVariant, variant)
     _require_int("doors", n, 3, 2**63)
     _require_unit("switch probability", p)
+    k = _host_opens(variant, n)
     pick = int(rng.integers(1, n + 1))
-    if variant is GameVariant.LEAVE_TWO_CLOSED:
-        # Host leaves one other door closed: any other door if the pick is
-        # the car, otherwise the car door itself.
-        other_closed = int(rng.integers(2, n + 1)) if pick == _CAR_DOOR else _CAR_DOOR
-        host_opens = frozenset(range(1, n + 1)) - {pick, other_closed}
-    else:
-        # Host opens one goat door that is not the pick.
-        if pick == _CAR_DOOR:
-            opened = int(rng.integers(2, n + 1))
-        else:
-            opened = 2 + int(rng.integers(0, n - 2))
-            if opened >= pick:
-                opened += 1
-        host_opens = frozenset((opened,))
+    # The host opens a uniform k-subset of the goat doors other than the
+    # pick: the first k of a partial Fisher-Yates shuffle.
+    goats = [door for door in range(2, n + 1) if door != pick]
+    for i in range(k):
+        j = int(rng.integers(i, len(goats)))
+        goats[i], goats[j] = goats[j], goats[i]
     switched = rng.random() < p
-    if not switched:
-        final = pick
-    elif variant is GameVariant.LEAVE_TWO_CLOSED:
-        final = other_closed
-    else:
-        # Uniform choice among the n-2 closed doors besides the pick.
-        final = 1 + int(rng.integers(0, n - 2))
-        lo, hi = sorted((pick, opened))
-        if final >= lo:
-            final += 1
-        if final >= hi:
-            final += 1
-    return TrialTrace(pick, host_opens, switched, final, final == _CAR_DOOR)
+    final = pick
+    if switched:
+        # Uniform choice among the n - 1 - k other closed doors, car first.
+        closed = goats[k:] if pick == _CAR_DOOR else [_CAR_DOOR, *goats[k:]]
+        final = closed[int(rng.integers(0, len(closed)))]
+    return TrialTrace(pick, frozenset(goats[:k]), switched, final, final == _CAR_DOOR)
 
 
-def _count_wins(
-    hit: np.ndarray, switch: np.ndarray, slot0: np.ndarray | None = None
-) -> int:
+def _count_wins(hit: np.ndarray, switch: np.ndarray, slot0: np.ndarray) -> int:
     """Wins among games whose pick hit the car (``hit``) or not, that switched
-    (``switch``) or stayed, and, in open-one, whose switcher took slot 0
-    (``slot0``; ``None`` in leave-two).
+    (``switch``) or stayed, and whose switcher took slot 0 (``slot0``).
 
-    A stayer wins on a hit.  A switcher wins on a miss: in leave-two the one
-    other closed door is then the car, and in open-one door 1 is the
-    lowest-numbered closed door a switcher can reach, so slot 0 is the car.
+    A stayer wins on a hit.  A switcher wins on a miss and slot 0: door 1 is
+    the lowest-numbered closed door a switcher can reach, so slot 0 is the car.
     """
-    to_car = switch if slot0 is None else switch & slot0
+    to_car = switch & slot0
     return int(np.count_nonzero(hit > switch)) + int(np.count_nonzero(to_car > hit))
 
 
@@ -245,9 +234,10 @@ def _chunk_wins(
     dtype = np.min_scalar_type(n)
     hit = rng.integers(1, n + 1, size=size, dtype=dtype) == _CAR_DOOR
     switch = rng.random(size) < p
-    slot0 = None
-    if variant is GameVariant.OPEN_ONE:
-        slot0 = rng.integers(0, n - 2, size=size, dtype=dtype) == 0
+    # In leave-two the range is [0, 1): numpy fills zeros and consumes no
+    # Philox state, so this column leaves the leave-two stream as it was.
+    slots = n - 1 - _host_opens(variant, n)
+    slot0 = rng.integers(0, slots, size=size, dtype=dtype) == 0
     return _count_wins(hit, switch, slot0)
 
 

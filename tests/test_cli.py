@@ -321,8 +321,59 @@ def test_verify_walks_each_tree_once(monkeypatch, capsys):
     assert "252 analytic checks passed, 3 placement checks passed" in (
         capsys.readouterr().out
     )
-    # one walk per (variant, n) tree, whatever p; one per placement check
-    assert len(walks) == 2 * 3 + 3
+    # one walk per (k, n) tree, whatever p, where the variants share the
+    # n = 3 tree; one per placement check
+    assert len(walks) == 2 * 3 - 1 + 3
+
+
+@pytest.mark.parametrize(
+    "variant, doors, rows",
+    [
+        (
+            "leave-two",
+            "10",
+            [
+                "0,0.0968,0.1,0.00546415910316,0.0212132034356",
+                "0.25,0.30215,0.3,0.00834664089983,0.032403703492",
+                "0.5,0.5033,0.5,0.00910693183859,0.0353553390593",
+                "0.75,0.70155,0.7,0.00834664089983,0.032403703492",
+                "1,0.9013,0.9,0.00546415910316,0.0212132034356",
+            ],
+        ),
+        (
+            "open-one",
+            "5",
+            [
+                "0,0.1941,0.2,0.00728554547087,0.0282842712475",
+                "0.25,0.22285,0.216666666667,0.00750363043913,0.0291309304882",
+                "0.5,0.23285,0.233333333333,0.0077036007193,0.0299072640749",
+                "0.75,0.251,0.25,0.00788683432275,0.0306186217848",
+                "1,0.26765,0.266666666667,0.00805447357332,0.0312694383988",
+            ],
+        ),
+    ],
+)
+def test_sweep_csv_is_pinned_across_versions(capsys, variant, doors, rows):
+    # Stream v2's output, recorded once.  A silent change to the draws (a
+    # new bounded-integer method in numpy, another dtype or column order)
+    # moves the empirical column, which run-to-run comparisons cannot see.
+    # The "# rng=" line carries the numpy version, so it is left out.
+    assert run_cli("sweep", "--variant", variant, "--doors", doors,
+                   "--grid-step", "1/4", "--trials", "20000",
+                   "--chunk-size", "4096", "--seed", "2020") == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("# rng=")] == [
+        "# seed=2020",
+        f"# variant={variant}",
+        f"# doors={doors}",
+        "# trials=20000",
+        "# epsilon=0.01",
+        "# delta=0.01",
+        "# chunk_size=4096",
+        "# grid_step=1/4",
+        CSV_COLUMNS,
+        *rows,
+    ]
 
 
 def test_verify_placement_checks_compare_the_whole_partition(monkeypatch, capsys):

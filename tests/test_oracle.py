@@ -249,6 +249,31 @@ def test_cached_tree_serves_every_switch_probability(variant):
 
 
 def test_cached_tree_is_read_only():
-    cells = oracle._conditional_cells(LEAVE_TWO, CarDistribution.uniform(3))
+    cells = oracle._conditional_cells(1, CarDistribution.uniform(3))
     with pytest.raises(TypeError):
         cells[True, True, True] = F(1)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("uniform", [True, False])
+def test_every_host_door_count_matches_the_chain_rule(n, uniform):
+    # The walk for a host who opens k doors, each k in 1..n-2, against the
+    # chain rule P(pick) * P(win | pick, switch) given the switch decision:
+    # a switcher from a goat finds the car among n - 1 - k closed doors.
+    if uniform:
+        cars = CarDistribution.uniform(n)
+    else:
+        cars = CarDistribution.from_weights([0] + list(range(1, n)))
+    for k in range(1, n - 1):
+        from_goat = F(1, n - 1 - k)
+        wrong = F(n - 1, n)
+        assert dict(oracle._conditional_cells(k, cars)) == {
+            (True, True, True): F(0),
+            (True, True, False): F(1, n),
+            (True, False, True): F(1, n),
+            (True, False, False): F(0),
+            (False, True, True): wrong * from_goat,
+            (False, True, False): wrong * (1 - from_goat),
+            (False, False, True): F(0),
+            (False, False, False): wrong,
+        }

@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from montyhall.analytic import GameParams, GameVariant, win_marginal
+from montyhall import oracle, simulate
+from montyhall.analytic import GameParams, GameVariant, _host_opens, win_marginal
 from montyhall.oracle import CarDistribution, enumerate_trajectories
 from montyhall.simulate import (
     SimulationConfig,
@@ -60,13 +61,21 @@ def test_grid_coarse_and_invalid_steps():
 
 
 def test_forced_goat_pick_switching_wins_leave_two():
-    # pick door 2, forced switch: the host must leave the car door closed
-    assert trace_trial(LEAVE_TWO, 3, 1.0, ScriptedRNG(ints=[2], floats=[0.9])).won
+    # pick door 2, host opens goat door 3, forced switch to the one closed door
+    trace = trace_trial(LEAVE_TWO, 3, 1.0, ScriptedRNG(ints=[2, 0, 0], floats=[0.9]))
+    assert trace.host_opens == frozenset({3})
+    assert trace.won
 
 
 def test_forced_car_pick_never_switching_wins():
-    for variant, ints in ((LEAVE_TWO, [1, 3]), (OPEN_ONE, [1, 3])):
+    # pick the car; the host shuffles goats [2, 3, 4] and opens the first k:
+    # {2, 4} in leave-two (swap 3 and 4), {3} in open-one
+    for variant, ints, opened in (
+        (LEAVE_TWO, [1, 0, 2], {2, 4}),
+        (OPEN_ONE, [1, 1], {3}),
+    ):
         trace = trace_trial(variant, 4, 0.0, ScriptedRNG(ints=ints, floats=[0.7]))
+        assert trace.host_opens == frozenset(opened)
         assert trace.won
 
 
@@ -112,26 +121,38 @@ def test_trace_respects_game_rules(variant):
         assert trace.won == (trace.final == 1)
 
 
-@pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
-def test_trial_distribution_matches_oracle_at_three_doors(variant):
-    # Algorithms for the two host strategies coincide at n=3: every trajectory
-    # frequency must match the exact weight for car fixed behind door 1.
-    samples = 60000
-    rng = np.random.default_rng(20260809)
-    counts = Counter(
-        trace_trial(variant, 3, 0.5, rng)[:4] for _ in range(samples)
-    )
+def _assert_traces_match_oracle(variant, n, seed, samples=60000):
+    """Every trajectory frequency of ``trace_trial`` at p = 1/2 matches the
+    oracle's exact weight, with the car fixed behind door 1."""
+    rng = np.random.default_rng(seed)
+    counts = Counter(trace_trial(variant, n, 0.5, rng)[:4] for _ in range(samples))
+    car_at_1 = CarDistribution.from_weights([1] + [0] * (n - 1))
     exact = {
         (t.pick, t.host_opens, t.switched, t.final): t.weight
-        for t in enumerate_trajectories(
-            variant, GameParams(3, F(1, 2)), CarDistribution((F(1), F(0), F(0)))
-        )
+        for t in enumerate_trajectories(variant, GameParams(n, F(1, 2)), car_at_1)
     }
     assert set(counts) == set(exact)
     for key, weight in exact.items():
         w = float(weight)
         tolerance = 4.0 * math.sqrt(w * (1.0 - w) / samples) + 1.0 / samples
         assert abs(counts[key] / samples - w) <= tolerance
+
+
+@pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
+def test_trial_distribution_matches_oracle_at_three_doors(variant):
+    # Algorithms for the two host strategies coincide at n=3.
+    _assert_traces_match_oracle(variant, 3, 20260809)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_trial_distribution_matches_oracle_at_five_doors(monkeypatch, k):
+    # k = 1 is open-one and k = 3 leave-two; no variant opens k = 2 doors of
+    # five, so that case patches the variant-to-k mapping in both layers.
+    variant = OPEN_ONE if k == 1 else LEAVE_TWO
+    if k != _host_opens(variant, 5):
+        for module in (simulate, oracle):
+            monkeypatch.setattr(module, "_host_opens", lambda variant, n: k)
+    _assert_traces_match_oracle(variant, 5, 20261018 + k)
 
 
 def test_batch_reproducible_and_worker_independent():
@@ -184,20 +205,36 @@ def test_substream_matches_v2_layout_after_reuse():
     assert np.array_equal(again, expected)
 
 
-@pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
-@pytest.mark.parametrize("n", range(3, 31))
-def test_win_count_is_exact_over_every_cell(variant, n):
-    # One game per (pick, slot) cell; the kernel draws both uniformly.
-    picks, slots = np.meshgrid(np.arange(1, n + 1), np.arange(n - 2), indexing="ij")
+def _kernel_win_probability(n, k, p):
+    """``_count_wins`` over one game per (pick, slot) cell, the two columns
+    the kernel draws uniformly, as an exact probability at switch rate p."""
+    picks, slots = np.meshgrid(
+        np.arange(1, n + 1), np.arange(n - 1 - k), indexing="ij"
+    )
     hit = picks.ravel() == 1
-    slot0 = slots.ravel() == 0 if variant is OPEN_ONE else None
+    slot0 = slots.ravel() == 0
     cells = hit.size
     stay = _count_wins(hit, np.zeros(cells, dtype=bool), slot0)
     switch = _count_wins(hit, np.ones(cells, dtype=bool), slot0)
+    return F(stay, cells) * (1 - p) + F(switch, cells) * p
+
+
+@pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
+@pytest.mark.parametrize("n", range(3, 31))
+def test_win_count_is_exact_over_every_cell(variant, n):
     for p in (F(0), F(1, 3), F(1)):
-        assert F(stay, cells) * (1 - p) + F(switch, cells) * p == win_marginal(
-            variant, GameParams(n, p)
+        assert _kernel_win_probability(n, _host_opens(variant, n), p) == (
+            win_marginal(variant, GameParams(n, p))
         )
+
+
+@pytest.mark.parametrize("n", range(3, 31))
+def test_win_count_is_exact_for_every_host_door_count(n):
+    for k in range(1, n - 1):
+        for p in (F(0), F(1, 3), F(1)):
+            assert _kernel_win_probability(n, k, p) == (
+                F(1, n) * (1 - p) + F(n - 1, n * (n - 1 - k)) * p
+            )
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
