@@ -96,17 +96,18 @@ def _host_opens(variant: GameVariant, n: int) -> int:
     return n - 2 if variant is GameVariant.LEAVE_TWO_CLOSED else 1
 
 
-def as_probability(value: RationalLike) -> Fraction:
-    """Parse ``value`` into an exact probability.
+def as_probability(value: RationalLike, name: str = "probability") -> Fraction:
+    """Parse ``value`` into an exact probability; ``name`` labels errors.
 
     Decimal strings are read exactly ("0.05" becomes 1/20, not the nearest
-    binary float); "1/3"-style fraction strings are accepted as-is.
+    binary float); "1/3"-style fraction strings are accepted as-is, and a
+    float becomes the exact rational it stores.
     """
     try:
         p = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ValueError(f"not a rational probability: {value!r}") from exc
-    _require_unit("probability", p)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise ValueError(f"not a rational {name}: {value!r}") from exc
+    _require_unit(name, p)
     return p
 
 

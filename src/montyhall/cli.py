@@ -72,9 +72,11 @@ def _cell_label(cell: tuple[bool, bool, bool]) -> str:
 
 def _rng_description() -> str:
     return (
-        f"{RNG_ALGORITHM}; numpy {np.__version__}; stream=v2; "
+        f"{RNG_ALGORITHM}; numpy {np.__version__}; stream=v3; "
         "key=SeedSequence(seed).generate_state(2, uint64); "
-        "counter=(0, 0, grid_index, chunk_index)"
+        "counter=(0, 0, grid_index, chunk_index); "
+        "columns=hit,switch,slot0 as exact thresholds on 16/32/64-bit lanes "
+        "of raw words, rejected games redrawn"
     )
 
 
@@ -142,7 +144,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = SimulationConfig(
         variant=variant,
         n=args.doors,
-        p=float(p_exact),
+        p=p_exact,
         trials=args.trials,
         master_seed=args.seed,
         chunk_size=args.chunk_size,

@@ -4,36 +4,50 @@ Both variants are one game in which the host opens ``k`` goat doors (see
 :mod:`montyhall.analytic`); the batch kernel and :func:`trace_trial` only
 read ``k``.
 
-Reproducibility contract (stream v2)
+Reproducibility contract (stream v3)
 ------------------------------------
 All randomness flows from numpy's counter-based Philox4x64-10 generator, in
 the key = stream, counter = position scheme of Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3" (SC'11).  A run has one Philox key,
 ``SeedSequence(master_seed).generate_state(2, np.uint64)``, and chunk ``j``
 of grid point ``i`` starts at counter ``(0, 0, i, j)`` (low word first), so
-its draws are ``Generator(Philox(key=key, counter=[0, 0, i, j]))``'s: a pure
-function of ``(master_seed, i, j)``.  A chunk advances only the low counter
-words, so chunks never overlap, and results are bit-for-bit reproducible for
-a fixed configuration regardless of how many workers execute the chunks.
-Changing ``chunk_size`` changes the substream layout and therefore the draws,
-so it is part of :class:`SimulationConfig`.
+its draws are the raw 64-bit words of ``Philox(key=key, counter=[0, 0, i,
+j])``: a pure function of ``(master_seed, i, j)``.  A chunk advances only
+the low counter words, so chunks never overlap, and results are bit-for-bit
+reproducible for a fixed configuration regardless of how many workers
+execute the chunks.  Changing ``chunk_size`` changes the substream layout
+and therefore the draws, so it is part of :class:`SimulationConfig`.
+Stream v2 drew from the same counters through ``Generator.integers`` and
+``Generator.random``, so v3 output differs from v2 output.
 
 Batch draw order
 ----------------
-Under stream v2, chunk ``j`` of grid point ``i`` draws from counter
-``(0, 0, i, j)`` under the run's key.  Within a chunk the kernel draws whole
-columns in a fixed order: initial picks first, then switch decisions, then
-every game's slot: the switcher's choice among the ``n - 1 - k`` other closed
-doors.  In leave-two that range holds one value, and numpy returns zeros for
-it without advancing the Philox state, so the column draws nothing.  Picks
-and slots are drawn in the narrowest unsigned dtype that holds ``n``
-(``np.min_scalar_type(n)``).  Host bookkeeping that cannot change a win --
-which goat doors the host touches -- is collapsed out of the batch kernel;
-:func:`trace_trial` plays single games with the full door-by-door mechanics
-and is what trajectory-level tests should sample.
+A win depends on three Bernoulli events per game: the pick hit the car
+(``1/n``), the player switched (``p``), and a switcher took slot 0, the car's
+place among the ``n - 1 - k`` other closed doors (``1/(n - 1 - k)``).
+Within a chunk the kernel draws them as whole columns in that order, each
+by one exact threshold rule on raw Philox words.  For a column of
+probability ``num/den``:
 
-Integer draws use ``Generator.integers`` (Lemire's bounded-rejection method,
-no modulo bias); switch decisions compare one uniform double against ``p``.
+* its width ``w`` is the narrowest of 16, 32 and 64 with
+  ``den <= 2**(w - 8)``, else 64, so that the rejected tail is under 1/256
+  of the words wherever it fits;
+* it takes ``ceil(size * w / 64)`` raw words, each split into ``w``-bit
+  lanes, least significant first, one lane per game;
+* with ``per = 2**w // den``, a game succeeds when its lane is below
+  ``num * per`` and is accepted when it is below ``den * per``;
+* a column with one outcome (``den == 1``: leave-two's slot, and ``p`` of 0
+  or 1) draws nothing.
+
+A game rejected in any column is dropped, and the chunk's shortfall is drawn
+again by the same rule, all three columns, from where the counter has
+reached.  The accepted region is a product set, so the columns stay exact
+and independent.  ``p`` is kept as an exact ``Fraction``; one whose
+denominator exceeds 2**64 (among binary floats, only some below 2**-12) is
+rounded up to a multiple of 2**-64.  Host bookkeeping that cannot change a
+win -- which goat doors the host touches -- is collapsed out of the batch
+kernel; :func:`trace_trial` plays single games with the full door-by-door
+mechanics and is what trajectory-level tests should sample.
 """
 
 from __future__ import annotations
@@ -99,7 +113,7 @@ class SimulationConfig:
 
     variant: GameVariant
     n: int
-    p: float
+    p: Fraction
     trials: int
     master_seed: int = 0
     chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -107,7 +121,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         _require_member(GameVariant, self.variant)
         _require_int("doors", self.n, 3, 2**63)
-        _require_unit("switch probability", self.p)
+        object.__setattr__(self, "p", as_probability(self.p, "switch probability"))
         _require_int("trials", self.trials, 1, 2**63)
         _require_int("chunk_size", self.chunk_size, 1)
         _require_seed(self.master_seed)
@@ -191,7 +205,8 @@ def substream(master_seed: int, stream: int, chunk: int) -> np.random.Generator:
 
 
 def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
-    """Play one game and return its full trajectory, in O(n) time.
+    """Play one game and return its full trajectory, in O(k) time for a
+    host who opens ``k`` doors.
 
     ``rng`` needs ``integers(low, high)`` returning a uniform integer in
     ``[low, high)`` and ``random()`` returning a uniform float in ``[0, 1)``;
@@ -203,18 +218,31 @@ def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
     k = _host_opens(variant, n)
     pick = int(rng.integers(1, n + 1))
     # The host opens a uniform k-subset of the goat doors other than the
-    # pick: the first k of a partial Fisher-Yates shuffle.
-    goats = [door for door in range(2, n + 1) if door != pick]
+    # pick: the first k of a partial Fisher-Yates shuffle of the goat list
+    # 2..n without the pick.  The list stays implicit; ``moved`` holds the
+    # slots a swap has changed.
+    goat_count = n - 1 - (pick != _CAR_DOOR)
+    moved: dict[int, int] = {}
+
+    def goat(slot: int) -> int:
+        return moved.get(slot, slot + 2 + (_CAR_DOOR < pick <= slot + 2))
+
+    opened = []
     for i in range(k):
-        j = int(rng.integers(i, len(goats)))
-        goats[i], goats[j] = goats[j], goats[i]
+        j = int(rng.integers(i, goat_count))
+        opened.append(goat(j))
+        moved[j] = goat(i)
     switched = rng.random() < p
     final = pick
     if switched:
         # Uniform choice among the n - 1 - k other closed doors, car first.
-        closed = goats[k:] if pick == _CAR_DOOR else [_CAR_DOOR, *goats[k:]]
-        final = closed[int(rng.integers(0, len(closed)))]
-    return TrialTrace(pick, frozenset(goats[:k]), switched, final, final == _CAR_DOOR)
+        closed = goat_count - k + (pick != _CAR_DOOR)
+        slot = int(rng.integers(0, closed))
+        if pick == _CAR_DOOR:
+            final = goat(k + slot)
+        else:
+            final = _CAR_DOOR if slot == 0 else goat(k + slot - 1)
+    return TrialTrace(pick, frozenset(opened), switched, final, final == _CAR_DOOR)
 
 
 def _count_wins(hit: np.ndarray, switch: np.ndarray, slot0: np.ndarray) -> int:
@@ -228,17 +256,67 @@ def _count_wins(hit: np.ndarray, switch: np.ndarray, slot0: np.ndarray) -> int:
     return int(np.count_nonzero(hit > switch)) + int(np.count_nonzero(to_car > hit))
 
 
-def _chunk_wins(
-    variant: GameVariant, n: int, p: float, rng: np.random.Generator, size: int
-) -> int:
-    dtype = np.min_scalar_type(n)
-    hit = rng.integers(1, n + 1, size=size, dtype=dtype) == _CAR_DOOR
-    switch = rng.random(size) < p
-    # In leave-two the range is [0, 1): numpy fills zeros and consumes no
-    # Philox state, so this column leaves the leave-two stream as it was.
-    slots = n - 1 - _host_opens(variant, n)
-    slot0 = rng.integers(0, slots, size=size, dtype=dtype) == 0
-    return _count_wins(hit, switch, slot0)
+#: Lane types of a column, by width: 16, 32 or 64 bits, little-endian.
+_LANES = {width: np.dtype(f"<u{width // 8}") for width in (16, 32, 64)}
+
+
+class _Column(NamedTuple):
+    """One exact Bernoulli column: a game succeeds when its ``dtype`` lane is
+    below ``success`` and is accepted when it is below ``accept`` (``None``:
+    every lane).  A ``dtype`` of ``None`` marks a column with one outcome,
+    ``success``, which draws nothing."""
+
+    dtype: np.dtype | None
+    success: int
+    accept: int | None
+
+
+def _column(num: int, den: int) -> _Column:
+    """The stream v3 column for the reduced fraction ``num/den`` (see the
+    module docstring)."""
+    if den > 2**64:
+        rounded = Fraction(-(-num * 2**64 // den), 2**64)  # up to k * 2**-64
+        num, den = rounded.numerator, rounded.denominator
+    if den == 1:
+        return _Column(None, bool(num), None)
+    width = 16 if den <= 2**8 else 32 if den <= 2**24 else 64
+    per = 2**width // den
+    accept = None if den * per == 2**width else den * per
+    return _Column(_LANES[width], num * per, accept)
+
+
+def _draw(rng: np.random.Generator, column: _Column, size: int):
+    """``size`` games of ``column``: their successes and which were accepted
+    (``None``: all of them)."""
+    if column.dtype is None:
+        return column.success, None
+    words = rng.bit_generator.random_raw(-(-size * column.dtype.itemsize // 8))
+    # Little-endian words split into lanes least significant first on any host.
+    lanes = words.astype("<u8", copy=False).view(column.dtype)[:size]
+    accepted = None if column.accept is None else lanes < column.accept
+    return lanes < column.success, accepted
+
+
+def _chunk_wins(columns: tuple[_Column, ...], rng: np.random.Generator, size: int) -> int:
+    """Wins of ``size`` games drawn from ``rng`` by the hit, switch and slot-0
+    ``columns``; games rejected in any column are drawn again until ``size``
+    are accepted."""
+    wins = 0
+    while size:
+        (hit, hit_ok), (switch, switch_ok), (slot0, slot_ok) = (
+            _draw(rng, column, size) for column in columns
+        )
+        masks = [ok for ok in (hit_ok, switch_ok, slot_ok) if ok is not None]
+        if masks:
+            kept = functools.reduce(np.bitwise_and, masks)
+            # A dropped game counts as a stayer who missed: never a win.
+            hit = hit & kept
+            switch = switch & kept
+            size -= int(np.count_nonzero(kept))
+        else:
+            size = 0
+        wins += _count_wins(hit, switch, slot0)
+    return wins
 
 
 def run_batch(
@@ -250,6 +328,9 @@ def run_batch(
     ``workers`` only controls execution, never the result.
     """
     _require_int("workers", workers, 1)
+    n, p = config.n, config.p
+    slots = n - 1 - _host_opens(config.variant, n)
+    columns = (_column(1, n), _column(p.numerator, p.denominator), _column(1, slots))
     chunks = -(-config.trials // config.chunk_size)
     threads = 1 if workers == 1 else min(workers, chunks, os.cpu_count() or 1)
     indices = iter(range(chunks))
@@ -265,7 +346,7 @@ def run_batch(
                 return wins
             size = min(config.chunk_size, config.trials - index * config.chunk_size)
             rng = substream(config.master_seed, stream, index)
-            wins += _chunk_wins(config.variant, config.n, config.p, rng, size)
+            wins += _chunk_wins(columns, rng, size)
 
     if threads == 1:
         return SimulationResult(config.trials, pulled_wins())
@@ -295,7 +376,7 @@ def sweep(
         config = SimulationConfig(
             variant=variant,
             n=n,
-            p=float(p),
+            p=p,
             trials=trials,
             master_seed=master_seed,
             chunk_size=chunk_size,

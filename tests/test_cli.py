@@ -166,9 +166,11 @@ def test_sweep_csv_layout(tmp_path):
     assert meta == [
         "# seed=1",
         "# rng=Philox4x64-10 (numpy.random.Philox); numpy "
-        f"{np.__version__}; stream=v2; "
+        f"{np.__version__}; stream=v3; "
         "key=SeedSequence(seed).generate_state(2, uint64); "
-        "counter=(0, 0, grid_index, chunk_index)",
+        "counter=(0, 0, grid_index, chunk_index); "
+        "columns=hit,switch,slot0 as exact thresholds on 16/32/64-bit lanes "
+        "of raw words, rejected games redrawn",
         "# variant=leave-two",
         "# doors=3",
         "# trials=20000",
@@ -333,30 +335,30 @@ def test_verify_walks_each_tree_once(monkeypatch, capsys):
             "leave-two",
             "10",
             [
-                "0,0.0968,0.1,0.00546415910316,0.0212132034356",
-                "0.25,0.30215,0.3,0.00834664089983,0.032403703492",
-                "0.5,0.5033,0.5,0.00910693183859,0.0353553390593",
-                "0.75,0.70155,0.7,0.00834664089983,0.032403703492",
-                "1,0.9013,0.9,0.00546415910316,0.0212132034356",
+                "0,0.09945,0.1,0.00546415910316,0.0212132034356",
+                "0.25,0.2958,0.3,0.00834664089983,0.032403703492",
+                "0.5,0.50275,0.5,0.00910693183859,0.0353553390593",
+                "0.75,0.70105,0.7,0.00834664089983,0.032403703492",
+                "1,0.89935,0.9,0.00546415910316,0.0212132034356",
             ],
         ),
         (
             "open-one",
             "5",
             [
-                "0,0.1941,0.2,0.00728554547087,0.0282842712475",
-                "0.25,0.22285,0.216666666667,0.00750363043913,0.0291309304882",
-                "0.5,0.23285,0.233333333333,0.0077036007193,0.0299072640749",
-                "0.75,0.251,0.25,0.00788683432275,0.0306186217848",
-                "1,0.26765,0.266666666667,0.00805447357332,0.0312694383988",
+                "0,0.19645,0.2,0.00728554547087,0.0282842712475",
+                "0.25,0.2158,0.216666666667,0.00750363043913,0.0291309304882",
+                "0.5,0.2361,0.233333333333,0.0077036007193,0.0299072640749",
+                "0.75,0.2496,0.25,0.00788683432275,0.0306186217848",
+                "1,0.26935,0.266666666667,0.00805447357332,0.0312694383988",
             ],
         ),
     ],
 )
 def test_sweep_csv_is_pinned_across_versions(capsys, variant, doors, rows):
-    # Stream v2's output, recorded once.  A silent change to the draws (a
-    # new bounded-integer method in numpy, another dtype or column order)
-    # moves the empirical column, which run-to-run comparisons cannot see.
+    # Stream v3's output, recorded once.  A silent change to the draws (a
+    # lane width, a threshold, the column order or the redraw rule) moves
+    # the empirical column, which run-to-run comparisons cannot see.
     # The "# rng=" line carries the numpy version, so it is left out.
     assert run_cli("sweep", "--variant", variant, "--doors", doors,
                    "--grid-step", "1/4", "--trials", "20000",

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from montyhall import oracle, simulate
+from montyhall import cli, oracle, simulate
 from montyhall.analytic import GameParams, GameVariant, _host_opens, win_marginal
 from montyhall.oracle import CarDistribution, enumerate_trajectories
 from montyhall.simulate import (
@@ -173,24 +173,70 @@ def test_batch_depends_on_seed_and_stream():
 
 
 def _v2_generator(master_seed, stream, chunk):
-    """Chunk ``chunk`` of stream ``stream`` as stream v2 lays it out, built
-    without ``substream``."""
+    """Chunk ``chunk`` of stream ``stream`` as streams v2 and v3 lay it out,
+    built without ``substream``."""
     key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
     philox = np.random.Philox(key=key, counter=[0, 0, stream, chunk])
     return np.random.Generator(philox)
 
 
-def _pick_hits(config, stream=0):
-    """Recount initial picks of door 1 straight from the v2 layout."""
+def _words_drawn(rng):
+    """Raw 64-bit words ``rng`` has handed out since counter (0, 0, i, j)."""
+    state = rng.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) - (4 - state["buffer_pos"])
+
+
+def _v3_draw(rng, prob, size):
+    """One stream v3 column of ``size`` games at ``prob``, written out apart
+    from the package: (successes, accepted) as boolean arrays."""
+    num, den = prob.numerator, prob.denominator
+    if den == 1:
+        return np.full(size, bool(num)), np.ones(size, dtype=bool)
+    width = min((w for w in (16, 32, 64) if den <= 2 ** (w - 8)), default=64)
+    raw = rng.bit_generator.random_raw(math.ceil(size * width / 64))
+    lanes = np.frombuffer(raw.astype("<u8").tobytes(), dtype=f"<u{width // 8}")
+    lanes = [int(lane) for lane in lanes[:size]]
+    per = 2**width // den
+    return (
+        np.array([lane < num * per for lane in lanes], dtype=bool),
+        np.array([lane < den * per for lane in lanes], dtype=bool),
+    )
+
+
+def _v3_chunks(config, stream=0):
+    """Each chunk of ``config`` recounted from the v3 layout: the accepted
+    games' (hit, switch, slot 0) columns, the size of every round of draws,
+    and the raw words the chunk took."""
+    k = _host_opens(config.variant, config.n)
+    probs = (F(1, config.n), F(config.p), F(1, config.n - 1 - k))
     full, rest = divmod(config.trials, config.chunk_size)
     sizes = [config.chunk_size] * full + ([rest] if rest else [])
-    dtype = np.min_scalar_type(config.n)
-    hits = 0
     for index, size in enumerate(sizes):
         rng = _v2_generator(config.master_seed, stream, index)
-        picks = rng.integers(1, config.n + 1, size=size, dtype=dtype)
-        hits += int(np.count_nonzero(picks == 1))
-    return hits
+        kept = [[], [], []]
+        rounds = []
+        while size:
+            rounds.append(size)
+            draws = [_v3_draw(rng, prob, size) for prob in probs]
+            accepted = draws[0][1] & draws[1][1] & draws[2][1]
+            for column, (success, _) in zip(kept, draws):
+                column.append(success[accepted])
+            size -= int(np.count_nonzero(accepted))
+        yield [np.concatenate(column) for column in kept], rounds, _words_drawn(rng)
+
+
+def _pick_hits(config, stream=0):
+    """Recount initial picks of door 1 straight from the v3 layout, without
+    the games a rejected word dropped."""
+    return sum(int(hit.sum()) for (hit, _, _), _, _ in _v3_chunks(config, stream))
+
+
+def _v3_wins(config, stream=0):
+    """Recount the wins straight from the v3 layout."""
+    wins = 0
+    for (hit, switch, slot0), _, _ in _v3_chunks(config, stream):
+        wins += int(np.count_nonzero((hit & ~switch) | (~hit & switch & slot0)))
+    return wins
 
 
 def test_substream_matches_v2_layout_after_reuse():
@@ -246,6 +292,237 @@ def test_never_switching_wins_exactly_the_lucky_picks(variant):
 def test_always_switching_leave_two_wins_exactly_the_unlucky_picks():
     config = SimulationConfig(LEAVE_TWO, 6, 1.0, 30000, master_seed=8, chunk_size=4096)
     assert run_batch(config).wins == config.trials - _pick_hits(config)
+
+
+class _RawWords:
+    """Stands in for a generator whose bit generator hands out ``words``."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self._words = np.asarray(words, dtype="<u8")
+        self.drawn = 0
+
+    def random_raw(self, size):
+        words = self._words[self.drawn : self.drawn + size]
+        assert len(words) == size, "drew past the scripted words"
+        self.drawn += size
+        return words
+
+
+def _lanes_as_words(lanes, width):
+    """Pack ``width``-bit lanes into 64-bit words, least significant first."""
+    per_word = 64 // width
+    padded = list(lanes) + [0] * (-len(lanes) % per_word)
+    return np.array(padded, dtype=f"<u{width // 8}").view("<u8")
+
+
+def test_bernoulli_column_is_exact_on_every_16_bit_word():
+    # Every uint16 lane once: the accepted successes over the accepted lanes
+    # must be num/den exactly, with under 1/256 of the lanes rejected.
+    every_lane = np.arange(2**16, dtype="<u2").view("<u8")
+    for den in range(1, 257):
+        for num in range(den + 1):
+            column = simulate._column(num, den)
+            rng = _RawWords(every_lane)
+            success, accepted = simulate._draw(rng, column, 2**16)
+            if den == 1:
+                assert column.dtype is None and rng.drawn == 0
+                assert success is bool(num) and accepted is None
+                continue
+            assert column.dtype == np.dtype("<u2") and rng.drawn == 2**14
+            if accepted is None:
+                accepted = np.ones(2**16, dtype=bool)
+            kept = int(np.count_nonzero(accepted))
+            assert 2**16 - kept < 2**16 // 256
+            assert F(int(np.count_nonzero(success & accepted)), kept) == F(num, den)
+            assert not np.any(success & ~accepted)
+
+
+@pytest.mark.parametrize(
+    "den, width",
+    [
+        (257, 32),
+        (1000, 32),
+        (2**24, 32),
+        (2**24 + 1, 64),
+        (3**30, 64),
+        (2**56, 64),
+        (2**56 + 1, 64),
+        (2**63 - 1, 64),  # per = 2: two words in 2**64 rejected
+        (2**63 + 1, 64),  # per = 1: about half the words rejected
+        (2**64 - 1, 64),
+    ],
+)
+def test_bernoulli_column_thresholds_on_wide_words(den, width):
+    per = 2**width // den
+    for num in sorted({1, den // 3, den - 1}):
+        column = simulate._column(num, den)
+        assert column.dtype == np.dtype(f"<u{width // 8}")
+        accept = column.accept if column.accept is not None else 2**width
+        assert F(column.success, accept) == F(num, den)
+        assert accept == den * per and 2**width - accept < den
+        lanes = [num * per - 1, num * per, den * per - 1]
+        want_success = [True, False, False]
+        want_accepted = [True, True, True]
+        if den * per < 2**width:
+            lanes.append(den * per)
+            want_success.append(False)
+            want_accepted.append(False)
+        rng = _RawWords(_lanes_as_words(lanes, width))
+        success, accepted = simulate._draw(rng, column, len(lanes))
+        assert success.tolist() == want_success
+        if accepted is None:
+            assert all(want_accepted)
+        else:
+            assert accepted.tolist() == want_accepted
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [F(1, 2**64 + 1), F(1, 3 * 2**64), F(2**-1074), F(5, 7 * 2**62), F(2**70 - 1, 2**70)],
+)
+def test_probability_beyond_2_to_64_rounds_up(prob):
+    # A denominator above 2**64 becomes the next multiple of 2**-64 up.
+    rounded = F(math.ceil(prob * 2**64), 2**64)
+    assert 0 <= rounded - prob < F(1, 2**64)
+    column = simulate._column(prob.numerator, prob.denominator)
+    assert column == simulate._column(rounded.numerator, rounded.denominator)
+    if column.dtype is None:
+        assert rounded == 1 and column.success is True
+    else:
+        accept = column.accept if column.accept is not None else 2**64
+        assert F(column.success, accept) == rounded
+
+
+def test_config_keeps_the_switch_probability_exact():
+    assert SimulationConfig(OPEN_ONE, 5, 0.35, 10).p == F(0.35)
+    assert SimulationConfig(OPEN_ONE, 5, F(7, 20), 10).p == F(7, 20)
+    for bad in (1.5, -0.25, float("inf"), float("nan"), "goat"):
+        with pytest.raises(ValueError, match="switch probability"):
+            SimulationConfig(OPEN_ONE, 5, bad, 10)
+
+
+def _record_chunks(monkeypatch):
+    """Hand each chunk a fresh generator and keep it, keyed by (stream, chunk)."""
+    drawn = {}
+
+    def fresh_substream(master_seed, stream, chunk):
+        drawn[stream, chunk] = rng = _v2_generator(master_seed, stream, chunk)
+        return rng
+
+    monkeypatch.setattr(simulate, "substream", fresh_substream)
+    return drawn
+
+
+def test_open_one_chunk_draws_three_16_bit_columns_and_its_redraws(monkeypatch, capsys):
+    # A 65,536-game chunk at p = 7/20 takes 3 * 2**14 words, then 3 columns
+    # of ceil(shortfall / 4) words per redraw round.  A 64-bit switch column
+    # (p passed on as a float) would take 3 * 2**14 words more.  The sweep
+    # draws p = 7/20 on stream 7, the simulate command on stream 0.
+    config = SimulationConfig(OPEN_ONE, 15, F(7, 20), 2**16, master_seed=12)
+    drawn = _record_chunks(monkeypatch)
+    sweep(OPEN_ONE, 15, F(1, 20), trials=2**16, master_seed=12)
+    assert cli.main([
+        "simulate", "--variant", "open-one", "--doors", "15", "--switch-prob",
+        "7/20", "--trials", str(2**16), "--seed", "12",
+    ]) == cli.EXIT_OK
+    capsys.readouterr()
+    for stream in (7, 0):
+        ((_, rounds, words),) = _v3_chunks(config, stream)
+        assert rounds[0] == 2**16 and len(rounds) > 1
+        assert words == sum(3 * -(-size // 4) for size in rounds) < 3 * 2**14 + 300
+        assert _words_drawn(drawn[stream, 0]) == words
+
+
+@pytest.mark.parametrize("p", [F(0), F(1)])
+def test_certain_columns_draw_nothing(monkeypatch, p):
+    # Leave-two's slot column and a switch column at p = 0 or 1 are certain:
+    # the chunk takes the hit column's words alone.
+    config = SimulationConfig(LEAVE_TWO, 10, p, 2**16, master_seed=13)
+    ((_, rounds, words),) = _v3_chunks(config)
+    assert words == sum(-(-size // 4) for size in rounds)
+    drawn = _record_chunks(monkeypatch)
+    run_batch(config)
+    assert _words_drawn(drawn[0, 0]) == words
+
+
+@pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
+def test_rejection_path_end_to_end_at_the_largest_door_count(variant):
+    # n = 2**63 - 1 takes 64-bit hit (and open-one slot) columns.  At p = 0
+    # the wins are the recounted hits; at p = 1/(2**63 + 1) about half the
+    # switch words are rejected, so most games are redrawn, some many times.
+    n = 2**63 - 1
+    for p in (F(0), F(1, 2**63 + 1)):
+        config = SimulationConfig(variant, n, p, 5 * 997 + 13, master_seed=21, chunk_size=997)
+        chunks = list(_v3_chunks(config))
+        assert [len(hit) for (hit, _, _), _, _ in chunks] == [997] * 5 + [13]
+        if p:
+            assert sum(len(rounds) for _, rounds, _ in chunks) > 6 * 5
+        results = [run_batch(config, workers=workers) for workers in (1, 2)]
+        assert results[0] == results[1]
+        assert results[0].trials == config.trials
+        assert results[0].wins == _v3_wins(config)
+        if not p:
+            assert results[0].wins == _pick_hits(config)
+
+
+def _list_trace_trial(variant, n, p, rng):
+    """``trace_trial`` as it was with a materialised goat list, in O(n)."""
+    k = _host_opens(variant, n)
+    pick = int(rng.integers(1, n + 1))
+    goats = [door for door in range(2, n + 1) if door != pick]
+    for i in range(k):
+        j = int(rng.integers(i, len(goats)))
+        goats[i], goats[j] = goats[j], goats[i]
+    switched = rng.random() < p
+    final = pick
+    if switched:
+        closed = goats[k:] if pick == 1 else [1, *goats[k:]]
+        final = closed[int(rng.integers(0, len(closed)))]
+    return (pick, frozenset(goats[:k]), switched, final, final == 1)
+
+
+class _LoggedRNG:
+    """A numpy generator that logs every call made of it."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = []
+
+    def integers(self, low, high):
+        self.calls.append(("integers", low, high))
+        return self._rng.integers(low, high)
+
+    def random(self):
+        self.calls.append(("random",))
+        return self._rng.random()
+
+
+@pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_sparse_trace_matches_the_list_version(variant, n):
+    # Same calls with the same arguments, so every trace is unchanged.
+    for seed in range(3):
+        sparse, listed = _LoggedRNG(seed), _LoggedRNG(seed)
+        for _ in range(300):
+            assert tuple(trace_trial(variant, n, 0.5, sparse)) == (
+                _list_trace_trial(variant, n, 0.5, listed)
+            )
+        assert sparse.calls == listed.calls
+
+
+def test_open_one_trace_does_not_list_the_doors():
+    # Open-one touches O(1) doors, so the largest door count plays at once.
+    n = 2**63 - 1
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        trace = trace_trial(OPEN_ONE, n, 0.5, rng)
+        (opened,) = trace.host_opens
+        assert 2 <= opened <= n and opened != trace.pick
+        if trace.switched:
+            assert trace.final not in (opened, trace.pick)
+        else:
+            assert trace.final == trace.pick
 
 
 @pytest.mark.parametrize(
