@@ -20,6 +20,18 @@ and therefore the draws, so it is part of :class:`SimulationConfig`.
 Stream v2 drew from the same counters through ``Generator.integers`` and
 ``Generator.random``, so v3 output differs from v2 output.
 
+Fan-out
+-------
+:func:`run_batch` and :func:`sweep` share one fan-out.  The chunks of every
+row (one row per grid point of a sweep) form one pull queue in (grid index,
+chunk index) order, computed lazily from the index.  With ``workers == 1``
+the caller drains it inline; otherwise threads of one ``ThreadPoolExecutor``,
+started once per call (once per sweep, not once per row), pull the next
+chunk as they finish one, and each row's wins are summed by grid index.
+Since a chunk's draws are fixed by ``(master_seed, i, j)``, the number of
+workers and the order in which they run never change a result.  Once a
+chunk fails, or the caller is interrupted, no thread starts another chunk.
+
 Batch draw order
 ----------------
 A win depends on three Bernoulli events per game: the pick hit the car
@@ -59,7 +71,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -319,41 +331,67 @@ def _chunk_wins(columns: tuple[_Column, ...], rng: np.random.Generator, size: in
     return wins
 
 
+def _fan_out(
+    config: SimulationConfig, ps: Sequence[Fraction], first_stream: int, workers: int
+) -> list[int]:
+    """Wins of one row per switch probability in ``ps``: row ``i`` plays
+    ``config``'s game at ``ps[i]``, not at ``config.p``, on stream
+    ``first_stream + i`` (see "Fan-out" in the module docstring).
+
+    Up to ``min(workers, chunks of all rows, os.cpu_count())`` threads drain
+    the queue; the queue takes no memory per chunk.
+    """
+    _require_int("workers", workers, 1)
+    n, trials, size = config.n, config.trials, config.chunk_size
+    hit, slot0 = _column(1, n), _column(1, n - 1 - _host_opens(config.variant, n))
+    chunks = -(-trials // size)
+    pulls = iter(range(len(ps) * chunks))
+    wins = [0] * len(ps)
+    lock = threading.Lock()
+    stopped = threading.Event()
+
+    def drain() -> None:
+        try:
+            while not stopped.is_set():
+                with lock:
+                    index = next(pulls, None)
+                if index is None:
+                    return
+                row, chunk = divmod(index, chunks)
+                p = ps[row]
+                columns = (hit, _column(p.numerator, p.denominator), slot0)
+                rng = substream(config.master_seed, first_stream + row, chunk)
+                chunk_wins = _chunk_wins(columns, rng, min(size, trials - chunk * size))
+                with lock:
+                    wins[row] += chunk_wins
+        except BaseException:
+            stopped.set()
+            raise
+
+    threads = 1 if workers == 1 else min(workers, len(ps) * chunks, os.cpu_count() or 1)
+    if threads == 1:
+        drain()
+        return wins
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(drain) for _ in range(threads)]
+        try:
+            for future in futures:
+                future.result()
+        finally:
+            stopped.set()  # on an interrupt, shutdown then waits for running chunks only
+    return wins
+
+
 def run_batch(
     config: SimulationConfig, *, stream: int = 0, workers: int = 1
 ) -> SimulationResult:
     """Run ``config.trials`` independent games and aggregate the wins.
 
-    ``stream`` selects the substream family (sweeps pass the grid index);
-    ``workers`` only controls execution, never the result.
+    ``stream`` selects the substream family (sweeps use the grid index);
+    ``workers`` only controls execution, never the result: the chunks go
+    through the same pull queue as a sweep's.
     """
-    _require_int("workers", workers, 1)
-    n, p = config.n, config.p
-    slots = n - 1 - _host_opens(config.variant, n)
-    columns = (_column(1, n), _column(p.numerator, p.denominator), _column(1, slots))
-    chunks = -(-config.trials // config.chunk_size)
-    threads = 1 if workers == 1 else min(workers, chunks, os.cpu_count() or 1)
-    indices = iter(range(chunks))
-    lock = threading.Lock()
-
-    def pulled_wins() -> int:
-        # Each thread pulls the next chunk index, so none waits on another.
-        wins = 0
-        while True:
-            with lock:
-                index = next(indices, None)
-            if index is None:
-                return wins
-            size = min(config.chunk_size, config.trials - index * config.chunk_size)
-            rng = substream(config.master_seed, stream, index)
-            wins += _chunk_wins(columns, rng, size)
-
-    if threads == 1:
-        return SimulationResult(config.trials, pulled_wins())
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(pulled_wins) for _ in range(threads)]
-        wins = sum(future.result() for future in futures)
-    return SimulationResult(config.trials, wins)
+    return SimulationResult(config.trials, _fan_out(config, (config.p,), stream, workers)[0])
 
 
 def sweep(
@@ -367,27 +405,25 @@ def sweep(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
 ) -> tuple[SweepRow, ...]:
-    """One row per grid point, each batch on its own substream, with the
-    exact reference value and CLT/Chebyshev confidence half-widths."""
+    """One row per grid point, each batch on its own substream (the grid
+    index), with the exact reference value and CLT/Chebyshev confidence
+    half-widths.
+
+    The chunks of every row go through one pull queue, drained by one thread
+    pool for the whole sweep when ``workers > 1``; ``workers`` only controls
+    execution, never the result.
+    """
     grid = switch_probability_grid(grid_step)
     _require_unit("delta", delta, open_interval=True)
+    config = SimulationConfig(variant, n, grid[0], trials, master_seed, chunk_size)
     rows = []
-    for k, p in enumerate(grid):
-        config = SimulationConfig(
-            variant=variant,
-            n=n,
-            p=p,
-            trials=trials,
-            master_seed=master_seed,
-            chunk_size=chunk_size,
-        )
-        result = run_batch(config, stream=k, workers=workers)
+    for p, wins in zip(grid, _fan_out(config, grid, 0, workers)):
         exact = win_marginal(variant, GameParams(n, p))
         p_win = float(exact)
         rows.append(
             SweepRow(
                 p=p,
-                result=result,
+                result=SimulationResult(trials, wins),
                 analytic=exact,
                 clt_halfwidth=band_halfwidth(p_win, trials, delta, PlanMethod.CLT),
                 chebyshev_halfwidth=band_halfwidth(

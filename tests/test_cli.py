@@ -103,10 +103,10 @@ def test_simulated_doors_stop_below_2_to_63(argv, monkeypatch, capsys):
     assert run_cli(*argv, "--doors", str(2**63 - 1)) == EXIT_OK
     capsys.readouterr()
 
-    def no_batch(*args, **kwargs):
+    def no_chunk(*args, **kwargs):
         raise AssertionError("simulated before the inputs were checked")
 
-    monkeypatch.setattr(montyhall.simulate, "run_batch", no_batch)
+    monkeypatch.setattr(montyhall.simulate, "_chunk_wins", no_chunk)
     assert run_cli(*argv, "--doors", str(2**63)) == EXIT_USAGE
     assert "doors must be" in capsys.readouterr().err
 
@@ -251,10 +251,10 @@ def test_sweep_planned_trials(tmp_path):
 def test_sweep_rejects_bad_plan_inputs_before_simulating(
     flags, tmp_path, monkeypatch, capsys
 ):
-    def no_batch(*args, **kwargs):
+    def no_chunk(*args, **kwargs):
         raise AssertionError("simulated before the inputs were checked")
 
-    monkeypatch.setattr(montyhall.simulate, "run_batch", no_batch)
+    monkeypatch.setattr(montyhall.simulate, "_chunk_wins", no_chunk)
     path = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--doors", "3", "--out", str(path), *flags) == EXIT_USAGE
     assert "error" in capsys.readouterr().err.lower()

@@ -3,6 +3,8 @@ cases, and statistical agreement with the exact probabilities."""
 
 import math
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -589,7 +591,7 @@ def test_result_fields_and_validation():
         SimulationResult(10, 11)
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         SimulationConfig(LEAVE_TWO, 2, 0.5, 100)
     with pytest.raises(ValueError):
@@ -621,6 +623,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(LEAVE_TWO, 2**63, 0.5, 100)
 
+    def no_chunk(*args):
+        raise AssertionError("drew a chunk before the inputs were checked")
+
+    monkeypatch.setattr(simulate, "_chunk_wins", no_chunk)
+    for workers in (0, 1.5):
+        with pytest.raises(ValueError):
+            sweep(LEAVE_TWO, 3, F(1, 2), trials=100, workers=workers)
+
 
 def test_thread_count_is_capped_by_chunks_and_cpus(monkeypatch):
     import montyhall.simulate as simulate
@@ -638,24 +648,31 @@ def test_thread_count_is_capped_by_chunks_and_cpus(monkeypatch):
     ten_chunks = SimulationConfig(OPEN_ONE, 5, 0.5, 1000, master_seed=4, chunk_size=100)
     for config in (two_chunks, ten_chunks):
         assert run_batch(config, workers=8) == run_batch(config)
+    # A sweep takes one pool for all its rows: 21 rows of two chunks, then
+    # 2 rows of one chunk each.
+    for step, trials in ((F(1, 20), 200), (F(1), 100)):
+        kwargs = dict(trials=trials, master_seed=4, chunk_size=100)
+        assert sweep(OPEN_ONE, 5, step, workers=8, **kwargs) == sweep(OPEN_ONE, 5, step, **kwargs)
     # workers=1 runs inline; the chunk count, then the CPU count, caps the rest
-    assert started == [2, 3]
+    assert started == [2, 3, 3, 2]
 
 
 def test_threads_pull_each_chunk_exactly_once(monkeypatch):
     # More threads than cores and a short switch interval: a lost or repeated
-    # pull of the shared chunk iterator would show in the recorded indices.
+    # pull of the shared chunk queue would show in the recorded indices.
     import montyhall.simulate as simulate
 
     config = SimulationConfig(
         OPEN_ONE, 5, 0.5, 200 * 64 + 17, master_seed=3, chunk_size=64
     )
+    sweep_kwargs = dict(grid_step=F(1, 4), trials=40 * 64 + 5, master_seed=3, chunk_size=64)
     reference = run_batch(config)
+    reference_rows = sweep(OPEN_ONE, 5, **sweep_kwargs)
     pulled = []
     real_substream = simulate.substream
 
     def recording_substream(master_seed, stream, chunk):
-        pulled.append(chunk)
+        pulled.append((stream, chunk))
         return real_substream(master_seed, stream, chunk)
 
     monkeypatch.setattr(simulate, "substream", recording_substream)
@@ -664,10 +681,94 @@ def test_threads_pull_each_chunk_exactly_once(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         threaded = run_batch(config, workers=8)
+        batch_pulls = sorted(pulled)
+        pulled.clear()
+        threaded_rows = sweep(OPEN_ONE, 5, workers=8, **sweep_kwargs)
     finally:
         sys.setswitchinterval(interval)
-    assert sorted(pulled) == list(range(201))
+    assert batch_pulls == [(0, chunk) for chunk in range(201)]
     assert threaded == reference
+    assert sorted(pulled) == [(stream, chunk) for stream in range(5) for chunk in range(41)]
+    assert threaded_rows == reference_rows
+
+
+def _failing_chunk_wins(monkeypatch, calls, fail_at, wins=None):
+    """Patch ``_chunk_wins`` to record each call's size in ``calls`` and raise
+    on call ``fail_at``; other calls return ``wins`` or the real count."""
+    real = simulate._chunk_wins
+
+    def chunk_wins(columns, rng, size):
+        calls.append(size)
+        if len(calls) == fail_at:
+            raise RuntimeError("chunk failed")
+        return real(columns, rng, size) if wins is None else wins
+
+    monkeypatch.setattr(simulate, "_chunk_wins", chunk_wins)
+
+
+@pytest.mark.parametrize("threaded", ["run_batch", "sweep"])
+def test_threads_stop_pulling_after_a_failed_chunk(monkeypatch, threaded):
+    calls = []
+    _failing_chunk_wins(monkeypatch, calls, fail_at=3)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        if threaded == "run_batch":
+            config = SimulationConfig(OPEN_ONE, 5, 0.5, 2000 * 64, master_seed=1, chunk_size=64)
+            run_batch(config, workers=2)
+        else:
+            sweep(OPEN_ONE, 5, F(1, 4), trials=400 * 64, chunk_size=64, workers=2)
+    # The failed chunk, plus at most one chunk the other thread had started.
+    assert 3 <= len(calls) <= 3 + 2
+
+
+def test_an_interrupted_caller_stops_the_threads(monkeypatch):
+    calls = []
+    _failing_chunk_wins(monkeypatch, calls, fail_at=None)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    drawn_at_interrupt = []
+
+    class InterruptedPool(simulate.ThreadPoolExecutor):
+        def submit(self, fn):
+            future = super().submit(fn)
+
+            def interrupted_result(timeout=None):
+                # The caller is interrupted while it waits, once some chunks ran.
+                deadline = time.monotonic() + 10
+                while len(calls) < 10 and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+                drawn_at_interrupt.append(len(calls))
+                raise KeyboardInterrupt
+
+            future.result = interrupted_result
+            return future
+
+    monkeypatch.setattr(simulate, "ThreadPoolExecutor", InterruptedPool)
+    config = SimulationConfig(OPEN_ONE, 5, 0.5, 2000 * 64, master_seed=1, chunk_size=64)
+    with pytest.raises(KeyboardInterrupt):
+        run_batch(config, workers=2)
+    # Each thread finishes the chunk it had started; slack of one more chunk
+    # per thread covers a thread switch between the interrupt and the stop.
+    assert 10 <= drawn_at_interrupt[0] <= len(calls) <= drawn_at_interrupt[0] + 2 * 2 < 2000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_queue_is_never_materialised(monkeypatch, workers):
+    # 3 rows of 2**62 one-game chunks: a list of the chunks could not be built.
+    calls = []
+    _failing_chunk_wins(monkeypatch, calls, fail_at=5, wins=0)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            sweep(OPEN_ONE, 5, F(1, 2), trials=2**62, chunk_size=1, workers=workers)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5
+    assert peak < 2**20
+    assert 5 <= len(calls) <= 5 + workers
 
 
 def test_sweep_rows_and_reference_tracking():
