@@ -13,7 +13,9 @@ strategies are the two ends of ``k``:
 * ``OPEN_ONE`` -- ``k = 1``: the host opens exactly one goat door, and a
   switching contestant picks among the ``n - 2`` other closed doors.
 
-At ``n = 3`` the two strategies are the same game.
+At ``n = 3`` the two strategies are the same game.  Given the switch
+decision, each of the eight (pick correct, switched, won) cells is free of
+``p``, which enters in one place, ``_weigh_switch``, shared with the oracle.
 
 Everything in this module is exact: probabilities are ``fractions.Fraction``
 values and all identities (the eight-cell partition summing to one, the law of
@@ -96,6 +98,14 @@ def _host_opens(variant: GameVariant, n: int) -> int:
     return n - 2 if variant is GameVariant.LEAVE_TWO_CLOSED else 1
 
 
+def _as_rational(value: RationalLike, name: str) -> Fraction:
+    """``Fraction(value)``, with every way it can fail ending as ``ValueError``."""
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise ValueError(f"not a rational {name}: {value!r}") from exc
+
+
 def as_probability(value: RationalLike, name: str = "probability") -> Fraction:
     """Parse ``value`` into an exact probability; ``name`` labels errors.
 
@@ -103,10 +113,7 @@ def as_probability(value: RationalLike, name: str = "probability") -> Fraction:
     binary float); "1/3"-style fraction strings are accepted as-is, and a
     float becomes the exact rational it stores.
     """
-    try:
-        p = Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise ValueError(f"not a rational {name}: {value!r}") from exc
+    p = _as_rational(value, name)
     _require_unit(name, p)
     return p
 
@@ -152,21 +159,6 @@ class PartitionProbabilities:
         return sum((v for (_, _, w), v in self.cells.items() if w), Fraction(0))
 
 
-def _win_given_events(variant: GameVariant, n: int) -> dict[tuple[bool, bool], Fraction]:
-    """P(win | initial pick correct?, switched?) for each of the four combinations.
-
-    A contestant who keeps the initial door wins exactly when the pick was
-    correct.  A switcher who had the car loses for sure.  A switcher who had a
-    goat finds the car among the ``n - 1 - k`` other closed doors.
-    """
-    return {
-        (True, True): Fraction(0),
-        (True, False): Fraction(1),
-        (False, True): Fraction(1, n - 1 - _host_opens(variant, n)),
-        (False, False): Fraction(0),
-    }
-
-
 def win_given_switch(variant: GameVariant, n: int) -> Fraction:
     """Probability of winning conditional on switching: ``(n-1)/(n(n-1-k))``.
 
@@ -182,8 +174,8 @@ def win_given_switch(variant: GameVariant, n: int) -> Fraction:
 def win_given_stay(variant: GameVariant, n: int) -> Fraction:
     """Probability of winning conditional on keeping the initial door: 1/n."""
     _require_doors(n)
-    del variant  # staying wins iff the uniform initial pick was correct
-    return Fraction(1, n)
+    _require_member(GameVariant, variant)
+    return Fraction(1, n)  # staying wins iff the uniform initial pick was correct
 
 
 def linear_coefficients(variant: GameVariant, n: int) -> tuple[Fraction, Fraction]:
@@ -199,19 +191,36 @@ def win_marginal(variant: GameVariant, params: GameParams) -> Fraction:
     return intercept + slope * params.p
 
 
-def partition_probabilities(variant: GameVariant, params: GameParams) -> PartitionProbabilities:
-    """All eight cell probabilities via the chain rule:
-    P(pick correct) * P(switch choice | pick) * P(win | pick, switch)."""
-    n, p = params.n, params.p
-    table = _win_given_events(variant, n)
-    cells: dict[Cell, Fraction] = {}
-    for correct in (True, False):
-        p_pick = Fraction(1, n) if correct else Fraction(n - 1, n)
-        for switched in (True, False):
-            p_choice = p if switched else 1 - p
-            p_win = table[(correct, switched)]
-            base = p_pick * p_choice
-            cells[(correct, switched, True)] = base * p_win
-            cells[(correct, switched, False)] = base * (1 - p_win)
-    return PartitionProbabilities(cells)
+def _cells_given_switch(variant: GameVariant, n: int) -> dict[Cell, Fraction]:
+    """The eight cells given the switch decision, free of ``p``: P(pick
+    correct) * P(win | pick, switch), where a stayer wins iff the pick was
+    correct and a switcher from a goat finds the car among the ``n - 1 - k``
+    other closed doors.  The stay cells sum to 1 and so do the switch cells."""
+    right, wrong = Fraction(1, n), Fraction(n - 1, n)
+    found = wrong / (n - 1 - _host_opens(variant, n))
+    return {
+        (True, True, True): Fraction(0),
+        (True, True, False): right,
+        (True, False, True): right,
+        (True, False, False): Fraction(0),
+        (False, True, True): found,
+        (False, True, False): wrong - found,
+        (False, False, True): Fraction(0),
+        (False, False, False): wrong,
+    }
 
+
+def _weigh_switch(cells: Mapping[Cell, Fraction], p: Fraction) -> dict[Cell, Fraction]:
+    """Cells given the switch decision, each weighted by the chance of that
+    decision: ``p`` for a switch cell, ``1 - p`` for a stay cell.  This is
+    the one place where ``p`` enters a partition."""
+    stay = 1 - p
+    return {cell: mass * (p if cell[1] else stay) for cell, mass in cells.items()}
+
+
+def partition_probabilities(variant: GameVariant, params: GameParams) -> PartitionProbabilities:
+    """All eight cell probabilities: the cells given the switch decision,
+    weighted by the chance of that decision."""
+    return PartitionProbabilities(
+        _weigh_switch(_cells_given_switch(variant, params.n), params.p)
+    )

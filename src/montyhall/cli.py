@@ -248,20 +248,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     analytic_checks = 0
     for variant in (GameVariant.LEAVE_TWO_CLOSED, GameVariant.OPEN_ONE):
         for n in range(3, args.doors_max + 1):
+            # Both sides are free of p; weighing them by p is all a grid point adds.
             uniform = oracle.CarDistribution.uniform(n)
+            tree = oracle._conditional_cells(analytic._host_opens(variant, n), uniform)
+            table = analytic._cells_given_switch(variant, n)
             for p in grid:
-                params = GameParams(n, p)
-                # One enumeration yields both the cells and their win total.
-                got_cells = oracle.exact_partition(variant, params, uniform)
-                want = analytic.win_marginal(variant, params)
-                got = got_cells.p_win
+                got_cells = analytic._weigh_switch(tree, p)
+                got = sum(mass for (_, _, won), mass in got_cells.items() if won)
+                want = analytic.win_marginal(variant, GameParams(n, p))
                 analytic_checks += 2
                 if got != want:
                     failures.append(
                         f"win probability mismatch at ({variant.value}, n={n}, "
                         f"p={p}): enumeration {got} vs closed form {want}"
                     )
-                if got_cells != analytic.partition_probabilities(variant, params):
+                if got_cells != analytic._weigh_switch(table, p):
                     failures.append(
                         f"partition mismatch at ({variant.value}, n={n}, p={p})"
                     )

@@ -17,8 +17,9 @@ The switch decision is independent of the car, the pick and the host, so the
 switch probability ``p`` only weights the two branches under each host action.
 The walk therefore weights each trajectory given its switch decision, and one
 walk per (``k``, car distribution) serves every ``p`` and both variants where
-they share ``k`` (at ``n = 3``): the eight cell totals are cached and
-multiplied by ``p`` or ``1 - p`` per cell.
+they share ``k`` (at ``n = 3``): the eight cell totals are cached, and ``p``
+enters through the closed forms' own ``_weigh_switch``.  ``verify`` takes
+each uniform tree once per (variant, ``n``) and weighs it at every ``p``.
 
 For both variants the walk is O(n^4): car x pick x host subset x final pick,
 where the subsets times the final picks are O(n^2) at ``k = 1`` and at
@@ -43,8 +44,11 @@ from .analytic import (
     GameVariant,
     PartitionProbabilities,
     RationalLike,
+    _as_rational,
     _host_opens,
     _require_doors,
+    _weigh_switch,
+    as_probability,
 )
 
 __all__ = [
@@ -65,10 +69,8 @@ class CarDistribution:
     alpha: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        alpha = tuple(Fraction(a) for a in self.alpha)
+        alpha = tuple(as_probability(a, "car placement probability") for a in self.alpha)
         _require_doors(len(alpha))
-        if any(a < 0 for a in alpha):
-            raise ValueError("car placement probabilities must be non-negative")
         if sum(alpha) != 1:
             raise ValueError(f"car placement probabilities sum to {sum(alpha)}, not 1")
         object.__setattr__(self, "alpha", alpha)
@@ -83,7 +85,7 @@ class CarDistribution:
     @classmethod
     def from_weights(cls, weights: Sequence[RationalLike]) -> "CarDistribution":
         """Normalize non-negative rational weights into a distribution."""
-        ws = [Fraction(w) for w in weights]
+        ws = [_as_rational(w, "car weight") for w in weights]
         total = sum(ws)
         if total <= 0:
             raise ValueError("weights must have a positive sum")
@@ -166,25 +168,15 @@ def _conditional_cells(k: int, cars: CarDistribution) -> Mapping[Cell, Fraction]
     return MappingProxyType(cells)
 
 
-def _cells(
-    variant: GameVariant, params: GameParams, cars: CarDistribution
-) -> dict[Cell, Fraction]:
-    """Total trajectory weight in each (correct, switched, won) cell."""
-    tree = _conditional_cells(_check_inputs(variant, params, cars), cars)
-    p = params.p
-    q = 1 - p
-    return {cell: mass * (p if cell[1] else q) for cell, mass in tree.items()}
-
-
 def enumerate_trajectories(
     variant: GameVariant, params: GameParams, cars: CarDistribution
 ) -> Iterator[Trajectory]:
     """Every game trajectory with positive weight; weights sum to exactly 1."""
     k = _check_inputs(variant, params, cars)
-    p = params.p
-    q = 1 - p
+    # The chance of each trajectory's switch decision, looked up by its cell.
+    decision = _weigh_switch(dict.fromkeys(CELL_ORDER, Fraction(1)), params.p)
     for car, pick, opened, switched, final, (num, den) in _raw_trajectories(k, cars):
-        weight = Fraction(num, den) * (p if switched else q)
+        weight = Fraction(num, den) * decision[pick == car, switched, final == car]
         if weight:
             yield Trajectory(car, pick, frozenset(opened), switched, final, weight)
 
@@ -197,16 +189,17 @@ def exact_win_probability(
     For a uniform car distribution this equals the closed-form marginal win
     probability exactly, for every n and p.
     """
-    cells = _cells(variant, params, cars)
-    return sum((v for (_, _, won), v in cells.items() if won), Fraction(0))
+    return exact_partition(variant, params, cars).p_win
 
 
 def exact_partition(
     variant: GameVariant, params: GameParams, cars: CarDistribution
 ) -> PartitionProbabilities:
-    """Accumulate trajectory weights into the eight (correct, switched, won)
-    cells.  The cells sum to 1 by construction of the probability tree."""
-    return PartitionProbabilities(_cells(variant, params, cars))
+    """Total trajectory weight in each of the eight (correct, switched, won)
+    cells: the cached tree given the switch decision, weighted by ``p`` or
+    ``1 - p``.  The cells sum to 1 by construction of the probability tree."""
+    tree = _conditional_cells(_check_inputs(variant, params, cars), cars)
+    return PartitionProbabilities(_weigh_switch(tree, params.p))
 
 
 def exact_initial_correct(params: GameParams, cars: CarDistribution) -> Fraction:
@@ -215,7 +208,7 @@ def exact_initial_correct(params: GameParams, cars: CarDistribution) -> Fraction
     Equals 1/n for every valid car distribution: the host strategy happens
     after the pick, so the cheaper leave-two-closed tree is enumerated.
     """
-    cells = _cells(GameVariant.LEAVE_TWO_CLOSED, params, cars)
+    cells = exact_partition(GameVariant.LEAVE_TWO_CLOSED, params, cars).cells
     return sum((v for (correct, _, _), v in cells.items() if correct), Fraction(0))
 
 

@@ -331,12 +331,10 @@ def _chunk_wins(columns: tuple[_Column, ...], rng: np.random.Generator, size: in
     return wins
 
 
-def _fan_out(
-    config: SimulationConfig, ps: Sequence[Fraction], first_stream: int, workers: int
-) -> list[int]:
+def _fan_out(config: SimulationConfig, ps: Sequence[Fraction], workers: int) -> list[int]:
     """Wins of one row per switch probability in ``ps``: row ``i`` plays
-    ``config``'s game at ``ps[i]``, not at ``config.p``, on stream
-    ``first_stream + i`` (see "Fan-out" in the module docstring).
+    ``config``'s game at ``ps[i]``, not at ``config.p``, on stream ``i``
+    (see "Fan-out" in the module docstring).
 
     Up to ``min(workers, chunks of all rows, os.cpu_count())`` threads drain
     the queue; the queue takes no memory per chunk.
@@ -360,7 +358,7 @@ def _fan_out(
                 row, chunk = divmod(index, chunks)
                 p = ps[row]
                 columns = (hit, _column(p.numerator, p.denominator), slot0)
-                rng = substream(config.master_seed, first_stream + row, chunk)
+                rng = substream(config.master_seed, row, chunk)
                 chunk_wins = _chunk_wins(columns, rng, min(size, trials - chunk * size))
                 with lock:
                     wins[row] += chunk_wins
@@ -382,16 +380,13 @@ def _fan_out(
     return wins
 
 
-def run_batch(
-    config: SimulationConfig, *, stream: int = 0, workers: int = 1
-) -> SimulationResult:
-    """Run ``config.trials`` independent games and aggregate the wins.
+def run_batch(config: SimulationConfig, *, workers: int = 1) -> SimulationResult:
+    """Run ``config.trials`` games on stream 0 and aggregate the wins.
 
-    ``stream`` selects the substream family (sweeps use the grid index);
     ``workers`` only controls execution, never the result: the chunks go
     through the same pull queue as a sweep's.
     """
-    return SimulationResult(config.trials, _fan_out(config, (config.p,), stream, workers)[0])
+    return SimulationResult(config.trials, _fan_out(config, (config.p,), workers)[0])
 
 
 def sweep(
@@ -417,7 +412,7 @@ def sweep(
     _require_unit("delta", delta, open_interval=True)
     config = SimulationConfig(variant, n, grid[0], trials, master_seed, chunk_size)
     rows = []
-    for p, wins in zip(grid, _fan_out(config, grid, 0, workers)):
+    for p, wins in zip(grid, _fan_out(config, grid, workers)):
         exact = win_marginal(variant, GameParams(n, p))
         p_win = float(exact)
         rows.append(

@@ -130,6 +130,8 @@ def test_invalid_params_rejected():
         win_marginal("leave-two", GameParams(5, Fraction(1)))
     with pytest.raises(ValueError):
         partition_probabilities("leave-two", GameParams(5, Fraction(1)))
+    with pytest.raises(ValueError):
+        win_given_stay("leave-two", 3)
 
 
 def test_as_probability_parses_exactly():

@@ -401,6 +401,29 @@ def test_verify_placement_checks_compare_the_whole_partition(monkeypatch, capsys
     assert out.count("placement") == 2
 
 
+def test_verify_catches_a_fault_in_the_walked_tree(monkeypatch, capsys):
+    walk = montyhall.oracle._conditional_cells
+
+    def faulty(k, cars):
+        # Move mass between two switch cells of the 4-door k = 1 tree only;
+        # both are lose cells, so P(win) stays exact at every p.
+        cells = dict(walk(k, cars))
+        if k == 1 and len(cars) == 4:
+            cells[True, True, False] -= F(1, 100)
+            cells[False, True, False] += F(1, 100)
+        return cells
+
+    monkeypatch.setattr(montyhall.oracle, "_conditional_cells", faulty)
+    assert run_cli("verify", "--doors-max", "4", "--placement-checks", "0") == (
+        EXIT_VERIFY_FAILED
+    )
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "20 of 168 checks FAILED:"
+    assert lines[1:] == [
+        f"  partition mismatch at (open-one, n=4, p={F(i, 20)})" for i in range(1, 21)
+    ]
+
+
 def test_verify_minimal_doors(capsys):
     assert run_cli("verify", "--doors-max", "3") == EXIT_OK
     capsys.readouterr()

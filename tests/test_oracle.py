@@ -197,6 +197,12 @@ def test_input_validation():
         CarDistribution((F(1),))
     with pytest.raises(ValueError):
         CarDistribution.from_weights([0, 0, 0])
+    with pytest.raises(ValueError):
+        CarDistribution((float("inf"), 0, 0))
+    with pytest.raises(ValueError):
+        CarDistribution((None, 0, 0))
+    with pytest.raises(ValueError):
+        CarDistribution.from_weights([float("inf"), 1, 1])
 
 
 def test_random_car_distribution_is_valid_and_reproducible():

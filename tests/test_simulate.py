@@ -171,7 +171,10 @@ def test_batch_depends_on_seed_and_stream():
     config = SimulationConfig(OPEN_ONE, 5, 0.5, 40000, master_seed=1)
     other_seed = SimulationConfig(OPEN_ONE, 5, 0.5, 40000, master_seed=2)
     assert run_batch(config).wins != run_batch(other_seed).wins
-    assert run_batch(config, stream=3).wins != run_batch(config).wins
+    # Row i of a fan-out plays on stream i: same game, same p, other draws.
+    rows = simulate._fan_out(config, [config.p] * 4, 1)
+    assert rows[0] == run_batch(config).wins
+    assert rows[3] != rows[0]
 
 
 def _v2_generator(master_seed, stream, chunk):
@@ -227,16 +230,16 @@ def _v3_chunks(config, stream=0):
         yield [np.concatenate(column) for column in kept], rounds, _words_drawn(rng)
 
 
-def _pick_hits(config, stream=0):
+def _pick_hits(config):
     """Recount initial picks of door 1 straight from the v3 layout, without
     the games a rejected word dropped."""
-    return sum(int(hit.sum()) for (hit, _, _), _, _ in _v3_chunks(config, stream))
+    return sum(int(hit.sum()) for (hit, _, _), _, _ in _v3_chunks(config))
 
 
-def _v3_wins(config, stream=0):
+def _v3_wins(config):
     """Recount the wins straight from the v3 layout."""
     wins = 0
-    for (hit, switch, slot0), _, _ in _v3_chunks(config, stream):
+    for (hit, switch, slot0), _, _ in _v3_chunks(config):
         wins += int(np.count_nonzero((hit & ~switch) | (~hit & switch & slot0)))
     return wins
 
