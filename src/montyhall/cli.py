@@ -70,16 +70,6 @@ def _cell_label(cell: tuple[bool, bool, bool]) -> str:
     )
 
 
-def _rng_description() -> str:
-    return (
-        f"{RNG_ALGORITHM}; numpy {np.__version__}; stream=v3; "
-        "key=SeedSequence(seed).generate_state(2, uint64); "
-        "counter=(0, 0, grid_index, chunk_index); "
-        "columns=hit,switch,slot0 as exact thresholds on 16/32/64-bit lanes "
-        "of raw words, rejected games redrawn"
-    )
-
-
 def write_sweep_csv(
     rows: Sequence[SweepRow], meta: Mapping[str, object], fh: IO[str]
 ) -> None:
@@ -102,22 +92,24 @@ def write_sweep_csv(
         )
 
 
-def _print_sweep_table(rows: Sequence[SweepRow], meta: Mapping[str, object]) -> None:
+def _write_sweep_table(
+    rows: Sequence[SweepRow], meta: Mapping[str, object], fh: IO[str]
+) -> None:
+    """A one-line summary of the run, then fixed-width columns."""
     keys = ("variant", "doors", "trials", "seed", "epsilon", "delta")
-    print("sweep: " + " ".join(f"{key}={meta[key]}" for key in keys))
-    header = f"{'p':>6} {'empirical':>12} {'analytic':>14} {'clt_hw':>10} {'cheb_hw':>10}"
-    print(header)
+    fh.write("sweep: " + " ".join(f"{key}={meta[key]}" for key in keys) + "\n")
+    fh.write(f"{'p':>6} {'empirical':>12} {'analytic':>14} {'clt_hw':>10} {'cheb_hw':>10}\n")
     for row in rows:
-        print(
+        fh.write(
             f"{fmt12(row.p):>6} {row.result.empirical:>12.6f} "
             f"{fmt12(row.analytic):>14} {row.clt_halfwidth:>10.6f} "
-            f"{row.chebyshev_halfwidth:>10.6f}"
+            f"{row.chebyshev_halfwidth:>10.6f}\n"
         )
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     variant = VARIANTS[args.variant]
-    params = GameParams(args.doors, as_probability(args.switch_prob))
+    params = GameParams(args.doors, args.switch_prob)
     intercept, slope = analytic.linear_coefficients(variant, params.n)
     partition = analytic.partition_probabilities(variant, params)
     rows = [
@@ -140,25 +132,24 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     variant = VARIANTS[args.variant]
-    p_exact = as_probability(args.switch_prob)
     config = SimulationConfig(
         variant=variant,
         n=args.doors,
-        p=p_exact,
+        p=args.switch_prob,
         trials=args.trials,
         master_seed=args.seed,
         chunk_size=args.chunk_size,
     )
     result = simulate.run_batch(config, workers=args.workers)
-    exact = analytic.win_marginal(variant, GameParams(args.doors, p_exact))
+    exact = analytic.win_marginal(variant, GameParams(config.n, config.p))
     rows = [
         ("variant", args.variant),
         ("doors", args.doors),
-        ("switch_prob", p_exact),
+        ("switch_prob", config.p),
         ("trials", result.trials),
         ("seed", args.seed),
         ("chunk_size", args.chunk_size),
-        ("rng", _rng_description()),
+        ("rng", RNG_ALGORITHM),
         ("wins", result.wins),
         ("empirical", fmt12(result.empirical)),
         ("std_error", fmt12(result.std_error)),
@@ -183,7 +174,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     trials = args.trials if args.plan_trials is None else plan.l0
     meta = {
         "seed": args.seed,
-        "rng": _rng_description(),
+        "rng": RNG_ALGORITHM,
         "variant": args.variant,
         "doors": args.doors,
         "trials": trials,
@@ -202,21 +193,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         workers=args.workers,
     )
-    if args.format == "table":
-        _print_sweep_table(rows, meta)
-        return EXIT_OK
+    write = write_sweep_csv if args.format == "csv" else _write_sweep_table
     if args.out is None:
-        write_sweep_csv(rows, meta, sys.stdout)
+        write(rows, meta, sys.stdout)
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            write_sweep_csv(rows, meta, fh)
+            write(rows, meta, fh)
     return EXIT_OK
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     method = PlanMethod(args.method)
     # Checked on both paths, though only the analytic one reads them.
-    params = GameParams(args.doors, as_probability(args.switch_prob))
+    params = GameParams(args.doors, args.switch_prob)
     if args.at == "worst-case":
         p_win = 0.5
         source = "worst-case"
@@ -268,16 +257,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     )
 
     # The pick is uniform, so no car placement moves any cell of the partition.
+    # Both trees are p-free, so they agree at p = 1/2 iff they agree at every p.
     variant = GameVariant.LEAVE_TWO_CLOSED
-    expected: dict[int, analytic.PartitionProbabilities] = {}
     rng = np.random.default_rng(args.seed)
     for index in range(args.placement_checks):
         n = 3 + index % (args.doors_max - 2)
         cars = oracle.random_car_distribution(n, rng)
-        params = GameParams(n, Fraction(1, 2))
-        if n not in expected:
-            expected[n] = analytic.partition_probabilities(variant, params)
-        if oracle.exact_partition(variant, params, cars) != expected[n]:
+        tree = oracle._conditional_cells(analytic._host_opens(variant, n), cars)
+        if tree != analytic._cells_given_switch(variant, n):
             failures.append(
                 f"placement partition mismatch at ({variant.value}, n={n}, "
                 f"p=1/2), cars={cars.alpha}"

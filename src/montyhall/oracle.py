@@ -19,7 +19,8 @@ The walk therefore weights each trajectory given its switch decision, and one
 walk per (``k``, car distribution) serves every ``p`` and both variants where
 they share ``k`` (at ``n = 3``): the eight cell totals are cached, and ``p``
 enters through the closed forms' own ``_weigh_switch``.  ``verify`` takes
-each uniform tree once per (variant, ``n``) and weighs it at every ``p``.
+each uniform tree once per (variant, ``n``) and weighs it at every ``p``; it
+compares each randomly placed tree with the closed-form table unweighted.
 
 For both variants the walk is O(n^4): car x pick x host subset x final pick,
 where the subsets times the final picks are O(n^2) at ``k = 1`` and at

@@ -104,8 +104,16 @@ __all__ = [
     "sweep",
 ]
 
-#: Generator recorded in output metadata, with the substream derivation rule.
-RNG_ALGORITHM = "Philox4x64-10 (numpy.random.Philox)"
+#: The ``rng`` text of ``simulate`` and the sweep's ``# rng=`` line: the
+#: generator, the numpy version and the stream v3 rule described above.  A
+#: change to the stream bumps the version here.
+RNG_ALGORITHM = (
+    f"Philox4x64-10 (numpy.random.Philox); numpy {np.__version__}; stream=v3; "
+    "key=SeedSequence(seed).generate_state(2, uint64); "
+    "counter=(0, 0, grid_index, chunk_index); "
+    "columns=hit,switch,slot0 as exact thresholds on 16/32/64-bit lanes "
+    "of raw words, rejected games redrawn"
+)
 
 DEFAULT_CHUNK_SIZE = 65536
 

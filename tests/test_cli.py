@@ -149,6 +149,7 @@ def test_simulate_reports_result(capsys):
     out = capsys.readouterr().out
     assert "wins" in out and "empirical" in out and "std_error" in out
     assert "analytic" in out and "2/3" in out
+    assert f"rng          {montyhall.simulate.RNG_ALGORITHM}" in out.splitlines()
 
 
 def _sweep_args(out_path, *extra):
@@ -179,6 +180,7 @@ def test_sweep_csv_layout(tmp_path):
         "# chunk_size=65536",
         "# grid_step=1/20",
     ]
+    assert meta[1] == f"# rng={montyhall.simulate.RNG_ALGORITHM}"
     header_index = len(meta)
     assert lines[header_index] == CSV_COLUMNS
     data = lines[header_index + 1 :]
@@ -275,9 +277,22 @@ def test_sweep_stdout_default(capsys):
     assert CSV_COLUMNS in out
 
 
+def test_sweep_table_goes_to_out(tmp_path, capsys):
+    argv = ("sweep", "--doors", "3", "--trials", "2000", "--seed", "1",
+            "--grid-step", "1/2", "--format", "table")
+    assert run_cli(*argv) == EXIT_OK
+    table = capsys.readouterr().out
+    path = tmp_path / "sweep.txt"
+    assert run_cli(*argv, "--out", str(path)) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == table.encode("utf-8")
+
+
 def test_sweep_unwritable_path_exits_3(tmp_path, capsys):
     missing = tmp_path / "not" / "a" / "directory" / "x.csv"
     assert run_cli(*_sweep_args(missing)) == EXIT_IO
+    assert "error" in capsys.readouterr().err.lower()
+    assert run_cli(*_sweep_args(missing, "--format", "table")) == EXIT_IO
     assert "error" in capsys.readouterr().err.lower()
 
 
@@ -379,20 +394,20 @@ def test_sweep_csv_is_pinned_across_versions(capsys, variant, doors, rows):
 
 
 def test_verify_placement_checks_compare_the_whole_partition(monkeypatch, capsys):
-    exact = montyhall.oracle.exact_partition
+    walk = montyhall.oracle._conditional_cells
 
-    def skewed(variant, params, cars):
+    def skewed(k, cars):
         # Move mass between two cells with the same "initial pick correct"
         # flag, which leaves P(initial pick correct) at 1/n.
-        part = exact(variant, params, cars)
-        if cars == montyhall.oracle.CarDistribution.uniform(params.n):
-            return part
-        cells = dict(part.cells)
+        cells = walk(k, cars)
+        if cars == montyhall.oracle.CarDistribution.uniform(len(cars)):
+            return cells
+        cells = dict(cells)
         cells[False, True, True] -= F(1, 100)
         cells[False, True, False] += F(1, 100)
-        return montyhall.analytic.PartitionProbabilities(cells)
+        return cells
 
-    monkeypatch.setattr(montyhall.oracle, "exact_partition", skewed)
+    monkeypatch.setattr(montyhall.oracle, "_conditional_cells", skewed)
     assert run_cli("verify", "--doors-max", "4", "--placement-checks", "2") == (
         EXIT_VERIFY_FAILED
     )

@@ -1,7 +1,17 @@
-"""Package surface: the top-level namespace re-exports the four layers."""
+"""Package surface: the top-level namespace re-exports the four layers, the
+README's quick tour runs as written, and no module keeps an unused import."""
+
+import ast
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import montyhall
 from montyhall import analytic, oracle, planner, simulate
+from montyhall.planner import PlanMethod, band_halfwidth
+
+PACKAGE = Path(montyhall.__file__).resolve().parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_is_the_union_of_the_layers():
@@ -16,3 +26,43 @@ def test_removed_wrappers_are_gone():
     for name in ("run_trial", "TrialOutcome"):
         assert not hasattr(montyhall, name)
         assert not hasattr(simulate, name)
+
+
+def test_readme_quick_tour_shows_what_its_comments_say():
+    (source,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = source.splitlines()
+    namespace: dict = {}
+    shown = []  # (trailing comment, value) of each bare expression, in order
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            shown.append((lines[node.end_lineno - 1].partition("#")[2].strip(), value))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    comments = [comment for comment, _ in shown]
+    assert comments == ["Fraction(19, 50)", "same Fraction", "~0.38", "250000"]
+    (_, marginal), (_, enumerated), (_, empirical), (_, l0) = shown
+    assert marginal == enumerated == Fraction(19, 50)
+    # The decimal string is exact, and the simulation keeps it exact.
+    assert namespace["config"].p == Fraction(7, 20)
+    assert abs(empirical - 0.38) <= band_halfwidth(0.38, 250_000, 0.01, PlanMethod.CLT)
+    assert l0 == 250_000
+
+
+def _module_level_imports(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_every_module_level_import_is_used():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert _module_level_imports(tree) <= used, (path.name, _module_level_imports(tree) - used)
