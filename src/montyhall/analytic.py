@@ -193,11 +193,11 @@ def win_marginal(variant: GameVariant, params: GameParams) -> Fraction:
 
 def _cells_given_switch(variant: GameVariant, n: int) -> dict[Cell, Fraction]:
     """The eight cells given the switch decision, free of ``p``: P(pick
-    correct) * P(win | pick, switch), where a stayer wins iff the pick was
-    correct and a switcher from a goat finds the car among the ``n - 1 - k``
-    other closed doors.  The stay cells sum to 1 and so do the switch cells."""
-    right, wrong = Fraction(1, n), Fraction(n - 1, n)
-    found = wrong / (n - 1 - _host_opens(variant, n))
+    correct) * P(win | pick, switch).  A stayer wins only from the car and a
+    switcher only from a goat, so the two win cells are the conditional win
+    probabilities.  The stay cells sum to 1 and so do the switch cells."""
+    right, found = win_given_stay(variant, n), win_given_switch(variant, n)
+    wrong = 1 - right
     return {
         (True, True, True): Fraction(0),
         (True, True, False): right,

@@ -235,11 +235,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failures: list[str] = []
 
     analytic_checks = 0
+    # One walk per (k, n) tree: both variants open k = 1 door at n = 3.
+    trees = {
+        (k, n): oracle._conditional_cells(k, oracle.CarDistribution.uniform(n))
+        for n in range(3, args.doors_max + 1)
+        for k in {analytic._host_opens(v, n) for v in GameVariant}
+    }
     for variant in (GameVariant.LEAVE_TWO_CLOSED, GameVariant.OPEN_ONE):
         for n in range(3, args.doors_max + 1):
             # Both sides are free of p; weighing them by p is all a grid point adds.
-            uniform = oracle.CarDistribution.uniform(n)
-            tree = oracle._conditional_cells(analytic._host_opens(variant, n), uniform)
+            tree = trees[analytic._host_opens(variant, n), n]
             table = analytic._cells_given_switch(variant, n)
             for p in grid:
                 got_cells = analytic._weigh_switch(tree, p)

@@ -15,12 +15,11 @@ uniformly.
 
 The switch decision is independent of the car, the pick and the host, so the
 switch probability ``p`` only weights the two branches under each host action.
-The walk therefore weights each trajectory given its switch decision, and one
-walk per (``k``, car distribution) serves every ``p`` and both variants where
-they share ``k`` (at ``n = 3``): the eight cell totals are cached, and ``p``
-enters through the closed forms' own ``_weigh_switch``.  ``verify`` takes
-each uniform tree once per (variant, ``n``) and weighs it at every ``p``; it
-compares each randomly placed tree with the closed-form table unweighted.
+The walk weights each trajectory given its switch decision, so one walk per
+(``k``, car distribution) serves every ``p``, which enters through the closed
+forms' own ``_weigh_switch``.  Nothing is kept between calls.  ``verify``
+holds each uniform (``k``, ``n``) tree it walks and weighs it at every ``p``;
+it compares each randomly placed tree with the closed-form table unweighted.
 
 For both variants the walk is O(n^4): car x pick x host subset x final pick,
 where the subsets times the final picks are O(n^2) at ``k = 1`` and at
@@ -33,10 +32,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
-from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .analytic import (
     CELL_ORDER,
@@ -148,16 +145,14 @@ def _raw_trajectories(
                         yield car, pick, opened, True, final, switch_w
 
 
-@lru_cache(maxsize=16)
-def _conditional_cells(k: int, cars: CarDistribution) -> Mapping[Cell, Fraction]:
+def _conditional_cells(k: int, cars: CarDistribution) -> dict[Cell, Fraction]:
     """Weight in each (correct, switched, won) cell given the switch decision,
     for a host who opens ``k`` doors.
 
     The stay cells sum to 1 and so do the switch cells.  Trajectories share
     only a handful of distinct weights, so the walk counts (cell, weight)
-    pairs and multiplies out each distinct pair once.  The tree does not
-    depend on ``p``, so it is walked once and cached; the mapping is
-    read-only, so no caller can change a cached tree.
+    pairs and multiplies out each distinct pair once.  Each call walks the
+    tree anew; the result is free of ``p``, so a caller may keep it.
     """
     tally = Counter(
         (pick == car, switched, final == car, weight)
@@ -166,7 +161,7 @@ def _conditional_cells(k: int, cars: CarDistribution) -> Mapping[Cell, Fraction]
     cells = dict.fromkeys(CELL_ORDER, Fraction(0))
     for (correct, switched, won, (num, den)), count in tally.items():
         cells[correct, switched, won] += Fraction(num * count, den)
-    return MappingProxyType(cells)
+    return cells
 
 
 def enumerate_trajectories(
@@ -188,7 +183,7 @@ def exact_win_probability(
     """Total weight of trajectories whose final door hides the car.
 
     For a uniform car distribution this equals the closed-form marginal win
-    probability exactly, for every n and p.
+    probability exactly, for every n and p.  Each call walks the tree.
     """
     return exact_partition(variant, params, cars).p_win
 
@@ -197,8 +192,8 @@ def exact_partition(
     variant: GameVariant, params: GameParams, cars: CarDistribution
 ) -> PartitionProbabilities:
     """Total trajectory weight in each of the eight (correct, switched, won)
-    cells: the cached tree given the switch decision, weighted by ``p`` or
-    ``1 - p``.  The cells sum to 1 by construction of the probability tree."""
+    cells: the tree given the switch decision, walked on each call and
+    weighted by ``p`` or ``1 - p``.  The cells sum to 1 by construction."""
     tree = _conditional_cells(_check_inputs(variant, params, cars), cars)
     return PartitionProbabilities(_weigh_switch(tree, params.p))
 
@@ -207,7 +202,7 @@ def exact_initial_correct(params: GameParams, cars: CarDistribution) -> Fraction
     """Probability that the uniform initial pick finds the car, by enumeration.
 
     Equals 1/n for every valid car distribution: the host strategy happens
-    after the pick, so the cheaper leave-two-closed tree is enumerated.
+    after the pick, so each call walks the cheaper leave-two-closed tree.
     """
     cells = exact_partition(GameVariant.LEAVE_TWO_CLOSED, params, cars).cells
     return sum((v for (correct, _, _), v in cells.items() if correct), Fraction(0))

@@ -83,7 +83,7 @@ def sample_size(req: PlanRequest) -> SampleSizePlan:
     variance = Fraction(req.p_win) * (1 - Fraction(req.p_win))
     eps_sq = Fraction(req.epsilon) ** 2
     if req.method is PlanMethod.CLT:
-        z = normal_quantile(1.0 - req.delta / 2.0)
+        z = -normal_quantile(req.delta / 2.0)  # 1 - delta/2 would drop digits
         l0 = max(1, math.ceil(Fraction(z) ** 2 * variance / eps_sq))
         return SampleSizePlan(l0=l0, z_x=z)
     l0 = max(1, math.ceil(variance / (Fraction(req.delta) * eps_sq)))
@@ -103,5 +103,5 @@ def band_halfwidth(p_win: float, l: int, delta: float, method: PlanMethod) -> fl
     _require_unit("delta", delta, open_interval=True)
     variance = p_win * (1.0 - p_win)
     if method is PlanMethod.CLT:
-        return normal_quantile(1.0 - delta / 2.0) * math.sqrt(variance / l)
+        return -normal_quantile(delta / 2.0) * math.sqrt(variance / l)
     return math.sqrt(variance / (delta * l))

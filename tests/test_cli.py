@@ -136,6 +136,16 @@ def test_plan_clt_worst_case(capsys):
     assert "z_x         2.57582930355" in out
 
 
+@pytest.mark.parametrize(
+    "delta, z",
+    # mpmath: 6.46695108724052 and 8.57394407672225
+    [("1e-10", "6.46695108724"), ("1e-17", "8.57394407672")],
+)
+def test_plan_clt_keeps_every_digit_of_z_for_small_delta(capsys, delta, z):
+    assert run_cli("plan", "--delta", delta, "--method", "clt") == EXIT_OK
+    assert f"z_x         {z} (x = 1 - delta/2)" in capsys.readouterr().out
+
+
 def test_plan_at_analytic(capsys):
     assert run_cli("plan", "--at", "analytic", "--variant", "leave-two",
                    "--doors", "3", "--switch-prob", "0", "--method", "clt") == EXIT_OK
@@ -247,7 +257,7 @@ def test_sweep_planned_trials(tmp_path):
         ("--epsilon", "-1", "--trials", "10"),
         ("--delta", "2"),
         ("--plan-trials", "clt", "--epsilon", "inf"),
-        ("--trials", "10", "--delta", "1e-300"),
+        ("--trials", "10", "--delta", "5e-324"),
     ],
 )
 def test_sweep_rejects_bad_plan_inputs_before_simulating(
@@ -334,13 +344,18 @@ def test_verify_walks_each_tree_once(monkeypatch, capsys):
         return walk(*args)
 
     monkeypatch.setattr(montyhall.oracle, "_raw_trajectories", counted)
-    assert run_cli("verify", "--doors-max", "5", "--placement-checks", "3") == EXIT_OK
-    assert "252 analytic checks passed, 3 placement checks passed" in (
-        capsys.readouterr().out
-    )
-    # one walk per (k, n) tree, whatever p, where the variants share the
-    # n = 3 tree; one per placement check
-    assert len(walks) == 2 * 3 - 1 + 3
+    outputs = []
+    # A second call in the same process must walk as much as the first.
+    for _ in range(2):
+        walks.clear()
+        argv = ("verify", "--doors-max", "5", "--placement-checks", "3")
+        assert run_cli(*argv) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+        # one walk per (k, n) tree, whatever p, where the variants share the
+        # n = 3 tree; one per placement check
+        assert len(walks) == 2 * 3 - 1 + 3
+    assert "252 analytic checks passed, 3 placement checks passed" in outputs[0]
+    assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize(

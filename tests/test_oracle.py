@@ -227,6 +227,10 @@ def test_partition_is_the_per_cell_sum_of_trajectory_weights(variant, n, p, unif
     for t in enumerate_trajectories(variant, params, cars):
         sums[t.pick == t.car, t.switched, t.final == t.car] += t.weight
     assert exact_partition(variant, params, cars).cells == sums
+    # The pick is uniform, so no car placement moves any cell.
+    assert exact_partition(variant, params, cars) == partition_probabilities(
+        variant, params
+    )
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
@@ -237,27 +241,6 @@ def test_certain_switch_decisions_yield_only_positive_weights(variant, p):
     )
     assert trajectories
     assert all(t.weight > 0 and t.switched == (p == 1) for t in trajectories)
-
-
-@pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
-def test_cached_tree_serves_every_switch_probability(variant):
-    cars = CarDistribution.from_weights([3, 1, 0, 2, 5])
-    third, half = GameParams(5, F(1, 3)), GameParams(5, F(1, 2))
-    first = exact_partition(variant, third, cars)
-    exact_partition(variant, half, cars)
-    again = exact_partition(variant, third, cars)
-    oracle._conditional_cells.cache_clear()
-    fresh = exact_partition(variant, third, cars)
-    assert first == again == fresh
-    assert exact_partition(variant, half, cars) == partition_probabilities(
-        variant, half
-    )
-
-
-def test_cached_tree_is_read_only():
-    cells = oracle._conditional_cells(1, CarDistribution.uniform(3))
-    with pytest.raises(TypeError):
-        cells[True, True, True] = F(1)
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -158,6 +158,16 @@ def test_band_halfwidth_values():
     assert band_halfwidth(1.0, 5, 0.3, PlanMethod.CHEBYSHEV) == 0.0
 
 
+@pytest.mark.parametrize("delta", [1e-10, 1e-17])
+def test_clt_quantile_keeps_its_digits_for_small_delta(delta):
+    # 1 - delta/2 loses digits of delta, and is 1.0 below about 1.1e-16.
+    z = float(mpmath.sqrt(2) * mpmath.erfinv(1 - mpmath.mpf(delta)))
+    plan = sample_size(PlanRequest(0.5, 0.01, delta, PlanMethod.CLT))
+    assert plan.z_x == pytest.approx(z, rel=1e-14)
+    halfwidth = band_halfwidth(0.5, 4, delta, PlanMethod.CLT)
+    assert halfwidth == pytest.approx(z / 4, rel=1e-14)
+
+
 def test_band_halfwidth_rejects_bad_inputs():
     with pytest.raises(ValueError):
         band_halfwidth(0.5, 0, 0.01, PlanMethod.CLT)
