@@ -6,7 +6,7 @@ Subcommands::
     analytic   exact win probabilities and the eight-cell partition
     simulate   one seeded Monte Carlo batch at a single (n, p) point
     sweep      Monte Carlo across the switch-probability grid, CSV or table
-    plan       minimum trial counts from the CLT / Chebyshev bounds
+    plan       trial counts from the Chebyshev bound or the CLT approximation
     verify     exhaustive oracle-vs-closed-form equality checks
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
@@ -367,7 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flag(sub, "csv")
     sub.set_defaults(handler=cmd_sweep)
 
-    sub = commands.add_parser("plan", help="minimum trial count for a target accuracy")
+    sub = commands.add_parser(
+        "plan",
+        help="trial count for a target accuracy: guaranteed by Chebyshev, "
+        "approximate by the CLT",
+    )
     _add_game_flags(sub)
     _add_switch_prob_flag(sub)
     sub.add_argument("--epsilon", type=float, default=0.01)

@@ -28,9 +28,14 @@ chunk index) order, computed lazily from the index.  With ``workers == 1``
 the caller drains it inline; otherwise threads of one ``ThreadPoolExecutor``,
 started once per call (once per sweep, not once per row), pull the next
 chunk as they finish one, and each row's wins are summed by grid index.
-Since a chunk's draws are fixed by ``(master_seed, i, j)``, the number of
-workers and the order in which they run never change a result.  Once a
-chunk fails, or the caller is interrupted, no thread starts another chunk.
+The key is derived once per call.  Each drain owns one Philox bit generator,
+which it moves to a chunk's counter before drawing it, and one workspace of
+boolean game columns, sized for one chunk, which every chunk overwrites;
+each round of draws takes its raw words in one ``random_raw`` call, the only
+array a round allocates.  Drains share no draw state, and since a chunk's
+draws are fixed by ``(master_seed, i, j)``, the number of workers and the
+order in which they run never change a result.  Once a chunk fails, or the
+caller is interrupted, no thread starts another chunk.
 
 Batch draw order
 ----------------
@@ -38,7 +43,8 @@ A win depends on three Bernoulli events per game: the pick hit the car
 (``1/n``), the player switched (``p``), and a switcher took slot 0, the car's
 place among the ``n - 1 - k`` other closed doors (``1/(n - 1 - k)``).
 Within a chunk the kernel draws them as whole columns in that order, each
-by one exact threshold rule on raw Philox words.  For a column of
+by one exact threshold rule on raw Philox words; a round's three columns
+take consecutive words.  For a column of
 probability ``num/den``:
 
 * its width ``w`` is the narrowest of 16, 32 and 64 with
@@ -64,7 +70,6 @@ mechanics and is what trajectory-level tests should sample.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -123,8 +128,6 @@ GRID_STEP_DEFAULT = Fraction(1, 20)
 _MAX_GRID_INTERVALS = 10**6
 
 _CAR_DOOR = 1  # car placement is fixed; arbitrary placement loses no generality
-
-_local = threading.local()  # each thread's reused substream generator
 
 
 @dataclass(frozen=True)
@@ -196,32 +199,34 @@ def switch_probability_grid(step: RationalLike = GRID_STEP_DEFAULT) -> list[Frac
     return [k * step for k in range(step.denominator + 1)]
 
 
-@functools.lru_cache(maxsize=16)
 def _philox_key(master_seed: int) -> tuple[int, int]:
     words = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
     return int(words[0]), int(words[1])
 
 
-def substream(master_seed: int, stream: int, chunk: int) -> np.random.Generator:
-    """The generator for chunk ``chunk`` of stream ``stream``, positioned at
-    counter ``(0, 0, stream, chunk)`` under ``master_seed``'s key.
-
-    Its draws are a pure function of the arguments.  The generator is the
-    calling thread's own, reset on each call, so it is valid until the
-    thread's next call.
-    """
-    rng = getattr(_local, "rng", None)
-    if rng is None:
-        rng = _local.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
+def _position(philox: np.random.Philox, key: tuple[int, int], stream: int, chunk: int) -> None:
+    """Move ``philox`` to counter ``(0, 0, stream, chunk)`` under ``key``,
+    with nothing buffered: the start of chunk ``chunk`` of stream ``stream``."""
+    philox.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, stream, chunk), "key": _philox_key(master_seed)},
+        "state": {"counter": (0, 0, stream, chunk), "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,  # empty: the next draw runs the counter
         "has_uint32": 0,
         "uinteger": 0,
     }
-    return rng
+
+
+def substream(master_seed: int, stream: int, chunk: int) -> np.random.Generator:
+    """A new generator for chunk ``chunk`` of stream ``stream``, positioned
+    at counter ``(0, 0, stream, chunk)`` under ``master_seed``'s key.
+
+    Its draws are a pure function of the arguments: its raw words are the
+    ones the batch kernel draws for that chunk.
+    """
+    philox = np.random.Philox(0)
+    _position(philox, _philox_key(master_seed), stream, chunk)
+    return np.random.Generator(philox)
 
 
 def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
@@ -265,15 +270,20 @@ def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
     return TrialTrace(pick, frozenset(opened), switched, final, final == _CAR_DOOR)
 
 
-def _count_wins(hit: np.ndarray, switch: np.ndarray, slot0: np.ndarray) -> int:
+def _count_wins(
+    hit: np.ndarray, switch: np.ndarray, slot0: np.ndarray, scratch: np.ndarray | None = None
+) -> int:
     """Wins among games whose pick hit the car (``hit``) or not, that switched
     (``switch``) or stayed, and whose switcher took slot 0 (``slot0``).
 
     A stayer wins on a hit.  A switcher wins on a miss and slot 0: door 1 is
     the lowest-numbered closed door a switcher can reach, so slot 0 is the car.
+    The inputs are left as they are; ``scratch``, if given, is overwritten
+    in place of two temporary arrays.
     """
-    to_car = switch & slot0
-    return int(np.count_nonzero(hit > switch)) + int(np.count_nonzero(to_car > hit))
+    stay_wins = int(np.count_nonzero(np.greater(hit, switch, out=scratch)))
+    to_car = np.bitwise_and(switch, slot0, out=scratch)
+    return stay_wins + int(np.count_nonzero(np.greater(to_car, hit, out=to_car)))
 
 
 #: Lane types of a column, by width: 16, 32 or 64 bits, little-endian.
@@ -305,37 +315,55 @@ def _column(num: int, den: int) -> _Column:
     return _Column(_LANES[width], num * per, accept)
 
 
-def _draw(rng: np.random.Generator, column: _Column, size: int):
-    """``size`` games of ``column``: their successes and which were accepted
-    (``None``: all of them)."""
+def _words(column: _Column, size: int) -> int:
+    """The raw words ``column`` takes for ``size`` games."""
+    return 0 if column.dtype is None else -(-size * column.dtype.itemsize // 8)
+
+
+def _draw(column: _Column, words: np.ndarray, success: np.ndarray, accepted: np.ndarray) -> bool:
+    """Write ``column``'s outcome for each game of ``success`` from the lanes
+    of ``words``.  Return whether any game can be rejected; if so, write
+    which were accepted into ``accepted``, else leave it as it is."""
     if column.dtype is None:
-        return column.success, None
-    words = rng.bit_generator.random_raw(-(-size * column.dtype.itemsize // 8))
+        success.fill(column.success)
+        return False
     # Little-endian words split into lanes least significant first on any host.
-    lanes = words.astype("<u8", copy=False).view(column.dtype)[:size]
-    accepted = None if column.accept is None else lanes < column.accept
-    return lanes < column.success, accepted
+    lanes = words.astype("<u8", copy=False).view(column.dtype)[: len(success)]
+    np.less(lanes, column.success, out=success)
+    if column.accept is None:
+        return False
+    np.less(lanes, column.accept, out=accepted)
+    return True
 
 
-def _chunk_wins(columns: tuple[_Column, ...], rng: np.random.Generator, size: int) -> int:
-    """Wins of ``size`` games drawn from ``rng`` by the hit, switch and slot-0
-    ``columns``; games rejected in any column are drawn again until ``size``
-    are accepted."""
+def _chunk_wins(
+    columns: tuple[_Column, ...], philox: np.random.Philox, size: int, work: np.ndarray
+) -> int:
+    """Wins of ``size`` games drawn from ``philox`` by the hit, switch and
+    slot-0 ``columns``; games rejected in any column are drawn again until
+    ``size`` are accepted.  ``work`` holds five boolean rows of at least
+    ``size`` games, overwritten here: the three columns, the kept games and
+    scratch."""
     wins = 0
     while size:
-        (hit, hit_ok), (switch, switch_ok), (slot0, slot_ok) = (
-            _draw(rng, column, size) for column in columns
-        )
-        masks = [ok for ok in (hit_ok, switch_ok, slot_ok) if ok is not None]
-        if masks:
-            kept = functools.reduce(np.bitwise_and, masks)
+        counts = [_words(column, size) for column in columns]
+        words = philox.random_raw(sum(counts))
+        hit, switch, slot0, kept, scratch = (row[:size] for row in work)
+        masked = False
+        for column, success, count in zip(columns, (hit, switch, slot0), counts):
+            if _draw(column, words[:count], success, scratch if masked else kept):
+                if masked:
+                    np.bitwise_and(kept, scratch, out=kept)
+                masked = True
+            words = words[count:]
+        if masked:
             # A dropped game counts as a stayer who missed: never a win.
-            hit = hit & kept
-            switch = switch & kept
+            np.bitwise_and(hit, kept, out=hit)
+            np.bitwise_and(switch, kept, out=switch)
             size -= int(np.count_nonzero(kept))
         else:
             size = 0
-        wins += _count_wins(hit, switch, slot0)
+        wins += _count_wins(hit, switch, slot0, scratch)
     return wins
 
 
@@ -351,6 +379,7 @@ def _fan_out(config: SimulationConfig, ps: Sequence[Fraction], workers: int) -> 
     n, trials, size = config.n, config.trials, config.chunk_size
     hit, slot0 = _column(1, n), _column(1, n - 1 - _host_opens(config.variant, n))
     chunks = -(-trials // size)
+    key = _philox_key(config.master_seed)
     pulls = iter(range(len(ps) * chunks))
     wins = [0] * len(ps)
     lock = threading.Lock()
@@ -358,6 +387,9 @@ def _fan_out(config: SimulationConfig, ps: Sequence[Fraction], workers: int) -> 
 
     def drain() -> None:
         try:
+            # Reused by every chunk this drain pulls; no other drain sees them.
+            philox = np.random.Philox(0)
+            work = np.empty((5, min(size, trials)), dtype=bool)
             while not stopped.is_set():
                 with lock:
                     index = next(pulls, None)
@@ -366,8 +398,8 @@ def _fan_out(config: SimulationConfig, ps: Sequence[Fraction], workers: int) -> 
                 row, chunk = divmod(index, chunks)
                 p = ps[row]
                 columns = (hit, _column(p.numerator, p.denominator), slot0)
-                rng = substream(config.master_seed, row, chunk)
-                chunk_wins = _chunk_wins(columns, rng, min(size, trials - chunk * size))
+                _position(philox, key, row, chunk)
+                chunk_wins = _chunk_wins(columns, philox, min(size, trials - chunk * size), work)
                 with lock:
                     wins[row] += chunk_wins
         except BaseException:

@@ -1,6 +1,7 @@
 """Sample-size bounds and the normal quantile, checked against mpmath."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -72,6 +73,44 @@ def test_quantile_survives_extreme_tails(x):
     z = normal_quantile(x)
     assert math.isfinite(z) and z < -20
     assert normal_quantile(1.0 - 2**-53) > 8
+
+
+def exact_coverage(l, p_win, epsilon) -> mpmath.mpf:
+    """P(|W/l - p_win| <= epsilon) for W ~ Binomial(l, p_win), summed at 40
+    digits; the band's edges are placed exactly on the binary float inputs."""
+    p, eps = Fraction(p_win), Fraction(epsilon)
+    low, high = max(0, math.ceil((p - eps) * l)), min(l, math.floor((p + eps) * l))
+    pi = mpmath.mpf(p_win)
+    return mpmath.fsum(
+        mpmath.binomial(l, w) * pi**w * (1 - pi) ** (l - w) for w in range(low, high + 1)
+    )
+
+
+@pytest.mark.parametrize("p_win", [0.5, 0.3, 0.1, 0.05])
+@pytest.mark.parametrize("delta", [0.05, 0.1, 0.3])
+@pytest.mark.parametrize("epsilon", [0.1, 0.05])
+def test_chebyshev_count_covers_at_least_one_minus_delta_exactly(epsilon, delta, p_win):
+    # Chebyshev's inequality is a theorem for every l, so the binomial law
+    # itself must keep the frequency within epsilon with chance >= 1 - delta.
+    l0 = sample_size(PlanRequest(p_win, epsilon, delta, PlanMethod.CHEBYSHEV)).l0
+    assert exact_coverage(l0, p_win, epsilon) >= 1 - mpmath.mpf(delta)
+
+
+@pytest.mark.parametrize(
+    "p_win, epsilon, delta, l0, coverage",
+    [
+        (0.5, 0.1, 0.01, 166, "0.989787"),
+        (0.5, 0.05, 0.05, 385, "0.947354"),
+        (0.05, 0.1, 0.1, 13, "0.864576"),
+    ],
+)
+def test_clt_count_is_an_approximation_that_can_fall_short(p_win, epsilon, delta, l0, coverage):
+    # The normal limit is not a bound: at these counts the exact binomial
+    # coverage is below 1 - delta.
+    assert sample_size(PlanRequest(p_win, epsilon, delta, PlanMethod.CLT)).l0 == l0
+    exact = exact_coverage(l0, p_win, epsilon)
+    assert mpmath.nstr(exact, 6) == coverage
+    assert exact < 1 - mpmath.mpf(delta)
 
 
 def test_chebyshev_worst_case_count():

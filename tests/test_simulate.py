@@ -185,9 +185,10 @@ def _v2_generator(master_seed, stream, chunk):
     return np.random.Generator(philox)
 
 
-def _words_drawn(rng):
-    """Raw 64-bit words ``rng`` has handed out since counter (0, 0, i, j)."""
-    state = rng.bit_generator.state
+def _words_drawn(bit_generator):
+    """Raw 64-bit words ``bit_generator`` has handed out since counter
+    (0, 0, i, j)."""
+    state = bit_generator.state
     return 4 * int(state["state"]["counter"][0]) - (4 - state["buffer_pos"])
 
 
@@ -227,7 +228,7 @@ def _v3_chunks(config, stream=0):
             for column, (success, _) in zip(kept, draws):
                 column.append(success[accepted])
             size -= int(np.count_nonzero(accepted))
-        yield [np.concatenate(column) for column in kept], rounds, _words_drawn(rng)
+        yield [np.concatenate(column) for column in kept], rounds, _words_drawn(rng.bit_generator)
 
 
 def _pick_hits(config):
@@ -236,10 +237,10 @@ def _pick_hits(config):
     return sum(int(hit.sum()) for (hit, _, _), _, _ in _v3_chunks(config))
 
 
-def _v3_wins(config):
+def _v3_wins(config, stream=0):
     """Recount the wins straight from the v3 layout."""
     wins = 0
-    for (hit, switch, slot0), _, _ in _v3_chunks(config):
+    for (hit, switch, slot0), _, _ in _v3_chunks(config, stream):
         wins += int(np.count_nonzero((hit & ~switch) | (~hit & switch & slot0)))
     return wins
 
@@ -299,21 +300,6 @@ def test_always_switching_leave_two_wins_exactly_the_unlucky_picks():
     assert run_batch(config).wins == config.trials - _pick_hits(config)
 
 
-class _RawWords:
-    """Stands in for a generator whose bit generator hands out ``words``."""
-
-    def __init__(self, words):
-        self.bit_generator = self
-        self._words = np.asarray(words, dtype="<u8")
-        self.drawn = 0
-
-    def random_raw(self, size):
-        words = self._words[self.drawn : self.drawn + size]
-        assert len(words) == size, "drew past the scripted words"
-        self.drawn += size
-        return words
-
-
 def _lanes_as_words(lanes, width):
     """Pack ``width``-bit lanes into 64-bit words, least significant first."""
     per_word = 64 // width
@@ -328,15 +314,14 @@ def test_bernoulli_column_is_exact_on_every_16_bit_word():
     for den in range(1, 257):
         for num in range(den + 1):
             column = simulate._column(num, den)
-            rng = _RawWords(every_lane)
-            success, accepted = simulate._draw(rng, column, 2**16)
+            success = np.empty(2**16, dtype=bool)
+            accepted = np.ones(2**16, dtype=bool)
+            masked = simulate._draw(column, every_lane, success, accepted)
             if den == 1:
-                assert column.dtype is None and rng.drawn == 0
-                assert success is bool(num) and accepted is None
+                assert column.dtype is None and simulate._words(column, 2**16) == 0
+                assert not masked and np.all(success == bool(num))
                 continue
-            assert column.dtype == np.dtype("<u2") and rng.drawn == 2**14
-            if accepted is None:
-                accepted = np.ones(2**16, dtype=bool)
+            assert column.dtype == np.dtype("<u2") and simulate._words(column, 2**16) == 2**14
             kept = int(np.count_nonzero(accepted))
             assert 2**16 - kept < 2**16 // 256
             assert F(int(np.count_nonzero(success & accepted)), kept) == F(num, den)
@@ -373,10 +358,13 @@ def test_bernoulli_column_thresholds_on_wide_words(den, width):
             lanes.append(den * per)
             want_success.append(False)
             want_accepted.append(False)
-        rng = _RawWords(_lanes_as_words(lanes, width))
-        success, accepted = simulate._draw(rng, column, len(lanes))
+        words = _lanes_as_words(lanes, width)
+        assert simulate._words(column, len(lanes)) == len(words)
+        success = np.empty(len(lanes), dtype=bool)
+        accepted = np.empty(len(lanes), dtype=bool)
+        masked = simulate._draw(column, words, success, accepted)
         assert success.tolist() == want_success
-        if accepted is None:
+        if not masked:
             assert all(want_accepted)
         else:
             assert accepted.tolist() == want_accepted
@@ -408,14 +396,18 @@ def test_config_keeps_the_switch_probability_exact():
 
 
 def _record_chunks(monkeypatch):
-    """Hand each chunk a fresh generator and keep it, keyed by (stream, chunk)."""
-    drawn = {}
+    """Wrap ``_chunk_wins`` to log each chunk's (stream, chunk) and the raw
+    words it took from its drain's bit generator, in the order drawn."""
+    drawn = []
+    real = simulate._chunk_wins
 
-    def fresh_substream(master_seed, stream, chunk):
-        drawn[stream, chunk] = rng = _v2_generator(master_seed, stream, chunk)
-        return rng
+    def recording(columns, philox, size, work):
+        wins = real(columns, philox, size, work)
+        _, _, stream, chunk = (int(word) for word in philox.state["state"]["counter"])
+        drawn.append(((stream, chunk), _words_drawn(philox)))
+        return wins
 
-    monkeypatch.setattr(simulate, "substream", fresh_substream)
+    monkeypatch.setattr(simulate, "_chunk_wins", recording)
     return drawn
 
 
@@ -432,11 +424,12 @@ def test_open_one_chunk_draws_three_16_bit_columns_and_its_redraws(monkeypatch, 
         "7/20", "--trials", str(2**16), "--seed", "12",
     ]) == cli.EXIT_OK
     capsys.readouterr()
+    drawn = dict(drawn)  # the simulate command's stream 0 replaces the sweep's
     for stream in (7, 0):
         ((_, rounds, words),) = _v3_chunks(config, stream)
         assert rounds[0] == 2**16 and len(rounds) > 1
         assert words == sum(3 * -(-size // 4) for size in rounds) < 3 * 2**14 + 300
-        assert _words_drawn(drawn[stream, 0]) == words
+        assert drawn[stream, 0] == words
 
 
 @pytest.mark.parametrize("p", [F(0), F(1)])
@@ -448,7 +441,7 @@ def test_certain_columns_draw_nothing(monkeypatch, p):
     assert words == sum(-(-size // 4) for size in rounds)
     drawn = _record_chunks(monkeypatch)
     run_batch(config)
-    assert _words_drawn(drawn[0, 0]) == words
+    assert drawn == [((0, 0), words)]
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
@@ -469,6 +462,32 @@ def test_rejection_path_end_to_end_at_the_largest_door_count(variant):
         assert results[0].wins == _v3_wins(config)
         if not p:
             assert results[0].wins == _pick_hits(config)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "variant, n, step, trials, chunk_size",
+    [
+        (OPEN_ONE, 15, F(1, 1000), 2 * 64 + 5, 64),
+        (LEAVE_TWO, 10, F(1, 4), 2 * 4096 + 5, 4096),
+        (OPEN_ONE, 15, F(1, 4), 1000, 4096),
+    ],
+)
+def test_reused_workspace_leaks_nothing_between_chunks(
+    monkeypatch, variant, n, step, trials, chunk_size, workers
+):
+    # Each drain draws all its chunks into one workspace.  At step 1/1000 one
+    # drain's rows mix 16-bit (p = 1/2), 32-bit (p = 1/1000) and certain
+    # (p = 0, 1) switch columns; each row's last chunk is short, and with
+    # fewer trials than the chunk size no chunk fills a whole chunk.
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    rows = sweep(
+        variant, n, step, trials=trials, master_seed=17, chunk_size=chunk_size,
+        workers=workers,
+    )
+    for stream, row in enumerate(rows):
+        config = SimulationConfig(variant, n, row.p, trials, 17, chunk_size)
+        assert row.result.wins == _v3_wins(config, stream)
 
 
 def _list_trace_trial(variant, n, p, rng):
@@ -671,40 +690,38 @@ def test_threads_pull_each_chunk_exactly_once(monkeypatch):
     sweep_kwargs = dict(grid_step=F(1, 4), trials=40 * 64 + 5, master_seed=3, chunk_size=64)
     reference = run_batch(config)
     reference_rows = sweep(OPEN_ONE, 5, **sweep_kwargs)
-    pulled = []
-    real_substream = simulate.substream
-
-    def recording_substream(master_seed, stream, chunk):
-        pulled.append((stream, chunk))
-        return real_substream(master_seed, stream, chunk)
-
-    monkeypatch.setattr(simulate, "substream", recording_substream)
+    pulled = _record_chunks(monkeypatch)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threaded = run_batch(config, workers=8)
-        batch_pulls = sorted(pulled)
+        batch_pulls = sorted(key for key, _ in pulled)
         pulled.clear()
         threaded_rows = sweep(OPEN_ONE, 5, workers=8, **sweep_kwargs)
     finally:
         sys.setswitchinterval(interval)
     assert batch_pulls == [(0, chunk) for chunk in range(201)]
     assert threaded == reference
-    assert sorted(pulled) == [(stream, chunk) for stream in range(5) for chunk in range(41)]
+    assert sorted(key for key, _ in pulled) == [
+        (stream, chunk) for stream in range(5) for chunk in range(41)
+    ]
     assert threaded_rows == reference_rows
 
 
-def _failing_chunk_wins(monkeypatch, calls, fail_at, wins=None):
+def _failing_chunk_wins(monkeypatch, calls, fail_at, wins=None, pause=0.0):
     """Patch ``_chunk_wins`` to record each call's size in ``calls`` and raise
-    on call ``fail_at``; other calls return ``wins`` or the real count."""
+    on call ``fail_at``; other calls take ``pause`` seconds more and return
+    ``wins`` or the real count."""
     real = simulate._chunk_wins
 
-    def chunk_wins(columns, rng, size):
+    def chunk_wins(columns, philox, size, work):
         calls.append(size)
         if len(calls) == fail_at:
             raise RuntimeError("chunk failed")
-        return real(columns, rng, size) if wins is None else wins
+        if pause:
+            time.sleep(pause)
+        return real(columns, philox, size, work) if wins is None else wins
 
     monkeypatch.setattr(simulate, "_chunk_wins", chunk_wins)
 
@@ -726,7 +743,9 @@ def test_threads_stop_pulling_after_a_failed_chunk(monkeypatch, threaded):
 
 def test_an_interrupted_caller_stops_the_threads(monkeypatch):
     calls = []
-    _failing_chunk_wins(monkeypatch, calls, fail_at=None)
+    # A millisecond per chunk keeps the threads from drawing all 2,000
+    # chunks before the caller wakes to be interrupted.
+    _failing_chunk_wins(monkeypatch, calls, fail_at=None, pause=1e-3)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     drawn_at_interrupt = []
 
