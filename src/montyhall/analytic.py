@@ -34,7 +34,6 @@ from typing import Mapping, Union
 
 __all__ = [
     "GameVariant",
-    "GameParams",
     "PartitionProbabilities",
     "CELL_ORDER",
     "as_probability",
@@ -119,18 +118,6 @@ def as_probability(value: RationalLike, name: str = "probability") -> Fraction:
 
 
 @dataclass(frozen=True)
-class GameParams:
-    """Door count ``n`` and exact switch probability ``p``."""
-
-    n: int
-    p: Fraction
-
-    def __post_init__(self) -> None:
-        _require_doors(self.n)
-        object.__setattr__(self, "p", as_probability(self.p))
-
-
-@dataclass(frozen=True)
 class PartitionProbabilities:
     """The eight exact probabilities of the events "initial pick correct"
     x "switched" x "won", keyed by a (bool, bool, bool) triple.
@@ -184,11 +171,13 @@ def linear_coefficients(variant: GameVariant, n: int) -> tuple[Fraction, Fractio
     return stay, win_given_switch(variant, n) - stay
 
 
-def win_marginal(variant: GameVariant, params: GameParams) -> Fraction:
+def win_marginal(variant: GameVariant, n: int, p: RationalLike) -> Fraction:
     """Marginal probability of winning at (n, p), by total probability:
     ``p * P(win | switch) + (1 - p) * P(win | stay)``."""
-    intercept, slope = linear_coefficients(variant, params.n)
-    return intercept + slope * params.p
+    _require_doors(n)
+    p = as_probability(p)
+    intercept, slope = linear_coefficients(variant, n)
+    return intercept + slope * p
 
 
 def _cells_given_switch(variant: GameVariant, n: int) -> dict[Cell, Fraction]:
@@ -218,9 +207,11 @@ def _weigh_switch(cells: Mapping[Cell, Fraction], p: Fraction) -> dict[Cell, Fra
     return {cell: mass * (p if cell[1] else stay) for cell, mass in cells.items()}
 
 
-def partition_probabilities(variant: GameVariant, params: GameParams) -> PartitionProbabilities:
-    """All eight cell probabilities: the cells given the switch decision,
-    weighted by the chance of that decision."""
-    return PartitionProbabilities(
-        _weigh_switch(_cells_given_switch(variant, params.n), params.p)
-    )
+def partition_probabilities(
+    variant: GameVariant, n: int, p: RationalLike
+) -> PartitionProbabilities:
+    """All eight cell probabilities at (n, p): the cells given the switch
+    decision, weighted by the chance of that decision."""
+    _require_doors(n)
+    p = as_probability(p)
+    return PartitionProbabilities(_weigh_switch(_cells_given_switch(variant, n), p))

@@ -30,8 +30,8 @@ from typing import IO, Mapping, Optional, Sequence
 import numpy as np
 
 from . import analytic, oracle, planner, simulate
-from .analytic import GameParams, GameVariant, as_probability
-from .planner import PlanMethod, PlanRequest
+from .analytic import GameVariant, as_probability
+from .planner import PlanMethod
 from .simulate import RNG_ALGORITHM, SimulationConfig, SweepRow
 
 __all__ = ["main", "EXIT_OK", "EXIT_VERIFY_FAILED", "EXIT_USAGE", "EXIT_IO"]
@@ -108,14 +108,14 @@ def _write_sweep_table(
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    variant = VARIANTS[args.variant]
-    params = GameParams(args.doors, args.switch_prob)
-    intercept, slope = analytic.linear_coefficients(variant, params.n)
-    partition = analytic.partition_probabilities(variant, params)
+    variant, n = VARIANTS[args.variant], args.doors
+    intercept, slope = analytic.linear_coefficients(variant, n)
+    p = as_probability(args.switch_prob)
+    partition = analytic.partition_probabilities(variant, n, p)
     rows = [
-        ("P(win | switch)", analytic.win_given_switch(variant, params.n)),
-        ("P(win | stay)", analytic.win_given_stay(variant, params.n)),
-        ("P(win)", analytic.win_marginal(variant, params)),
+        ("P(win | switch)", analytic.win_given_switch(variant, n)),
+        ("P(win | stay)", analytic.win_given_stay(variant, n)),
+        ("P(win)", analytic.win_marginal(variant, n, p)),
         ("intercept", intercept),
         ("slope", slope),
     ] + [(_cell_label(cell), value) for cell, value in partition.cells.items()]
@@ -124,7 +124,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         for name, value in rows:
             print(f"{name},{value},{fmt12(value)}")
     else:
-        print(f"variant={args.variant} doors={params.n} switch_prob={params.p}")
+        print(f"variant={args.variant} doors={n} switch_prob={p}")
         for name, value in rows:
             print(f"{name:<32} {str(value):>12}  ({fmt12(value)})")
     return EXIT_OK
@@ -141,7 +141,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
     )
     result = simulate.run_batch(config, workers=args.workers)
-    exact = analytic.win_marginal(variant, GameParams(config.n, config.p))
+    exact = analytic.win_marginal(variant, config.n, config.p)
     rows = [
         ("variant", args.variant),
         ("doors", args.doors),
@@ -170,7 +170,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid_step = as_probability(args.grid_step)
     # Plan on both paths, at worst-case variance, to check inputs before simulating.
     method = PlanMethod(args.plan_trials or "clt")
-    plan = planner.sample_size(PlanRequest(0.5, args.epsilon, args.delta, method))
+    plan = planner.sample_size(0.5, args.epsilon, args.delta, method)
     trials = args.trials if args.plan_trials is None else plan.l0
     meta = {
         "seed": args.seed,
@@ -205,17 +205,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     method = PlanMethod(args.method)
     # Checked on both paths, though only the analytic one reads them.
-    params = GameParams(args.doors, args.switch_prob)
+    exact = analytic.win_marginal(VARIANTS[args.variant], args.doors, args.switch_prob)
     if args.at == "worst-case":
         p_win = 0.5
         source = "worst-case"
     else:
-        p_win = float(analytic.win_marginal(VARIANTS[args.variant], params))
+        p_win = float(exact)
         source = (
             f"analytic({args.variant}, doors={args.doors}, "
-            f"switch_prob={params.p})"
+            f"switch_prob={as_probability(args.switch_prob)})"
         )
-    plan = planner.sample_size(PlanRequest(p_win, args.epsilon, args.delta, method))
+    plan = planner.sample_size(p_win, args.epsilon, args.delta, method)
     print(f"method      {method.value}")
     print(f"p_win       {fmt12(p_win)} ({source})")
     print(f"variance    {fmt12(p_win * (1.0 - p_win))}")
@@ -249,7 +249,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for p in grid:
                 got_cells = analytic._weigh_switch(tree, p)
                 got = sum(mass for (_, _, won), mass in got_cells.items() if won)
-                want = analytic.win_marginal(variant, GameParams(n, p))
+                want = analytic.win_marginal(variant, n, p)
                 analytic_checks += 2
                 if got != want:
                     failures.append(

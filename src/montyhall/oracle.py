@@ -38,7 +38,6 @@ from typing import Iterator, NamedTuple, Sequence
 from .analytic import (
     CELL_ORDER,
     Cell,
-    GameParams,
     GameVariant,
     PartitionProbabilities,
     RationalLike,
@@ -101,17 +100,6 @@ class Trajectory(NamedTuple):
     weight: Fraction
 
 
-def _check_inputs(
-    variant: GameVariant, params: GameParams, cars: CarDistribution
-) -> int:
-    """Check that ``cars`` fits the game; return the doors the host opens."""
-    if len(cars) != params.n:
-        raise ValueError(
-            f"car distribution covers {len(cars)} doors, game has {params.n}"
-        )
-    return _host_opens(variant, params.n)
-
-
 def _raw_trajectories(
     k: int, cars: CarDistribution
 ) -> Iterator[tuple[int, int, tuple[int, ...], bool, int, tuple[int, int]]]:
@@ -165,12 +153,14 @@ def _conditional_cells(k: int, cars: CarDistribution) -> dict[Cell, Fraction]:
 
 
 def enumerate_trajectories(
-    variant: GameVariant, params: GameParams, cars: CarDistribution
+    variant: GameVariant, p: RationalLike, cars: CarDistribution
 ) -> Iterator[Trajectory]:
-    """Every game trajectory with positive weight; weights sum to exactly 1."""
-    k = _check_inputs(variant, params, cars)
+    """Every game trajectory with positive weight; weights sum to exactly 1.
+    The game has ``len(cars)`` doors."""
+    p = as_probability(p)
+    k = _host_opens(variant, len(cars))
     # The chance of each trajectory's switch decision, looked up by its cell.
-    decision = _weigh_switch(dict.fromkeys(CELL_ORDER, Fraction(1)), params.p)
+    decision = _weigh_switch(dict.fromkeys(CELL_ORDER, Fraction(1)), p)
     for car, pick, opened, switched, final, (num, den) in _raw_trajectories(k, cars):
         weight = Fraction(num, den) * decision[pick == car, switched, final == car]
         if weight:
@@ -178,34 +168,38 @@ def enumerate_trajectories(
 
 
 def exact_win_probability(
-    variant: GameVariant, params: GameParams, cars: CarDistribution
+    variant: GameVariant, p: RationalLike, cars: CarDistribution
 ) -> Fraction:
     """Total weight of trajectories whose final door hides the car.
 
     For a uniform car distribution this equals the closed-form marginal win
     probability exactly, for every n and p.  Each call walks the tree.
     """
-    return exact_partition(variant, params, cars).p_win
+    return exact_partition(variant, p, cars).p_win
 
 
 def exact_partition(
-    variant: GameVariant, params: GameParams, cars: CarDistribution
+    variant: GameVariant, p: RationalLike, cars: CarDistribution
 ) -> PartitionProbabilities:
     """Total trajectory weight in each of the eight (correct, switched, won)
-    cells: the tree given the switch decision, walked on each call and
-    weighted by ``p`` or ``1 - p``.  The cells sum to 1 by construction."""
-    tree = _conditional_cells(_check_inputs(variant, params, cars), cars)
-    return PartitionProbabilities(_weigh_switch(tree, params.p))
+    cells of the ``len(cars)``-door game: the tree given the switch decision,
+    walked on each call and weighted by ``p`` or ``1 - p``.  The cells sum to
+    1 by construction."""
+    p = as_probability(p)
+    tree = _conditional_cells(_host_opens(variant, len(cars)), cars)
+    return PartitionProbabilities(_weigh_switch(tree, p))
 
 
-def exact_initial_correct(params: GameParams, cars: CarDistribution) -> Fraction:
+def exact_initial_correct(cars: CarDistribution) -> Fraction:
     """Probability that the uniform initial pick finds the car, by enumeration.
 
     Equals 1/n for every valid car distribution: the host strategy happens
     after the pick, so each call walks the cheaper leave-two-closed tree.
+    Its stay branch holds every pick with weight 1, free of ``p``.
     """
-    cells = exact_partition(GameVariant.LEAVE_TWO_CLOSED, params, cars).cells
-    return sum((v for (correct, _, _), v in cells.items() if correct), Fraction(0))
+    k = _host_opens(GameVariant.LEAVE_TWO_CLOSED, len(cars))
+    cells = _conditional_cells(k, cars)
+    return cells[True, False, True] + cells[True, False, False]
 
 
 def random_car_distribution(n: int, rng) -> CarDistribution:
@@ -213,9 +207,11 @@ def random_car_distribution(n: int, rng) -> CarDistribution:
 
     ``rng`` is a ``numpy.random.Generator`` (or anything with a compatible
     ``integers`` method).  Integer weights in [0, 100] are normalized exactly,
-    so individual doors may get probability zero.
+    so individual doors may get probability zero.  They are ints already, so
+    each becomes ``Fraction(w, total)`` once and the constructor checks it.
     """
     while True:
         weights = [int(rng.integers(0, 101)) for _ in range(n)]
-        if sum(weights) > 0:
-            return CarDistribution.from_weights(weights)
+        total = sum(weights)
+        if total > 0:
+            return CarDistribution(tuple(Fraction(w, total) for w in weights))

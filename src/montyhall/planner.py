@@ -30,7 +30,6 @@ from .analytic import _require_int, _require_member, _require_unit
 
 __all__ = [
     "PlanMethod",
-    "PlanRequest",
     "SampleSizePlan",
     "normal_quantile",
     "sample_size",
@@ -41,23 +40,6 @@ __all__ = [
 class PlanMethod(Enum):
     CLT = "clt"
     CHEBYSHEV = "chebyshev"
-
-
-@dataclass(frozen=True)
-class PlanRequest:
-    """Inputs of a sample-size computation."""
-
-    p_win: float
-    epsilon: float
-    delta: float
-    method: PlanMethod
-
-    def __post_init__(self) -> None:
-        _require_member(PlanMethod, self.method)
-        _require_unit("p_win", self.p_win)
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        _require_unit("delta", self.delta, open_interval=True)
 
 
 @dataclass(frozen=True)
@@ -76,20 +58,27 @@ class SampleSizePlan:
 normal_quantile = NormalDist().inv_cdf
 
 
-def sample_size(req: PlanRequest) -> SampleSizePlan:
+def sample_size(
+    p_win: float, epsilon: float, delta: float, method: PlanMethod
+) -> SampleSizePlan:
     """Minimum trial count for the requested accuracy, rounded up.
 
     The ceiling is taken in exact rational arithmetic over the binary values
     of the float inputs, so boundary cases (0.25 / (0.01 * 0.01^2) = 250000)
     do not pick up a spurious extra trial from float rounding.
     """
-    variance = Fraction(req.p_win) * (1 - Fraction(req.p_win))
-    eps_sq = Fraction(req.epsilon) ** 2
-    if req.method is PlanMethod.CLT:
-        z = -normal_quantile(req.delta / 2.0)  # 1 - delta/2 would drop digits
+    _require_member(PlanMethod, method)
+    _require_unit("p_win", p_win)
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    _require_unit("delta", delta, open_interval=True)
+    variance = Fraction(p_win) * (1 - Fraction(p_win))
+    eps_sq = Fraction(epsilon) ** 2
+    if method is PlanMethod.CLT:
+        z = -normal_quantile(delta / 2.0)  # 1 - delta/2 would drop digits
         l0 = max(1, math.ceil(Fraction(z) ** 2 * variance / eps_sq))
         return SampleSizePlan(l0=l0, z_x=z)
-    l0 = max(1, math.ceil(variance / (Fraction(req.delta) * eps_sq)))
+    l0 = max(1, math.ceil(variance / (Fraction(delta) * eps_sq)))
     return SampleSizePlan(l0=l0)
 
 

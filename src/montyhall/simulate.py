@@ -81,7 +81,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .analytic import (
-    GameParams,
     GameVariant,
     RationalLike,
     _host_opens,
@@ -453,7 +452,7 @@ def sweep(
     config = SimulationConfig(variant, n, grid[0], trials, master_seed, chunk_size)
     rows = []
     for p, wins in zip(grid, _fan_out(config, grid, workers)):
-        exact = win_marginal(variant, GameParams(n, p))
+        exact = win_marginal(variant, n, p)
         p_win = float(exact)
         rows.append(
             SweepRow(

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from montyhall.analytic import (
-    GameParams,
     GameVariant,
     linear_coefficients,
     partition_probabilities,
@@ -25,7 +24,7 @@ from montyhall.oracle import (
     exact_win_probability,
     random_car_distribution,
 )
-from montyhall.planner import PlanMethod, PlanRequest, normal_quantile, sample_size
+from montyhall.planner import PlanMethod, normal_quantile, sample_size
 from montyhall.simulate import sweep, switch_probability_grid
 
 LEAVE_TWO = GameVariant.LEAVE_TWO_CLOSED
@@ -55,9 +54,8 @@ def test_01_oracle_analytic_exact_equality():
         for variant, n in product((LEAVE_TWO, OPEN_ONE), range(3, 15)):
             uniform = CarDistribution.uniform(n)
             for p in GRID:
-                params = GameParams(n, p)
-                assert exact_win_probability(variant, params, uniform) == win_marginal(
-                    variant, params
+                assert exact_win_probability(variant, p, uniform) == win_marginal(
+                    variant, n, p
                 )
                 checks += 1
         elapsed = time.perf_counter() - start
@@ -73,7 +71,7 @@ def test_02_classic_solution():
 
 def test_03_half_switch_gives_even_odds():
     with criterion("P(win) = 1/2 at three doors with p = 1/2"):
-        assert win_marginal(LEAVE_TWO, GameParams(3, F(1, 2))) == F(1, 2)
+        assert win_marginal(LEAVE_TWO, 3, F(1, 2)) == F(1, 2)
 
 
 def test_04_variants_coincide_at_three_doors():
@@ -82,10 +80,9 @@ def test_04_variants_coincide_at_three_doors():
         assert win_given_stay(LEAVE_TWO, 3) == win_given_stay(OPEN_ONE, 3)
         assert linear_coefficients(LEAVE_TWO, 3) == linear_coefficients(OPEN_ONE, 3)
         for p in GRID:
-            params = GameParams(3, p)
-            assert win_marginal(LEAVE_TWO, params) == win_marginal(OPEN_ONE, params)
-            assert partition_probabilities(LEAVE_TWO, params) == (
-                partition_probabilities(OPEN_ONE, params)
+            assert win_marginal(LEAVE_TWO, 3, p) == win_marginal(OPEN_ONE, 3, p)
+            assert partition_probabilities(LEAVE_TWO, 3, p) == (
+                partition_probabilities(OPEN_ONE, 3, p)
             )
 
 
@@ -101,10 +98,9 @@ def test_06_arbitrary_placement_keeps_initial_pick_uniform():
     with criterion("P(initial pick correct) = 1/n for random placements"):
         rng = np.random.default_rng(20260809)
         for n in range(3, 9):
-            params = GameParams(n, F(1, 2))
             for _ in range(50):
                 cars = random_car_distribution(n, rng)
-                assert exact_initial_correct(params, cars) == F(1, n)
+                assert exact_initial_correct(cars) == F(1, n)
 
 
 def test_07_partition_completeness():
@@ -115,15 +111,15 @@ def test_07_partition_completeness():
             n = int(rng.integers(3, 31))
             denominator = int(rng.integers(1, 101))
             p = F(int(rng.integers(0, denominator + 1)), denominator)
-            part = partition_probabilities(variant, GameParams(n, p))
+            part = partition_probabilities(variant, n, p)
             assert sum(part.cells.values()) == 1
 
 
 def test_08_planner_numbers():
     with criterion("planned trial counts and quantile"):
-        cheb = sample_size(PlanRequest(0.5, 0.01, 0.01, PlanMethod.CHEBYSHEV))
+        cheb = sample_size(0.5, 0.01, 0.01, PlanMethod.CHEBYSHEV)
         assert cheb.l0 == 250000
-        clt = sample_size(PlanRequest(0.5, 0.01, 0.01, PlanMethod.CLT))
+        clt = sample_size(0.5, 0.01, 0.01, PlanMethod.CLT)
         assert abs(clt.l0 - 16588) <= 1
         assert abs(normal_quantile(0.995) - 2.5758293) <= 1e-6
 
@@ -139,7 +135,7 @@ def test_08_planner_numbers():
 def test_09_empirical_sweeps_track_exact_values(variant, door_counts):
     label = f"empirical sweeps track exact values ({variant.value}, <60s)"
     with criterion(label):
-        trials = sample_size(PlanRequest(0.5, 0.01, 0.01, PlanMethod.CHEBYSHEV)).l0
+        trials = sample_size(0.5, 0.01, 0.01, PlanMethod.CHEBYSHEV).l0
         start = time.perf_counter()
         cells = 0
         misses = 0

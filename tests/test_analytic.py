@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from montyhall.analytic import (
     CELL_ORDER,
-    GameParams,
     GameVariant,
     PartitionProbabilities,
     as_probability,
@@ -62,11 +61,11 @@ def test_win_given_stay_values(variant, n, expected):
     ],
 )
 def test_win_marginal_values(variant, n, p, expected):
-    assert win_marginal(variant, GameParams(n, p)) == expected
+    assert win_marginal(variant, n, p) == expected
 
 
 def test_win_marginal_at_one_equals_switch_conditional():
-    assert win_marginal(LEAVE_TWO, GameParams(5, Fraction(1))) == win_given_switch(
+    assert win_marginal(LEAVE_TWO, 5, Fraction(1)) == win_given_switch(
         LEAVE_TWO, 5
     )
 
@@ -84,7 +83,7 @@ def test_linear_coefficients_values(variant, n, expected):
 
 
 def test_partition_classic_half():
-    part = partition_probabilities(LEAVE_TWO, GameParams(3, Fraction(1, 2)))
+    part = partition_probabilities(LEAVE_TWO, 3, Fraction(1, 2))
     assert part[(True, True, True)] == 0
     assert part[(True, True, False)] == Fraction(1, 6)
     assert part[(False, True, True)] == Fraction(1, 3)
@@ -98,14 +97,14 @@ def test_partition_classic_half():
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
 @pytest.mark.parametrize("n", [3, 4, 7])
 def test_partition_never_switching_kills_switch_cells(variant, n):
-    part = partition_probabilities(variant, GameParams(n, Fraction(0)))
+    part = partition_probabilities(variant, n, Fraction(0))
     for cell, value in part.cells.items():
         if cell[1]:  # switched
             assert value == 0
 
 
 def test_partition_open_one_switch_win_cell():
-    part = partition_probabilities(OPEN_ONE, GameParams(5, Fraction(1)))
+    part = partition_probabilities(OPEN_ONE, 5, Fraction(1))
     assert part[(False, True, True)] == Fraction(4, 5) * Fraction(1, 3)
 
 
@@ -120,16 +119,14 @@ def test_small_door_counts_rejected(op, variant, n):
 
 
 def test_invalid_params_rejected():
+    for op in (win_marginal, partition_probabilities):
+        for n, p in ((2, Fraction(1, 2)), (3, Fraction(3, 2)), (3, Fraction(-1, 2))):
+            with pytest.raises(ValueError):
+                op(LEAVE_TWO, n, p)
     with pytest.raises(ValueError):
-        GameParams(2, Fraction(1, 2))
+        win_marginal("leave-two", 5, Fraction(1))
     with pytest.raises(ValueError):
-        GameParams(3, Fraction(3, 2))
-    with pytest.raises(ValueError):
-        GameParams(3, Fraction(-1, 2))
-    with pytest.raises(ValueError):
-        win_marginal("leave-two", GameParams(5, Fraction(1)))
-    with pytest.raises(ValueError):
-        partition_probabilities("leave-two", GameParams(5, Fraction(1)))
+        partition_probabilities("leave-two", 5, Fraction(1))
     with pytest.raises(ValueError):
         win_given_stay("leave-two", 3)
 
@@ -145,7 +142,7 @@ def test_as_probability_parses_exactly():
 
 
 def test_partition_type_rejects_bad_cells():
-    good = partition_probabilities(LEAVE_TWO, GameParams(3, Fraction(1, 2)))
+    good = partition_probabilities(LEAVE_TWO, 3, Fraction(1, 2))
     cells = dict(good.cells)
     cells[(True, True, True)] += Fraction(1, 6)  # breaks the unit sum
     with pytest.raises(ValueError):
@@ -156,22 +153,22 @@ def test_partition_type_rejects_bad_cells():
 
 @given(variant=variants, n=door_counts, p=probabilities)
 def test_partition_sums_to_one(variant, n, p):
-    part = partition_probabilities(variant, GameParams(n, p))
+    part = partition_probabilities(variant, n, p)
     assert sum(part.cells.values()) == 1
     assert all(0 <= v <= 1 for v in part.cells.values())
 
 
 @given(variant=variants, n=door_counts, p=probabilities)
 def test_total_probability_identity(variant, n, p):
-    lhs = win_marginal(variant, GameParams(n, p))
+    lhs = win_marginal(variant, n, p)
     rhs = p * win_given_switch(variant, n) + (1 - p) * win_given_stay(variant, n)
     assert lhs == rhs
 
 
 @given(variant=variants, n=door_counts, p=probabilities)
 def test_partition_marginal_matches_closed_form(variant, n, p):
-    part = partition_probabilities(variant, GameParams(n, p))
-    assert part.p_win == win_marginal(variant, GameParams(n, p))
+    part = partition_probabilities(variant, n, p)
+    assert part.p_win == win_marginal(variant, n, p)
 
 
 @given(
@@ -181,7 +178,7 @@ def test_partition_marginal_matches_closed_form(variant, n, p):
 )
 def test_marginal_is_affine_in_switch_probability(variant, n, ps):
     p1, p2, p3 = ps
-    w1, w2, w3 = (win_marginal(variant, GameParams(n, p)) for p in ps)
+    w1, w2, w3 = (win_marginal(variant, n, p) for p in ps)
     # exact collinearity of the three (p, P(win)) points
     assert (p2 - p1) * (w3 - w1) == (p3 - p1) * (w2 - w1)
 
@@ -189,17 +186,16 @@ def test_marginal_is_affine_in_switch_probability(variant, n, ps):
 @given(variant=variants, n=door_counts, p=probabilities)
 def test_profile_identities(variant, n, p):
     intercept, slope = linear_coefficients(variant, n)
-    assert win_marginal(variant, GameParams(n, p)) == intercept + slope * p
+    assert win_marginal(variant, n, p) == intercept + slope * p
 
 
 @given(p=probabilities)
 def test_variants_coincide_at_three_doors(p):
-    params = GameParams(3, p)
     assert win_given_switch(LEAVE_TWO, 3) == win_given_switch(OPEN_ONE, 3)
     assert win_given_stay(LEAVE_TWO, 3) == win_given_stay(OPEN_ONE, 3)
-    assert win_marginal(LEAVE_TWO, params) == win_marginal(OPEN_ONE, params)
-    assert partition_probabilities(LEAVE_TWO, params) == partition_probabilities(
-        OPEN_ONE, params
+    assert win_marginal(LEAVE_TWO, 3, p) == win_marginal(OPEN_ONE, 3, p)
+    assert partition_probabilities(LEAVE_TWO, 3, p) == partition_probabilities(
+        OPEN_ONE, 3, p
     )
 
 
@@ -214,10 +210,10 @@ def test_switching_always_beats_staying(n):
 @given(n=door_counts, p=probabilities)
 def test_leave_two_marginal_approaches_switch_probability(n, p):
     # the marginal win probability tracks p itself once doors are plentiful
-    assert abs(win_marginal(LEAVE_TWO, GameParams(n, p)) - p) <= Fraction(2, n)
+    assert abs(win_marginal(LEAVE_TWO, n, p) - p) <= Fraction(2, n)
 
 
 @given(n=door_counts, p=probabilities)
 def test_open_one_marginal_vanishes_with_many_doors(n, p):
     bound = Fraction(1, n) + Fraction(1, n * (n - 2))
-    assert win_marginal(OPEN_ONE, GameParams(n, p)) <= bound
+    assert win_marginal(OPEN_ONE, n, p) <= bound

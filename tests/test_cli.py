@@ -210,10 +210,10 @@ def test_sweep_csv_analytic_column_is_exact(tmp_path):
         for line in path.read_text(encoding="utf-8").splitlines()
         if line and not line.startswith("#") and not line.startswith("p,")
     ]
-    from montyhall.analytic import GameParams, GameVariant, win_marginal
+    from montyhall.analytic import GameVariant, win_marginal
 
     for k, row in enumerate(rows):
-        exact = win_marginal(GameVariant.LEAVE_TWO_CLOSED, GameParams(3, F(k, 20)))
+        exact = win_marginal(GameVariant.LEAVE_TWO_CLOSED, 3, F(k, 20))
         assert row[2] == fmt12(exact)
         assert float(row[2]) == pytest.approx(float(exact), abs=5e-12)
 
@@ -408,6 +408,193 @@ def test_sweep_csv_is_pinned_across_versions(capsys, variant, doors, rows):
     ]
 
 
+_RNG_LINE = montyhall.simulate.RNG_ALGORITHM
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (
+            "analytic --variant leave-two --doors 5 --switch-prob 1/3",
+            [
+                "variant=leave-two doors=5 switch_prob=1/3",
+                "P(win | switch)                           4/5  (0.8)",
+                "P(win | stay)                             1/5  (0.2)",
+                "P(win)                                    2/5  (0.4)",
+                "intercept                                 1/5  (0.2)",
+                "slope                                     3/5  (0.6)",
+                "P(correct pick, switch, win)                0  (0)",
+                "P(correct pick, switch, lose)            1/15  (0.0666666666667)",
+                "P(correct pick, stay, win)               2/15  (0.133333333333)",
+                "P(correct pick, stay, lose)                 0  (0)",
+                "P(wrong pick, switch, win)               4/15  (0.266666666667)",
+                "P(wrong pick, switch, lose)                 0  (0)",
+                "P(wrong pick, stay, win)                    0  (0)",
+                "P(wrong pick, stay, lose)                8/15  (0.533333333333)",
+            ],
+        ),
+        (
+            "analytic --variant leave-two --doors 5 --switch-prob 1/3 --format csv",
+            [
+                "quantity,exact,decimal",
+                "P(win | switch),4/5,0.8",
+                "P(win | stay),1/5,0.2",
+                "P(win),2/5,0.4",
+                "intercept,1/5,0.2",
+                "slope,3/5,0.6",
+                "P(correct pick, switch, win),0,0",
+                "P(correct pick, switch, lose),1/15,0.0666666666667",
+                "P(correct pick, stay, win),2/15,0.133333333333",
+                "P(correct pick, stay, lose),0,0",
+                "P(wrong pick, switch, win),4/15,0.266666666667",
+                "P(wrong pick, switch, lose),0,0",
+                "P(wrong pick, stay, win),0,0",
+                "P(wrong pick, stay, lose),8/15,0.533333333333",
+            ],
+        ),
+        (
+            "analytic --variant open-one --doors 7 --switch-prob 0.35",
+            [
+                "variant=open-one doors=7 switch_prob=7/20",
+                "P(win | switch)                          6/35  (0.171428571429)",
+                "P(win | stay)                             1/7  (0.142857142857)",
+                "P(win)                                107/700  (0.152857142857)",
+                "intercept                                 1/7  (0.142857142857)",
+                "slope                                    1/35  (0.0285714285714)",
+                "P(correct pick, switch, win)                0  (0)",
+                "P(correct pick, switch, lose)            1/20  (0.05)",
+                "P(correct pick, stay, win)             13/140  (0.0928571428571)",
+                "P(correct pick, stay, lose)                 0  (0)",
+                "P(wrong pick, switch, win)               3/50  (0.06)",
+                "P(wrong pick, switch, lose)              6/25  (0.24)",
+                "P(wrong pick, stay, win)                    0  (0)",
+                "P(wrong pick, stay, lose)               39/70  (0.557142857143)",
+            ],
+        ),
+        (
+            "analytic --variant open-one --doors 7 --switch-prob 0.35 --format csv",
+            [
+                "quantity,exact,decimal",
+                "P(win | switch),6/35,0.171428571429",
+                "P(win | stay),1/7,0.142857142857",
+                "P(win),107/700,0.152857142857",
+                "intercept,1/7,0.142857142857",
+                "slope,1/35,0.0285714285714",
+                "P(correct pick, switch, win),0,0",
+                "P(correct pick, switch, lose),1/20,0.05",
+                "P(correct pick, stay, win),13/140,0.0928571428571",
+                "P(correct pick, stay, lose),0,0",
+                "P(wrong pick, switch, win),3/50,0.06",
+                "P(wrong pick, switch, lose),6/25,0.24",
+                "P(wrong pick, stay, win),0,0",
+                "P(wrong pick, stay, lose),39/70,0.557142857143",
+            ],
+        ),
+        (
+            "plan --at worst-case --method clt --epsilon 0.02 --delta 0.05",
+            [
+                "method      clt",
+                "p_win       0.5 (worst-case)",
+                "variance    0.25",
+                "epsilon     0.02",
+                "delta       0.05",
+                "z_x         1.95996398454 (x = 1 - delta/2)",
+                "l0          2401",
+            ],
+        ),
+        (
+            "plan --at worst-case --method chebyshev --epsilon 0.02 --delta 0.05",
+            [
+                "method      chebyshev",
+                "p_win       0.5 (worst-case)",
+                "variance    0.25",
+                "epsilon     0.02",
+                "delta       0.05",
+                "l0          12500",
+            ],
+        ),
+        (
+            "plan --at analytic --variant open-one --doors 7 --switch-prob 0.35 "
+            "--method clt --epsilon 0.02 --delta 0.05",
+            [
+                "method      clt",
+                "p_win       0.152857142857 (analytic(open-one, doors=7, switch_prob=7/20))",
+                "variance    0.129491836735",
+                "epsilon     0.02",
+                "delta       0.05",
+                "z_x         1.95996398454 (x = 1 - delta/2)",
+                "l0          1244",
+            ],
+        ),
+        (
+            "plan --at analytic --variant leave-two --doors 10 --switch-prob 1/3 "
+            "--method chebyshev --epsilon 0.02 --delta 0.05",
+            [
+                "method      chebyshev",
+                "p_win       0.366666666667 (analytic(leave-two, doors=10, switch_prob=1/3))",
+                "variance    0.232222222222",
+                "epsilon     0.02",
+                "delta       0.05",
+                "l0          11612",
+            ],
+        ),
+        (
+            "simulate --variant open-one --doors 7 --switch-prob 0.35 --trials 5000 "
+            "--seed 11 --chunk-size 1024",
+            [
+                "variant      open-one",
+                "doors        7",
+                "switch_prob  7/20",
+                "trials       5000",
+                "seed         11",
+                "chunk_size   1024",
+                f"rng          {_RNG_LINE}",
+                "wins         812",
+                "empirical    0.1624",
+                "std_error    0.00521586502893",
+                "analytic     107/700 = 0.152857142857",
+                "abs_error    0.00954285714286",
+            ],
+        ),
+        (
+            "simulate --variant leave-two --doors 4 --switch-prob 2/3 --trials 5000 "
+            "--seed 11 --format csv",
+            [
+                "quantity,value",
+                "variant,leave-two",
+                "doors,4",
+                "switch_prob,2/3",
+                "trials,5000",
+                "seed,11",
+                "chunk_size,65536",
+                f"rng,{_RNG_LINE}",
+                "wins,2844",
+                "empirical,0.5688",
+                "std_error,0.00700380696479",
+                "analytic,7/12 = 0.583333333333",
+                "abs_error,0.0145333333333",
+            ],
+        ),
+        ("analytic --doors 2", ["error: doors must be >= 3 and an integer, got 2"]),
+        (
+            "analytic --switch-prob 3/2",
+            ["error: probability must be in [0, 1], got Fraction(3, 2)"],
+        ),
+        ("plan --switch-prob abc", ["error: not a rational probability: 'abc'"]),
+        ("plan --epsilon 0", ["error: epsilon must be finite and > 0, got 0.0"]),
+        ("sweep --delta 1 --trials 10", ["error: delta must be in (0, 1), got 1.0"]),
+    ],
+)
+def test_outputs_are_pinned_across_versions(capsys, argv, lines):
+    # Whole outputs, recorded once: a usage error prints only its one
+    # "error:" line on stderr, and a run prints only to stdout.
+    failed = lines[0].startswith("error: ")
+    assert run_cli(*argv.split()) == (EXIT_USAGE if failed else EXIT_OK)
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ([] if failed else lines)
+    assert captured.err.splitlines() == (lines if failed else [])
+
+
 def test_verify_placement_checks_compare_the_whole_partition(monkeypatch, capsys):
     walk = montyhall.oracle._conditional_cells
 
@@ -460,7 +647,7 @@ def test_verify_minimal_doors(capsys):
 
 
 def test_verify_detects_corrupted_formula(monkeypatch, capsys):
-    def wrong_marginal(variant, params):
+    def wrong_marginal(variant, n, p):
         return F(1, 2)
 
     monkeypatch.setattr(montyhall.analytic, "win_marginal", wrong_marginal)

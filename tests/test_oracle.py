@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from montyhall import oracle
 from montyhall.analytic import (
-    GameParams,
     GameVariant,
     partition_probabilities,
     win_marginal,
@@ -39,14 +38,12 @@ def fractions_tuple(*nums_dens):
 
 
 def test_uniform_half_switch_probability():
-    params = GameParams(3, F(1, 2))
-    assert exact_win_probability(LEAVE_TWO, params, CarDistribution.uniform(3)) == F(1, 2)
+    assert exact_win_probability(LEAVE_TWO, F(1, 2), CarDistribution.uniform(3)) == F(1, 2)
 
 
 def test_degenerate_placement_always_switch():
     # picking door 1 (w.p. 1/3) then switching loses; any other pick wins
-    params = GameParams(3, F(1))
-    assert exact_win_probability(LEAVE_TWO, params, DEGENERATE_3) == F(2, 3)
+    assert exact_win_probability(LEAVE_TWO, F(1), DEGENERATE_3) == F(2, 3)
 
 
 @pytest.mark.parametrize(
@@ -58,14 +55,12 @@ def test_degenerate_placement_always_switch():
     ],
 )
 def test_never_switching_wins_one_in_n_for_any_placement(cars):
-    params = GameParams(4, F(0))
-    assert exact_win_probability(OPEN_ONE, params, cars) == F(1, 4)
+    assert exact_win_probability(OPEN_ONE, F(0), cars) == F(1, 4)
 
 
 def test_partition_matches_analytic_cell_by_cell():
-    params = GameParams(3, F(1, 2))
-    assert exact_partition(LEAVE_TWO, params, CarDistribution.uniform(3)) == (
-        partition_probabilities(LEAVE_TWO, params)
+    assert exact_partition(LEAVE_TWO, F(1, 2), CarDistribution.uniform(3)) == (
+        partition_probabilities(LEAVE_TWO, 3, F(1, 2))
     )
 
 
@@ -73,14 +68,14 @@ def test_partition_matches_analytic_cell_by_cell():
 @pytest.mark.parametrize("cars", [CarDistribution.uniform(5), None])
 def test_always_switching_kills_stay_cells(variant, cars):
     cars = cars or CarDistribution(fractions_tuple((1, 3), (1, 3), (1, 3), (0, 1), (0, 1)))
-    part = exact_partition(variant, GameParams(5, F(1)), cars)
+    part = exact_partition(variant, F(1), cars)
     for cell, value in part.cells.items():
         if not cell[1]:  # stayed
             assert value == 0
 
 
 def test_open_one_switch_win_cell_five_doors():
-    part = exact_partition(OPEN_ONE, GameParams(5, F(1)), CarDistribution.uniform(5))
+    part = exact_partition(OPEN_ONE, F(1), CarDistribution.uniform(5))
     assert part[(False, True, True)] == F(4, 15)
 
 
@@ -93,13 +88,12 @@ def test_open_one_switch_win_cell_five_doors():
     ],
 )
 def test_initial_pick_probability(n, cars, expected):
-    assert exact_initial_correct(GameParams(n, F(1, 2)), cars) == expected
+    assert exact_initial_correct(cars) == expected
 
 
 def test_oracle_confirms_open_one_marginal_derivation():
-    params = GameParams(4, F(1))
-    enumerated = exact_win_probability(OPEN_ONE, params, CarDistribution.uniform(4))
-    assert enumerated == win_marginal(OPEN_ONE, params) == F(3, 8)
+    enumerated = exact_win_probability(OPEN_ONE, F(1), CarDistribution.uniform(4))
+    assert enumerated == win_marginal(OPEN_ONE, 4, F(1)) == F(3, 8)
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
@@ -108,7 +102,7 @@ def test_oracle_confirms_open_one_marginal_derivation():
 def test_trajectory_weights_sum_to_one(variant, p, cars):
     cars = cars or CarDistribution(fractions_tuple((1, 2), (1, 6), (1, 6), (1, 6), (0, 1)))
     total = sum(
-        t.weight for t in enumerate_trajectories(variant, GameParams(5, p), cars)
+        t.weight for t in enumerate_trajectories(variant, p, cars)
     )
     assert total == 1
 
@@ -116,9 +110,8 @@ def test_trajectory_weights_sum_to_one(variant, p, cars):
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_trajectory_invariants(variant, n):
-    params = GameParams(n, F(1, 3))
     opened_count = n - 2 if variant is LEAVE_TWO else 1
-    for t in enumerate_trajectories(variant, params, CarDistribution.uniform(n)):
+    for t in enumerate_trajectories(variant, F(1, 3), CarDistribution.uniform(n)):
         assert t.car not in t.host_opens
         assert t.pick not in t.host_opens
         assert len(t.host_opens) == opened_count
@@ -133,7 +126,7 @@ def test_trajectory_invariants(variant, n):
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_host_branching_factor(variant, n):
     trajectories = sorted(
-        enumerate_trajectories(variant, GameParams(n, F(1, 2)), CarDistribution.uniform(n)),
+        enumerate_trajectories(variant, F(1, 2), CarDistribution.uniform(n)),
         key=lambda t: (t.car, t.pick),
     )
     for (car, pick), group in groupby(trajectories, key=lambda t: (t.car, t.pick)):
@@ -150,26 +143,20 @@ def test_host_branching_factor(variant, n):
 @pytest.mark.parametrize("n", range(3, 9))
 @pytest.mark.parametrize("p", [F(0), F(1, 20), F(1, 2), F(19, 20), F(1)])
 def test_uniform_enumeration_matches_closed_forms(variant, n, p):
-    params = GameParams(n, p)
     uniform = CarDistribution.uniform(n)
-    assert exact_win_probability(variant, params, uniform) == win_marginal(
-        variant, params
-    )
-    assert exact_partition(variant, params, uniform) == partition_probabilities(
-        variant, params
-    )
+    assert exact_win_probability(variant, p, uniform) == win_marginal(variant, n, p)
+    assert exact_partition(variant, p, uniform) == partition_probabilities(variant, n, p)
 
 
 @given(
     weights=st.lists(st.integers(0, 30), min_size=3, max_size=8).filter(
         lambda ws: sum(ws) > 0
     ),
-    p=st.fractions(min_value=0, max_value=1, max_denominator=20),
 )
-def test_initial_pick_is_uniform_for_any_placement(weights, p):
+def test_initial_pick_is_uniform_for_any_placement(weights):
     cars = CarDistribution.from_weights(weights)
     n = len(cars)
-    assert exact_initial_correct(GameParams(n, p), cars) == F(1, n)
+    assert exact_initial_correct(cars) == F(1, n)
 
 
 @given(
@@ -181,14 +168,12 @@ def test_initial_pick_is_uniform_for_any_placement(weights, p):
 def test_never_switching_is_placement_free(weights, variant):
     cars = CarDistribution.from_weights(weights)
     n = len(cars)
-    assert exact_win_probability(variant, GameParams(n, F(0)), cars) == F(1, n)
+    assert exact_win_probability(variant, F(0), cars) == F(1, n)
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
-        exact_win_probability(LEAVE_TWO, GameParams(4, F(1, 2)), CarDistribution.uniform(3))
-    with pytest.raises(ValueError):
-        exact_win_probability("leave-two", GameParams(5, F(1)), CarDistribution.uniform(5))
+        exact_win_probability("leave-two", F(1), CarDistribution.uniform(5))
     with pytest.raises(ValueError):
         CarDistribution((F(1, 2), F(1, 2), F(1, 2)))
     with pytest.raises(ValueError):
@@ -203,6 +188,8 @@ def test_input_validation():
         CarDistribution((None, 0, 0))
     with pytest.raises(ValueError):
         CarDistribution.from_weights([float("inf"), 1, 1])
+    with pytest.raises(ValueError):
+        CarDistribution.from_weights([-1, 2, 2])
 
 
 def test_random_car_distribution_is_valid_and_reproducible():
@@ -211,6 +198,15 @@ def test_random_car_distribution_is_valid_and_reproducible():
     assert first == second
     assert len(first) == 6
     assert sum(first.alpha) == 1
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_random_car_distribution_equals_its_draws_normalized(n):
+    for seed in range(25):
+        rng, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        weights = [int(drawn.integers(0, 101)) for _ in range(n)]
+        assert random_car_distribution(n, rng) == CarDistribution.from_weights(weights)
+        assert rng.bit_generator.state == drawn.bit_generator.state
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
@@ -222,22 +218,19 @@ def test_partition_is_the_per_cell_sum_of_trajectory_weights(variant, n, p, unif
         cars = CarDistribution.uniform(n)
     else:
         cars = CarDistribution.from_weights([0] + list(range(1, n)))
-    params = GameParams(n, p)
-    sums = dict.fromkeys(exact_partition(variant, params, cars).cells, F(0))
-    for t in enumerate_trajectories(variant, params, cars):
+    sums = dict.fromkeys(exact_partition(variant, p, cars).cells, F(0))
+    for t in enumerate_trajectories(variant, p, cars):
         sums[t.pick == t.car, t.switched, t.final == t.car] += t.weight
-    assert exact_partition(variant, params, cars).cells == sums
+    assert exact_partition(variant, p, cars).cells == sums
     # The pick is uniform, so no car placement moves any cell.
-    assert exact_partition(variant, params, cars) == partition_probabilities(
-        variant, params
-    )
+    assert exact_partition(variant, p, cars) == partition_probabilities(variant, n, p)
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
 @pytest.mark.parametrize("p", [F(0), F(1)])
 def test_certain_switch_decisions_yield_only_positive_weights(variant, p):
     trajectories = list(
-        enumerate_trajectories(variant, GameParams(4, p), CarDistribution.uniform(4))
+        enumerate_trajectories(variant, p, CarDistribution.uniform(4))
     )
     assert trajectories
     assert all(t.weight > 0 and t.switched == (p == 1) for t in trajectories)

@@ -3,11 +3,12 @@ README's quick tour runs as written, and no module keeps an unused import."""
 
 import ast
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import montyhall
-from montyhall import analytic, oracle, planner, simulate
+from montyhall import analytic, cli, oracle, planner, simulate
 from montyhall.planner import PlanMethod, band_halfwidth
 
 PACKAGE = Path(montyhall.__file__).resolve().parent
@@ -23,9 +24,12 @@ def test_all_is_the_union_of_the_layers():
 
 
 def test_removed_wrappers_are_gone():
-    for name in ("run_trial", "TrialOutcome"):
+    removed = {"run_trial": simulate, "TrialOutcome": simulate,
+               "GameParams": analytic, "PlanRequest": planner}
+    for name, layer in removed.items():
         assert not hasattr(montyhall, name)
-        assert not hasattr(simulate, name)
+        assert not hasattr(layer, name)
+    assert not hasattr(oracle, "_check_inputs")
 
 
 def test_readme_quick_tour_shows_what_its_comments_say():
@@ -49,6 +53,20 @@ def test_readme_quick_tour_shows_what_its_comments_say():
     assert l0 == 250_000
 
 
+def test_readme_command_lines_run_as_written(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", text, re.S)
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert len(commands) == 6 and all(argv[0] == "montyhall" for argv in commands)
+    monkeypatch.delenv("MONTY_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)  # two of the lines write --out files
+    for argv in commands:
+        assert cli.main(argv[1:]) == cli.EXIT_OK, argv
+    capsys.readouterr()
+    for name in ("sweep.csv", "fig.csv"):
+        assert (tmp_path / name).read_text(encoding="utf-8").startswith("# seed=")
+
+
 def _module_level_imports(tree: ast.Module) -> set[str]:
     names = set()
     for node in tree.body:
@@ -60,7 +78,8 @@ def _module_level_imports(tree: ast.Module) -> set[str]:
 
 
 def test_every_module_level_import_is_used():
-    for path in sorted(PACKAGE.glob("*.py")):
+    tests = Path(__file__).resolve().parent
+    for path in sorted([*PACKAGE.glob("*.py"), *tests.glob("*.py")]):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from montyhall.planner import (
     PlanMethod,
-    PlanRequest,
     band_halfwidth,
     normal_quantile,
     sample_size,
@@ -92,7 +91,7 @@ def exact_coverage(l, p_win, epsilon) -> mpmath.mpf:
 def test_chebyshev_count_covers_at_least_one_minus_delta_exactly(epsilon, delta, p_win):
     # Chebyshev's inequality is a theorem for every l, so the binomial law
     # itself must keep the frequency within epsilon with chance >= 1 - delta.
-    l0 = sample_size(PlanRequest(p_win, epsilon, delta, PlanMethod.CHEBYSHEV)).l0
+    l0 = sample_size(p_win, epsilon, delta, PlanMethod.CHEBYSHEV).l0
     assert exact_coverage(l0, p_win, epsilon) >= 1 - mpmath.mpf(delta)
 
 
@@ -107,20 +106,20 @@ def test_chebyshev_count_covers_at_least_one_minus_delta_exactly(epsilon, delta,
 def test_clt_count_is_an_approximation_that_can_fall_short(p_win, epsilon, delta, l0, coverage):
     # The normal limit is not a bound: at these counts the exact binomial
     # coverage is below 1 - delta.
-    assert sample_size(PlanRequest(p_win, epsilon, delta, PlanMethod.CLT)).l0 == l0
+    assert sample_size(p_win, epsilon, delta, PlanMethod.CLT).l0 == l0
     exact = exact_coverage(l0, p_win, epsilon)
     assert mpmath.nstr(exact, 6) == coverage
     assert exact < 1 - mpmath.mpf(delta)
 
 
 def test_chebyshev_worst_case_count():
-    plan = sample_size(PlanRequest(0.5, 0.01, 0.01, PlanMethod.CHEBYSHEV))
+    plan = sample_size(0.5, 0.01, 0.01, PlanMethod.CHEBYSHEV)
     assert plan.l0 == 250000
     assert plan.z_x is None
 
 
 def test_clt_worst_case_count():
-    plan = sample_size(PlanRequest(0.5, 0.01, 0.01, PlanMethod.CLT))
+    plan = sample_size(0.5, 0.01, 0.01, PlanMethod.CLT)
     assert plan.l0 == 16588
     assert plan.z_x == pytest.approx(2.5758293, abs=1e-6)
 
@@ -128,7 +127,7 @@ def test_clt_worst_case_count():
 @pytest.mark.parametrize("p_win", [0.0, 1.0])
 @pytest.mark.parametrize("method", list(PlanMethod))
 def test_degenerate_variance_clamps_to_one(p_win, method):
-    assert sample_size(PlanRequest(p_win, 0.5, 0.5, method)).l0 == 1
+    assert sample_size(p_win, 0.5, 0.5, method).l0 == 1
 
 
 @pytest.mark.parametrize(
@@ -145,19 +144,19 @@ def test_degenerate_variance_clamps_to_one(p_win, method):
 )
 def test_invalid_plan_requests_rejected(kwargs):
     with pytest.raises(ValueError):
-        PlanRequest(**{"method": PlanMethod.CLT, **kwargs})
+        sample_size(**{"method": PlanMethod.CLT, **kwargs})
 
 
 @pytest.mark.parametrize("method", list(PlanMethod))
 def test_sample_size_decreases_in_epsilon_and_delta(method):
     sizes_eps = [
-        sample_size(PlanRequest(0.5, eps, 0.01, method)).l0
+        sample_size(0.5, eps, 0.01, method).l0
         for eps in (0.002, 0.005, 0.01, 0.02, 0.05)
     ]
     assert sizes_eps == sorted(sizes_eps, reverse=True)
     assert len(set(sizes_eps)) == len(sizes_eps)
     sizes_delta = [
-        sample_size(PlanRequest(0.5, 0.01, d, method)).l0
+        sample_size(0.5, 0.01, d, method).l0
         for d in (0.001, 0.01, 0.05, 0.2)
     ]
     assert sizes_delta == sorted(sizes_delta, reverse=True)
@@ -166,22 +165,22 @@ def test_sample_size_decreases_in_epsilon_and_delta(method):
 
 @pytest.mark.parametrize("method", list(PlanMethod))
 def test_sample_size_maximal_at_even_odds(method):
-    worst = sample_size(PlanRequest(0.5, 0.01, 0.01, method)).l0
+    worst = sample_size(0.5, 0.01, 0.01, method).l0
     for p_win in (0.0, 0.1, 0.25, 0.4, 0.6, 0.9, 1.0):
-        assert sample_size(PlanRequest(p_win, 0.01, 0.01, method)).l0 <= worst
+        assert sample_size(p_win, 0.01, 0.01, method).l0 <= worst
 
 
 @pytest.mark.parametrize("delta", [0.001, 0.01, 0.05, 0.1, 0.2, 0.3])
 @pytest.mark.parametrize("p_win", [0.05, 0.25, 0.5, 0.75, 0.99])
 def test_chebyshev_needs_more_samples_below_critical_delta(delta, p_win):
-    cheb = sample_size(PlanRequest(p_win, 0.01, delta, PlanMethod.CHEBYSHEV)).l0
-    clt = sample_size(PlanRequest(p_win, 0.01, delta, PlanMethod.CLT)).l0
+    cheb = sample_size(p_win, 0.01, delta, PlanMethod.CHEBYSHEV).l0
+    clt = sample_size(p_win, 0.01, delta, PlanMethod.CLT).l0
     assert cheb >= clt
 
 
 def test_bound_ratio_at_the_experiment_settings():
-    cheb = sample_size(PlanRequest(0.5, 0.01, 0.01, PlanMethod.CHEBYSHEV)).l0
-    clt = sample_size(PlanRequest(0.5, 0.01, 0.01, PlanMethod.CLT)).l0
+    cheb = sample_size(0.5, 0.01, 0.01, PlanMethod.CHEBYSHEV).l0
+    clt = sample_size(0.5, 0.01, 0.01, PlanMethod.CLT).l0
     assert cheb / clt == pytest.approx(15.07, abs=0.01)
 
 
@@ -201,7 +200,7 @@ def test_band_halfwidth_values():
 def test_clt_quantile_keeps_its_digits_for_small_delta(delta):
     # 1 - delta/2 loses digits of delta, and is 1.0 below about 1.1e-16.
     z = float(mpmath.sqrt(2) * mpmath.erfinv(1 - mpmath.mpf(delta)))
-    plan = sample_size(PlanRequest(0.5, 0.01, delta, PlanMethod.CLT))
+    plan = sample_size(0.5, 0.01, delta, PlanMethod.CLT)
     assert plan.z_x == pytest.approx(z, rel=1e-14)
     halfwidth = band_halfwidth(0.5, 4, delta, PlanMethod.CLT)
     assert halfwidth == pytest.approx(z / 4, rel=1e-14)
@@ -227,6 +226,6 @@ def test_band_halfwidth_rejects_bad_inputs():
     method=st.sampled_from(list(PlanMethod)),
 )
 def test_planned_size_achieves_target_halfwidth(p_win, epsilon, delta, method):
-    l0 = sample_size(PlanRequest(p_win, epsilon, delta, method)).l0
+    l0 = sample_size(p_win, epsilon, delta, method).l0
     # float slack only; the ceiling guarantees the inequality mathematically
     assert band_halfwidth(p_win, l0, delta, method) <= epsilon * (1 + 1e-12)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from montyhall import cli, oracle, simulate
-from montyhall.analytic import GameParams, GameVariant, _host_opens, win_marginal
+from montyhall.analytic import GameVariant, _host_opens, win_marginal
 from montyhall.oracle import CarDistribution, enumerate_trajectories
 from montyhall.simulate import (
     SimulationConfig,
@@ -131,7 +131,7 @@ def _assert_traces_match_oracle(variant, n, seed, samples=60000):
     car_at_1 = CarDistribution.from_weights([1] + [0] * (n - 1))
     exact = {
         (t.pick, t.host_opens, t.switched, t.final): t.weight
-        for t in enumerate_trajectories(variant, GameParams(n, F(1, 2)), car_at_1)
+        for t in enumerate_trajectories(variant, F(1, 2), car_at_1)
     }
     assert set(counts) == set(exact)
     for key, weight in exact.items():
@@ -276,7 +276,7 @@ def _kernel_win_probability(n, k, p):
 def test_win_count_is_exact_over_every_cell(variant, n):
     for p in (F(0), F(1, 3), F(1)):
         assert _kernel_win_probability(n, _host_opens(variant, n), p) == (
-            win_marginal(variant, GameParams(n, p))
+            win_marginal(variant, n, p)
         )
 
 
@@ -571,7 +571,7 @@ def test_chebyshev_count_keeps_error_small_across_seeds():
     # At the planned trial count the miss rate must stay within the failure
     # budget: allow at most 1 miss per grid point over a 20-seed panel.
     for p_exact in (F(0), F(1, 2), F(1)):
-        exact = float(win_marginal(LEAVE_TWO, GameParams(3, p_exact)))
+        exact = float(win_marginal(LEAVE_TWO, 3, p_exact))
         misses = 0
         for seed in range(20):
             config = SimulationConfig(
@@ -591,10 +591,10 @@ def test_chebyshev_count_keeps_error_small_across_seeds():
 )
 def test_planning_at_analytic_probability_keeps_error_in_band(variant, n, p_exact):
     # plan the trial count at the true win probability, then simulate with it
-    from montyhall.planner import PlanMethod, PlanRequest, sample_size
+    from montyhall.planner import PlanMethod, sample_size
 
-    exact = float(win_marginal(variant, GameParams(n, p_exact)))
-    trials = sample_size(PlanRequest(exact, 0.01, 0.01, PlanMethod.CHEBYSHEV)).l0
+    exact = float(win_marginal(variant, n, p_exact))
+    trials = sample_size(exact, 0.01, 0.01, PlanMethod.CHEBYSHEV).l0
     misses = 0
     for seed in range(20):
         config = SimulationConfig(
@@ -800,7 +800,7 @@ def test_sweep_rows_and_reference_tracking():
     assert ps == sorted(ps) and len(set(ps)) == 21
     inside = 0
     for row in result:
-        assert row.analytic == win_marginal(LEAVE_TWO, GameParams(3, row.p))
+        assert row.analytic == win_marginal(LEAVE_TWO, 3, row.p)
         if abs(row.result.empirical - row.analytic) <= row.clt_halfwidth:
             inside += 1
     assert inside >= 20  # delta = 0.01 per row, one excursion allowed
