@@ -132,20 +132,14 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     variant = VARIANTS[args.variant]
-    config = SimulationConfig(
-        variant=variant,
-        n=args.doors,
-        p=args.switch_prob,
-        trials=args.trials,
-        master_seed=args.seed,
-        chunk_size=args.chunk_size,
-    )
-    result = simulate.run_batch(config, workers=args.workers)
-    exact = analytic.win_marginal(variant, config.n, config.p)
+    config = SimulationConfig(variant, args.doors, args.trials, args.seed, args.chunk_size)
+    p = as_probability(args.switch_prob, "switch probability")
+    (result,) = simulate.run_batch(config, [p], workers=args.workers)
+    exact = analytic.win_marginal(variant, config.n, p)
     rows = [
         ("variant", args.variant),
         ("doors", args.doors),
-        ("switch_prob", config.p),
+        ("switch_prob", p),
         ("trials", result.trials),
         ("seed", args.seed),
         ("chunk_size", args.chunk_size),
@@ -183,16 +177,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "chunk_size": args.chunk_size,
         "grid_step": grid_step,
     }
-    rows = simulate.sweep(
-        VARIANTS[args.variant],
-        args.doors,
-        grid_step=grid_step,
-        trials=trials,
-        master_seed=args.seed,
-        delta=args.delta,
-        chunk_size=args.chunk_size,
-        workers=args.workers,
+    config = SimulationConfig(
+        VARIANTS[args.variant], args.doors, trials, args.seed, args.chunk_size
     )
+    rows = simulate.sweep(config, grid_step, delta=args.delta, workers=args.workers)
     write = write_sweep_csv if args.format == "csv" else _write_sweep_table
     if args.out is None:
         write(rows, meta, sys.stdout)

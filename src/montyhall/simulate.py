@@ -22,12 +22,13 @@ Stream v2 drew from the same counters through ``Generator.integers`` and
 
 Fan-out
 -------
-:func:`run_batch` and :func:`sweep` share one fan-out.  The chunks of every
-row (one row per grid point of a sweep) form one pull queue in (grid index,
-chunk index) order, computed lazily from the index.  With ``workers == 1``
-the caller drains it inline; otherwise threads of one ``ThreadPoolExecutor``,
-started once per call (once per sweep, not once per row), pull the next
-chunk as they finish one, and each row's wins are summed by grid index.
+:func:`run_batch` plays one row per switch probability, and :func:`sweep`
+makes one :func:`run_batch` call for its whole grid.  The chunks of every
+row form one pull queue in (grid index, chunk index) order, computed lazily
+from the index.  With ``workers == 1`` the caller drains it inline;
+otherwise threads of one ``ThreadPoolExecutor``, started once per call
+(once per sweep, not once per row), pull the next chunk as they finish
+one, and each row's wins are summed by grid index.
 The key is derived once per call.  Each drain owns one Philox bit generator,
 which it moves to a chunk's counter before drawing it, and one workspace of
 boolean game columns, sized for one chunk, which every chunk overwrites;
@@ -131,11 +132,11 @@ _CAR_DOOR = 1  # car placement is fixed; arbitrary placement loses no generality
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Everything that determines a batch run, including its random stream."""
+    """Everything that determines a batch run but the switch probabilities
+    it plays: the game, the trials per row and the random stream."""
 
     variant: GameVariant
     n: int
-    p: Fraction
     trials: int
     master_seed: int = 0
     chunk_size: int = DEFAULT_CHUNK_SIZE
@@ -143,7 +144,6 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         _require_member(GameVariant, self.variant)
         _require_int("doors", self.n, 3, 2**63)
-        object.__setattr__(self, "p", as_probability(self.p, "switch probability"))
         _require_int("trials", self.trials, 1, 2**63)
         _require_int("chunk_size", self.chunk_size, 1)
         _require_seed(self.master_seed)
@@ -270,15 +270,15 @@ def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
 
 
 def _count_wins(
-    hit: np.ndarray, switch: np.ndarray, slot0: np.ndarray, scratch: np.ndarray | None = None
+    hit: np.ndarray, switch: np.ndarray, slot0: np.ndarray, scratch: np.ndarray
 ) -> int:
     """Wins among games whose pick hit the car (``hit``) or not, that switched
     (``switch``) or stayed, and whose switcher took slot 0 (``slot0``).
 
     A stayer wins on a hit.  A switcher wins on a miss and slot 0: door 1 is
     the lowest-numbered closed door a switcher can reach, so slot 0 is the car.
-    The inputs are left as they are; ``scratch``, if given, is overwritten
-    in place of two temporary arrays.
+    The inputs are left as they are; ``scratch`` is overwritten in place of
+    two temporary arrays.
     """
     stay_wins = int(np.count_nonzero(np.greater(hit, switch, out=scratch)))
     to_car = np.bitwise_and(switch, slot0, out=scratch)
@@ -366,21 +366,26 @@ def _chunk_wins(
     return wins
 
 
-def _fan_out(config: SimulationConfig, ps: Sequence[Fraction], workers: int) -> list[int]:
-    """Wins of one row per switch probability in ``ps``: row ``i`` plays
-    ``config``'s game at ``ps[i]``, not at ``config.p``, on stream ``i``
-    (see "Fan-out" in the module docstring).
+def run_batch(
+    config: SimulationConfig, ps: Sequence[RationalLike], *, workers: int = 1
+) -> tuple[SimulationResult, ...]:
+    """One result per switch probability in ``ps``: row ``i`` plays
+    ``config``'s game at ``ps[i]`` on stream ``i`` (see "Fan-out" in the
+    module docstring).
 
     Up to ``min(workers, chunks of all rows, os.cpu_count())`` threads drain
-    the queue; the queue takes no memory per chunk.
+    the queue; the queue takes no memory per chunk.  ``workers`` only
+    controls execution, never the result.
     """
+    switches = [as_probability(p, "switch probability") for p in ps]
     _require_int("workers", workers, 1)
     n, trials, size = config.n, config.trials, config.chunk_size
     hit, slot0 = _column(1, n), _column(1, n - 1 - _host_opens(config.variant, n))
+    columns = [(hit, _column(p.numerator, p.denominator), slot0) for p in switches]
     chunks = -(-trials // size)
     key = _philox_key(config.master_seed)
-    pulls = iter(range(len(ps) * chunks))
-    wins = [0] * len(ps)
+    pulls = iter(range(len(columns) * chunks))
+    wins = [0] * len(columns)
     lock = threading.Lock()
     stopped = threading.Event()
 
@@ -395,73 +400,60 @@ def _fan_out(config: SimulationConfig, ps: Sequence[Fraction], workers: int) -> 
                 if index is None:
                     return
                 row, chunk = divmod(index, chunks)
-                p = ps[row]
-                columns = (hit, _column(p.numerator, p.denominator), slot0)
                 _position(philox, key, row, chunk)
-                chunk_wins = _chunk_wins(columns, philox, min(size, trials - chunk * size), work)
+                chunk_wins = _chunk_wins(
+                    columns[row], philox, min(size, trials - chunk * size), work
+                )
                 with lock:
                     wins[row] += chunk_wins
         except BaseException:
             stopped.set()
             raise
 
-    threads = 1 if workers == 1 else min(workers, len(ps) * chunks, os.cpu_count() or 1)
-    if threads == 1:
+    threads = min(workers, len(columns) * chunks, os.cpu_count() or 1)
+    if threads <= 1:
         drain()
-        return wins
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(drain) for _ in range(threads)]
-        try:
-            for future in futures:
-                future.result()
-        finally:
-            stopped.set()  # on an interrupt, shutdown then waits for running chunks only
-    return wins
-
-
-def run_batch(config: SimulationConfig, *, workers: int = 1) -> SimulationResult:
-    """Run ``config.trials`` games on stream 0 and aggregate the wins.
-
-    ``workers`` only controls execution, never the result: the chunks go
-    through the same pull queue as a sweep's.
-    """
-    return SimulationResult(config.trials, _fan_out(config, (config.p,), workers)[0])
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(drain) for _ in range(threads)]
+            try:
+                for future in futures:
+                    future.result()
+            finally:
+                stopped.set()  # on an interrupt, shutdown then waits for running chunks only
+    return tuple(SimulationResult(trials, row_wins) for row_wins in wins)
 
 
 def sweep(
-    variant: GameVariant,
-    n: int,
+    config: SimulationConfig,
     grid_step: RationalLike = GRID_STEP_DEFAULT,
-    trials: int = 20000,
-    master_seed: int = 0,
     *,
     delta: float = 0.01,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
 ) -> tuple[SweepRow, ...]:
     """One row per grid point, each batch on its own substream (the grid
     index), with the exact reference value and CLT/Chebyshev confidence
     half-widths.
 
-    The chunks of every row go through one pull queue, drained by one thread
-    pool for the whole sweep when ``workers > 1``; ``workers`` only controls
-    execution, never the result.
+    The whole grid is one :func:`run_batch` call, so the chunks of every row
+    go through one pull queue, drained by one thread pool for the whole
+    sweep when ``workers > 1``; ``workers`` only controls execution, never
+    the result.
     """
     grid = switch_probability_grid(grid_step)
     _require_unit("delta", delta, open_interval=True)
-    config = SimulationConfig(variant, n, grid[0], trials, master_seed, chunk_size)
     rows = []
-    for p, wins in zip(grid, _fan_out(config, grid, workers)):
-        exact = win_marginal(variant, n, p)
+    for p, result in zip(grid, run_batch(config, grid, workers=workers)):
+        exact = win_marginal(config.variant, config.n, p)
         p_win = float(exact)
         rows.append(
             SweepRow(
                 p=p,
-                result=SimulationResult(trials, wins),
+                result=result,
                 analytic=exact,
-                clt_halfwidth=band_halfwidth(p_win, trials, delta, PlanMethod.CLT),
+                clt_halfwidth=band_halfwidth(p_win, config.trials, delta, PlanMethod.CLT),
                 chebyshev_halfwidth=band_halfwidth(
-                    p_win, trials, delta, PlanMethod.CHEBYSHEV
+                    p_win, config.trials, delta, PlanMethod.CHEBYSHEV
                 ),
             )
         )

@@ -25,7 +25,7 @@ from montyhall.oracle import (
     random_car_distribution,
 )
 from montyhall.planner import PlanMethod, normal_quantile, sample_size
-from montyhall.simulate import sweep, switch_probability_grid
+from montyhall.simulate import SimulationConfig, sweep, switch_probability_grid
 
 LEAVE_TWO = GameVariant.LEAVE_TWO_CLOSED
 OPEN_ONE = GameVariant.OPEN_ONE
@@ -141,14 +141,10 @@ def test_09_empirical_sweeps_track_exact_values(variant, door_counts):
         misses = 0
         for doors in door_counts:
             for seed in range(20):
-                result = sweep(
-                    variant,
-                    doors,
-                    F(1, 20),
-                    trials=trials,
-                    master_seed=seed,
-                    chunk_size=65536,
+                config = SimulationConfig(
+                    variant, doors, trials, master_seed=seed, chunk_size=65536
                 )
+                result = sweep(config, F(1, 20))
                 for row in result:
                     cells += 1
                     if abs(row.result.empirical - float(row.analytic)) >= 0.01:
@@ -171,10 +167,8 @@ def test_09b_pooled_z_over_the_sweep_panel(variant, doors):
         variance = F(0)
         cells = 0
         for seed in range(20):
-            for row in sweep(
-                variant, doors, F(1, 20), trials=250000, master_seed=seed,
-                chunk_size=65536,
-            ):
+            config = SimulationConfig(variant, doors, 250000, master_seed=seed, chunk_size=65536)
+            for row in sweep(config, F(1, 20)):
                 trials, pi = row.result.trials, row.analytic
                 excess += row.result.wins - trials * pi
                 variance += trials * pi * (1 - pi)

@@ -30,6 +30,8 @@ def test_removed_wrappers_are_gone():
         assert not hasattr(montyhall, name)
         assert not hasattr(layer, name)
     assert not hasattr(oracle, "_check_inputs")
+    assert not hasattr(simulate, "_fan_out")
+    assert "p" not in simulate.SimulationConfig.__dataclass_fields__
 
 
 def test_readme_quick_tour_shows_what_its_comments_say():
@@ -48,7 +50,9 @@ def test_readme_quick_tour_shows_what_its_comments_say():
     (_, marginal), (_, enumerated), (_, empirical), (_, l0) = shown
     assert marginal == enumerated == Fraction(19, 50)
     # The decimal string is exact, and the simulation keeps it exact.
-    assert namespace["config"].p == Fraction(7, 20)
+    config = namespace["config"]
+    assert simulate.run_batch(config, [Fraction(7, 20)])[0].empirical == empirical
+    assert simulate.run_batch(config, [0.35])[0].empirical != empirical
     assert abs(empirical - 0.38) <= band_halfwidth(0.38, 250_000, 0.01, PlanMethod.CLT)
     assert l0 == 250_000
 

@@ -158,22 +158,20 @@ def test_trial_distribution_matches_oracle_at_five_doors(monkeypatch, k):
 
 
 def test_batch_reproducible_and_worker_independent():
-    config = SimulationConfig(
-        LEAVE_TWO, 3, 0.35, 50000, master_seed=99, chunk_size=4096
-    )
-    reference = run_batch(config)
-    assert run_batch(config) == reference
-    assert run_batch(config, workers=4) == reference
-    assert run_batch(config, workers=7) == reference
+    config = SimulationConfig(LEAVE_TWO, 3, 50000, master_seed=99, chunk_size=4096)
+    reference = run_batch(config, [0.35])
+    assert run_batch(config, [0.35]) == reference
+    assert run_batch(config, [0.35], workers=4) == reference
+    assert run_batch(config, [0.35], workers=7) == reference
 
 
 def test_batch_depends_on_seed_and_stream():
-    config = SimulationConfig(OPEN_ONE, 5, 0.5, 40000, master_seed=1)
-    other_seed = SimulationConfig(OPEN_ONE, 5, 0.5, 40000, master_seed=2)
-    assert run_batch(config).wins != run_batch(other_seed).wins
-    # Row i of a fan-out plays on stream i: same game, same p, other draws.
-    rows = simulate._fan_out(config, [config.p] * 4, 1)
-    assert rows[0] == run_batch(config).wins
+    config = SimulationConfig(OPEN_ONE, 5, 40000, master_seed=1)
+    other_seed = SimulationConfig(OPEN_ONE, 5, 40000, master_seed=2)
+    assert run_batch(config, [0.5]) != run_batch(other_seed, [0.5])
+    # Row i of a batch plays on stream i: same game, same p, other draws.
+    rows = run_batch(config, [0.5] * 4)
+    assert rows[:1] == run_batch(config, [0.5])
     assert rows[3] != rows[0]
 
 
@@ -209,12 +207,12 @@ def _v3_draw(rng, prob, size):
     )
 
 
-def _v3_chunks(config, stream=0):
-    """Each chunk of ``config`` recounted from the v3 layout: the accepted
-    games' (hit, switch, slot 0) columns, the size of every round of draws,
-    and the raw words the chunk took."""
+def _v3_chunks(config, p, stream=0):
+    """Each chunk of ``config`` at switch probability ``p`` recounted from the
+    v3 layout: the accepted games' (hit, switch, slot 0) columns, the size of
+    every round of draws, and the raw words the chunk took."""
     k = _host_opens(config.variant, config.n)
-    probs = (F(1, config.n), F(config.p), F(1, config.n - 1 - k))
+    probs = (F(1, config.n), F(p), F(1, config.n - 1 - k))
     full, rest = divmod(config.trials, config.chunk_size)
     sizes = [config.chunk_size] * full + ([rest] if rest else [])
     for index, size in enumerate(sizes):
@@ -231,16 +229,16 @@ def _v3_chunks(config, stream=0):
         yield [np.concatenate(column) for column in kept], rounds, _words_drawn(rng.bit_generator)
 
 
-def _pick_hits(config):
+def _pick_hits(config, p):
     """Recount initial picks of door 1 straight from the v3 layout, without
     the games a rejected word dropped."""
-    return sum(int(hit.sum()) for (hit, _, _), _, _ in _v3_chunks(config))
+    return sum(int(hit.sum()) for (hit, _, _), _, _ in _v3_chunks(config, p))
 
 
-def _v3_wins(config, stream=0):
+def _v3_wins(config, p, stream=0):
     """Recount the wins straight from the v3 layout."""
     wins = 0
-    for (hit, switch, slot0), _, _ in _v3_chunks(config, stream):
+    for (hit, switch, slot0), _, _ in _v3_chunks(config, p, stream):
         wins += int(np.count_nonzero((hit & ~switch) | (~hit & switch & slot0)))
     return wins
 
@@ -266,8 +264,9 @@ def _kernel_win_probability(n, k, p):
     hit = picks.ravel() == 1
     slot0 = slots.ravel() == 0
     cells = hit.size
-    stay = _count_wins(hit, np.zeros(cells, dtype=bool), slot0)
-    switch = _count_wins(hit, np.ones(cells, dtype=bool), slot0)
+    scratch = np.empty(cells, dtype=bool)
+    stay = _count_wins(hit, np.zeros(cells, dtype=bool), slot0, scratch)
+    switch = _count_wins(hit, np.ones(cells, dtype=bool), slot0, scratch)
     return F(stay, cells) * (1 - p) + F(switch, cells) * p
 
 
@@ -291,13 +290,15 @@ def test_win_count_is_exact_for_every_host_door_count(n):
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
 def test_never_switching_wins_exactly_the_lucky_picks(variant):
-    config = SimulationConfig(variant, 4, 0.0, 30000, master_seed=7, chunk_size=999)
-    assert run_batch(config).wins == _pick_hits(config)
+    config = SimulationConfig(variant, 4, 30000, master_seed=7, chunk_size=999)
+    (result,) = run_batch(config, [0.0])
+    assert result.wins == _pick_hits(config, 0.0)
 
 
 def test_always_switching_leave_two_wins_exactly_the_unlucky_picks():
-    config = SimulationConfig(LEAVE_TWO, 6, 1.0, 30000, master_seed=8, chunk_size=4096)
-    assert run_batch(config).wins == config.trials - _pick_hits(config)
+    config = SimulationConfig(LEAVE_TWO, 6, 30000, master_seed=8, chunk_size=4096)
+    (result,) = run_batch(config, [1.0])
+    assert result.wins == config.trials - _pick_hits(config, 1.0)
 
 
 def _lanes_as_words(lanes, width):
@@ -387,12 +388,14 @@ def test_probability_beyond_2_to_64_rounds_up(prob):
         assert F(column.success, accept) == rounded
 
 
-def test_config_keeps_the_switch_probability_exact():
-    assert SimulationConfig(OPEN_ONE, 5, 0.35, 10).p == F(0.35)
-    assert SimulationConfig(OPEN_ONE, 5, F(7, 20), 10).p == F(7, 20)
+def test_batch_keeps_the_switch_probability_exact():
+    config = SimulationConfig(OPEN_ONE, 5, 4096, master_seed=5)
+    (binary,) = run_batch(config, [0.35])
+    assert run_batch(config, [F(0.35)]) == (binary,)
+    assert run_batch(config, [F(7, 20)]) == run_batch(config, ["7/20"]) != (binary,)
     for bad in (1.5, -0.25, float("inf"), float("nan"), "goat"):
         with pytest.raises(ValueError, match="switch probability"):
-            SimulationConfig(OPEN_ONE, 5, bad, 10)
+            run_batch(config, [0.5, bad])
 
 
 def _record_chunks(monkeypatch):
@@ -416,9 +419,9 @@ def test_open_one_chunk_draws_three_16_bit_columns_and_its_redraws(monkeypatch, 
     # of ceil(shortfall / 4) words per redraw round.  A 64-bit switch column
     # (p passed on as a float) would take 3 * 2**14 words more.  The sweep
     # draws p = 7/20 on stream 7, the simulate command on stream 0.
-    config = SimulationConfig(OPEN_ONE, 15, F(7, 20), 2**16, master_seed=12)
+    config = SimulationConfig(OPEN_ONE, 15, 2**16, master_seed=12)
     drawn = _record_chunks(monkeypatch)
-    sweep(OPEN_ONE, 15, F(1, 20), trials=2**16, master_seed=12)
+    sweep(config, F(1, 20))
     assert cli.main([
         "simulate", "--variant", "open-one", "--doors", "15", "--switch-prob",
         "7/20", "--trials", str(2**16), "--seed", "12",
@@ -426,7 +429,7 @@ def test_open_one_chunk_draws_three_16_bit_columns_and_its_redraws(monkeypatch, 
     capsys.readouterr()
     drawn = dict(drawn)  # the simulate command's stream 0 replaces the sweep's
     for stream in (7, 0):
-        ((_, rounds, words),) = _v3_chunks(config, stream)
+        ((_, rounds, words),) = _v3_chunks(config, F(7, 20), stream)
         assert rounds[0] == 2**16 and len(rounds) > 1
         assert words == sum(3 * -(-size // 4) for size in rounds) < 3 * 2**14 + 300
         assert drawn[stream, 0] == words
@@ -436,11 +439,11 @@ def test_open_one_chunk_draws_three_16_bit_columns_and_its_redraws(monkeypatch, 
 def test_certain_columns_draw_nothing(monkeypatch, p):
     # Leave-two's slot column and a switch column at p = 0 or 1 are certain:
     # the chunk takes the hit column's words alone.
-    config = SimulationConfig(LEAVE_TWO, 10, p, 2**16, master_seed=13)
-    ((_, rounds, words),) = _v3_chunks(config)
+    config = SimulationConfig(LEAVE_TWO, 10, 2**16, master_seed=13)
+    ((_, rounds, words),) = _v3_chunks(config, p)
     assert words == sum(-(-size // 4) for size in rounds)
     drawn = _record_chunks(monkeypatch)
-    run_batch(config)
+    run_batch(config, [p])
     assert drawn == [((0, 0), words)]
 
 
@@ -451,17 +454,17 @@ def test_rejection_path_end_to_end_at_the_largest_door_count(variant):
     # switch words are rejected, so most games are redrawn, some many times.
     n = 2**63 - 1
     for p in (F(0), F(1, 2**63 + 1)):
-        config = SimulationConfig(variant, n, p, 5 * 997 + 13, master_seed=21, chunk_size=997)
-        chunks = list(_v3_chunks(config))
+        config = SimulationConfig(variant, n, 5 * 997 + 13, master_seed=21, chunk_size=997)
+        chunks = list(_v3_chunks(config, p))
         assert [len(hit) for (hit, _, _), _, _ in chunks] == [997] * 5 + [13]
         if p:
             assert sum(len(rounds) for _, rounds, _ in chunks) > 6 * 5
-        results = [run_batch(config, workers=workers) for workers in (1, 2)]
+        results = [run_batch(config, [p], workers=workers)[0] for workers in (1, 2)]
         assert results[0] == results[1]
         assert results[0].trials == config.trials
-        assert results[0].wins == _v3_wins(config)
+        assert results[0].wins == _v3_wins(config, p)
         if not p:
-            assert results[0].wins == _pick_hits(config)
+            assert results[0].wins == _pick_hits(config, p)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -481,13 +484,10 @@ def test_reused_workspace_leaks_nothing_between_chunks(
     # (p = 0, 1) switch columns; each row's last chunk is short, and with
     # fewer trials than the chunk size no chunk fills a whole chunk.
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    rows = sweep(
-        variant, n, step, trials=trials, master_seed=17, chunk_size=chunk_size,
-        workers=workers,
-    )
+    config = SimulationConfig(variant, n, trials, 17, chunk_size)
+    rows = sweep(config, step, workers=workers)
     for stream, row in enumerate(rows):
-        config = SimulationConfig(variant, n, row.p, trials, 17, chunk_size)
-        assert row.result.wins == _v3_wins(config, stream)
+        assert row.result.wins == _v3_wins(config, row.p, stream)
 
 
 def _list_trace_trial(variant, n, p, rng):
@@ -557,14 +557,14 @@ def test_open_one_trace_does_not_list_the_doors():
     ],
 )
 def test_reference_runs_three_doors(variant, n, p, target):
-    config = SimulationConfig(variant, n, p, 100000, master_seed=42)
-    assert abs(run_batch(config).empirical - target) < 0.01
+    config = SimulationConfig(variant, n, 100000, master_seed=42)
+    assert abs(run_batch(config, [p])[0].empirical - target) < 0.01
 
 
 def test_reference_run_open_one_fifteen_doors():
-    config = SimulationConfig(OPEN_ONE, 15, 1.0, 250000, master_seed=7)
+    config = SimulationConfig(OPEN_ONE, 15, 250000, master_seed=7)
     target = 1 / 15 + 1 / 195
-    assert abs(run_batch(config).empirical - target) < 0.01
+    assert abs(run_batch(config, [1.0])[0].empirical - target) < 0.01
 
 
 def test_chebyshev_count_keeps_error_small_across_seeds():
@@ -574,10 +574,8 @@ def test_chebyshev_count_keeps_error_small_across_seeds():
         exact = float(win_marginal(LEAVE_TWO, 3, p_exact))
         misses = 0
         for seed in range(20):
-            config = SimulationConfig(
-                LEAVE_TWO, 3, float(p_exact), 250000, master_seed=seed, chunk_size=65536
-            )
-            if abs(run_batch(config).empirical - exact) >= 0.01:
+            config = SimulationConfig(LEAVE_TWO, 3, 250000, master_seed=seed, chunk_size=65536)
+            if abs(run_batch(config, [float(p_exact)])[0].empirical - exact) >= 0.01:
                 misses += 1
         assert misses <= 1
 
@@ -597,10 +595,8 @@ def test_planning_at_analytic_probability_keeps_error_in_band(variant, n, p_exac
     trials = sample_size(exact, 0.01, 0.01, PlanMethod.CHEBYSHEV).l0
     misses = 0
     for seed in range(20):
-        config = SimulationConfig(
-            variant, n, float(p_exact), trials, master_seed=seed, chunk_size=65536
-        )
-        if abs(run_batch(config).empirical - exact) >= 0.01:
+        config = SimulationConfig(variant, n, trials, master_seed=seed, chunk_size=65536)
+        if abs(run_batch(config, [float(p_exact)])[0].empirical - exact) >= 0.01:
             misses += 1
     assert misses <= 1
 
@@ -615,35 +611,35 @@ def test_result_fields_and_validation():
 
 def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
-        SimulationConfig(LEAVE_TWO, 2, 0.5, 100)
+        SimulationConfig(LEAVE_TWO, 2, 100)
     with pytest.raises(ValueError):
-        SimulationConfig(LEAVE_TWO, 3, 1.5, 100)
+        run_batch(SimulationConfig(LEAVE_TWO, 3, 100), [1.5])
     with pytest.raises(ValueError):
-        SimulationConfig(LEAVE_TWO, 3.5, 0.5, 100)
+        SimulationConfig(LEAVE_TWO, 3.5, 100)
     with pytest.raises(ValueError):
-        SimulationConfig(LEAVE_TWO, 3, 0.5, 0)
+        SimulationConfig(LEAVE_TWO, 3, 0)
     with pytest.raises(ValueError):
-        SimulationConfig(LEAVE_TWO, 3, 0.5, 1e5)
+        SimulationConfig(LEAVE_TWO, 3, 1e5)
     with pytest.raises(ValueError):
-        SimulationConfig(LEAVE_TWO, 3, 0.5, 100, chunk_size=0)
+        SimulationConfig(LEAVE_TWO, 3, 100, chunk_size=0)
     with pytest.raises(ValueError):
-        SimulationConfig(LEAVE_TWO, 3, 0.5, 100, master_seed=-1)
+        SimulationConfig(LEAVE_TWO, 3, 100, master_seed=-1)
     with pytest.raises(ValueError):
-        run_batch(SimulationConfig(LEAVE_TWO, 3, 0.5, 100), workers=0)
+        run_batch(SimulationConfig(LEAVE_TWO, 3, 100), [0.5], workers=0)
     with pytest.raises(ValueError):
-        SimulationConfig("leave-two", 3, 0.5, 100)
+        SimulationConfig("leave-two", 3, 100)
     with pytest.raises(ValueError):
-        SimulationConfig(LEAVE_TWO, 3, 0.5, 100, chunk_size=2.5)
+        SimulationConfig(LEAVE_TWO, 3, 100, chunk_size=2.5)
     with pytest.raises(ValueError):
-        SimulationConfig(LEAVE_TWO, 3, 0.5, 100, master_seed=1.5)
+        SimulationConfig(LEAVE_TWO, 3, 100, master_seed=1.5)
     with pytest.raises(ValueError):
-        SimulationConfig(LEAVE_TWO, 3, 0.5, True)
+        SimulationConfig(LEAVE_TWO, 3, True)
     with pytest.raises(ValueError):
-        SimulationConfig(LEAVE_TWO, 3, 0.5, 2**63)
+        SimulationConfig(LEAVE_TWO, 3, 2**63)
     with pytest.raises(ValueError):
-        run_batch(SimulationConfig(LEAVE_TWO, 3, 0.5, 100), workers=1.5)
+        run_batch(SimulationConfig(LEAVE_TWO, 3, 100), [0.5], workers=1.5)
     with pytest.raises(ValueError):
-        SimulationConfig(LEAVE_TWO, 2**63, 0.5, 100)
+        SimulationConfig(LEAVE_TWO, 2**63, 100)
 
     def no_chunk(*args):
         raise AssertionError("drew a chunk before the inputs were checked")
@@ -651,7 +647,7 @@ def test_config_validation(monkeypatch):
     monkeypatch.setattr(simulate, "_chunk_wins", no_chunk)
     for workers in (0, 1.5):
         with pytest.raises(ValueError):
-            sweep(LEAVE_TWO, 3, F(1, 2), trials=100, workers=workers)
+            sweep(SimulationConfig(LEAVE_TWO, 3, 100), F(1, 2), workers=workers)
 
 
 def test_thread_count_is_capped_by_chunks_and_cpus(monkeypatch):
@@ -666,15 +662,15 @@ def test_thread_count_is_capped_by_chunks_and_cpus(monkeypatch):
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
-    two_chunks = SimulationConfig(OPEN_ONE, 5, 0.5, 200, master_seed=4, chunk_size=100)
-    ten_chunks = SimulationConfig(OPEN_ONE, 5, 0.5, 1000, master_seed=4, chunk_size=100)
+    two_chunks = SimulationConfig(OPEN_ONE, 5, 200, master_seed=4, chunk_size=100)
+    ten_chunks = SimulationConfig(OPEN_ONE, 5, 1000, master_seed=4, chunk_size=100)
     for config in (two_chunks, ten_chunks):
-        assert run_batch(config, workers=8) == run_batch(config)
+        assert run_batch(config, [0.5], workers=8) == run_batch(config, [0.5])
     # A sweep takes one pool for all its rows: 21 rows of two chunks, then
     # 2 rows of one chunk each.
     for step, trials in ((F(1, 20), 200), (F(1), 100)):
-        kwargs = dict(trials=trials, master_seed=4, chunk_size=100)
-        assert sweep(OPEN_ONE, 5, step, workers=8, **kwargs) == sweep(OPEN_ONE, 5, step, **kwargs)
+        config = SimulationConfig(OPEN_ONE, 5, trials, master_seed=4, chunk_size=100)
+        assert sweep(config, step, workers=8) == sweep(config, step)
     # workers=1 runs inline; the chunk count, then the CPU count, caps the rest
     assert started == [2, 3, 3, 2]
 
@@ -684,21 +680,19 @@ def test_threads_pull_each_chunk_exactly_once(monkeypatch):
     # pull of the shared chunk queue would show in the recorded indices.
     import montyhall.simulate as simulate
 
-    config = SimulationConfig(
-        OPEN_ONE, 5, 0.5, 200 * 64 + 17, master_seed=3, chunk_size=64
-    )
-    sweep_kwargs = dict(grid_step=F(1, 4), trials=40 * 64 + 5, master_seed=3, chunk_size=64)
-    reference = run_batch(config)
-    reference_rows = sweep(OPEN_ONE, 5, **sweep_kwargs)
+    config = SimulationConfig(OPEN_ONE, 5, 200 * 64 + 17, master_seed=3, chunk_size=64)
+    sweep_config = SimulationConfig(OPEN_ONE, 5, 40 * 64 + 5, master_seed=3, chunk_size=64)
+    reference = run_batch(config, [0.5])
+    reference_rows = sweep(sweep_config, F(1, 4))
     pulled = _record_chunks(monkeypatch)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = run_batch(config, workers=8)
+        threaded = run_batch(config, [0.5], workers=8)
         batch_pulls = sorted(key for key, _ in pulled)
         pulled.clear()
-        threaded_rows = sweep(OPEN_ONE, 5, workers=8, **sweep_kwargs)
+        threaded_rows = sweep(sweep_config, F(1, 4), workers=8)
     finally:
         sys.setswitchinterval(interval)
     assert batch_pulls == [(0, chunk) for chunk in range(201)]
@@ -733,10 +727,10 @@ def test_threads_stop_pulling_after_a_failed_chunk(monkeypatch, threaded):
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     with pytest.raises(RuntimeError, match="chunk failed"):
         if threaded == "run_batch":
-            config = SimulationConfig(OPEN_ONE, 5, 0.5, 2000 * 64, master_seed=1, chunk_size=64)
-            run_batch(config, workers=2)
+            config = SimulationConfig(OPEN_ONE, 5, 2000 * 64, master_seed=1, chunk_size=64)
+            run_batch(config, [0.5], workers=2)
         else:
-            sweep(OPEN_ONE, 5, F(1, 4), trials=400 * 64, chunk_size=64, workers=2)
+            sweep(SimulationConfig(OPEN_ONE, 5, 400 * 64, chunk_size=64), F(1, 4), workers=2)
     # The failed chunk, plus at most one chunk the other thread had started.
     assert 3 <= len(calls) <= 3 + 2
 
@@ -765,9 +759,9 @@ def test_an_interrupted_caller_stops_the_threads(monkeypatch):
             return future
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", InterruptedPool)
-    config = SimulationConfig(OPEN_ONE, 5, 0.5, 2000 * 64, master_seed=1, chunk_size=64)
+    config = SimulationConfig(OPEN_ONE, 5, 2000 * 64, master_seed=1, chunk_size=64)
     with pytest.raises(KeyboardInterrupt):
-        run_batch(config, workers=2)
+        run_batch(config, [0.5], workers=2)
     # Each thread finishes the chunk it had started; slack of one more chunk
     # per thread covers a thread switch between the interrupt and the stop.
     assert 10 <= drawn_at_interrupt[0] <= len(calls) <= drawn_at_interrupt[0] + 2 * 2 < 2000
@@ -783,7 +777,7 @@ def test_sweep_queue_is_never_materialised(monkeypatch, workers):
     start = time.perf_counter()
     try:
         with pytest.raises(RuntimeError, match="chunk failed"):
-            sweep(OPEN_ONE, 5, F(1, 2), trials=2**62, chunk_size=1, workers=workers)
+            sweep(SimulationConfig(OPEN_ONE, 5, 2**62, chunk_size=1), F(1, 2), workers=workers)
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -794,7 +788,7 @@ def test_sweep_queue_is_never_materialised(monkeypatch, workers):
 
 
 def test_sweep_rows_and_reference_tracking():
-    result = sweep(LEAVE_TWO, 3, F(1, 20), trials=20000, master_seed=1)
+    result = sweep(SimulationConfig(LEAVE_TWO, 3, 20000, master_seed=1), F(1, 20))
     assert len(result) == 21
     ps = [row.p for row in result]
     assert ps == sorted(ps) and len(set(ps)) == 21
@@ -807,22 +801,56 @@ def test_sweep_rows_and_reference_tracking():
 
 
 def test_sweep_coarse_grid():
-    result = sweep(LEAVE_TWO, 3, F(1, 2), trials=1000, master_seed=1)
+    result = sweep(SimulationConfig(LEAVE_TWO, 3, 1000, master_seed=1), F(1, 2))
     assert [row.p for row in result] == [F(0), F(1, 2), F(1)]
 
 
 def test_sweep_within_chebyshev_epsilon_everywhere():
-    result = sweep(
-        OPEN_ONE, 4, F(1, 20), trials=250000, master_seed=3, chunk_size=65536
-    )
+    result = sweep(SimulationConfig(OPEN_ONE, 4, 250000, master_seed=3, chunk_size=65536), F(1, 20))
     for row in result:
         assert abs(row.result.empirical - float(row.analytic)) < 0.01
 
 
 def test_sweep_is_reproducible_across_workers():
-    kwargs = dict(grid_step=F(1, 5), trials=30000, master_seed=11, chunk_size=4096)
-    base = sweep(OPEN_ONE, 5, **kwargs)
-    again = sweep(OPEN_ONE, 5, **kwargs)
-    threaded = sweep(OPEN_ONE, 5, workers=5, **kwargs)
+    config = SimulationConfig(OPEN_ONE, 5, 30000, master_seed=11, chunk_size=4096)
+    base = sweep(config, F(1, 5))
+    again = sweep(config, F(1, 5))
+    threaded = sweep(config, F(1, 5), workers=5)
     assert [r.result.wins for r in base] == [r.result.wins for r in again]
     assert [r.result.wins for r in base] == [r.result.wins for r in threaded]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_empty_batch_plays_nothing(workers):
+    config = SimulationConfig(OPEN_ONE, 5, 100, chunk_size=10)
+    assert run_batch(config, [], workers=workers) == ()
+
+
+def test_batch_rows_are_the_sweep_results_at_any_worker_count(monkeypatch):
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+    config = SimulationConfig(OPEN_ONE, 7, 3 * 512 + 9, master_seed=23, chunk_size=512)
+    grid = switch_probability_grid(F(1, 8))
+    reference = run_batch(config, grid)
+    assert len(reference) == len(grid)
+    for workers in (2, 8):
+        assert run_batch(config, grid, workers=workers) == reference
+    assert tuple(row.result for row in sweep(config, F(1, 8))) == reference
+
+
+def test_sweep_makes_one_batch_call_with_the_config_first(monkeypatch):
+    # The bench tracer wraps ``simulate.run_batch`` and reads ``args[0].trials``.
+    config = SimulationConfig(LEAVE_TWO, 4, 1000, master_seed=6, chunk_size=256)
+    expected = sweep(config, F(1, 4), workers=2)
+    calls = []
+    real = simulate.run_batch
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "run_batch", recording)
+    assert sweep(config, F(1, 4), workers=2) == expected
+    ((args, kwargs),) = calls
+    assert args[0] is config
+    assert args[1] == switch_probability_grid(F(1, 4))
+    assert kwargs == {"workers": 2}
