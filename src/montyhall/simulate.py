@@ -25,18 +25,19 @@ Fan-out
 :func:`run_batch` plays one row per switch probability, and :func:`sweep`
 makes one :func:`run_batch` call for its whole grid.  The chunks of every
 row form one pull queue in (grid index, chunk index) order, computed lazily
-from the index.  With ``workers == 1`` the caller drains it inline;
-otherwise threads of one ``ThreadPoolExecutor``, started once per call
-(once per sweep, not once per row), pull the next chunk as they finish
-one, and each row's wins are summed by grid index.
-The key is derived once per call.  Each drain owns one Philox bit generator,
-which it moves to a chunk's counter before drawing it, and one workspace of
-boolean game columns, sized for one chunk, which every chunk overwrites;
-each round of draws takes its raw words in one ``random_raw`` call, the only
-array a round allocates.  Drains share no draw state, and since a chunk's
-draws are fixed by ``(master_seed, i, j)``, the number of workers and the
-order in which they run never change a result.  Once a chunk fails, or the
-caller is interrupted, no thread starts another chunk.
+from the index.  The caller drains it together with the threads of one
+``ThreadPoolExecutor``, started once per call (once per sweep, not once per
+row), none at ``workers == 1``.  Each drain pulls the next chunk as it
+finishes one and sums its chunks' wins by grid index; the caller adds those
+sums row by row.  The key is derived once per call.  Each drain owns one
+Philox bit generator, which it moves to a chunk's counter before drawing
+it, and one workspace of boolean game columns, sized for one chunk, which
+every chunk overwrites; each round of draws takes its raw words in one
+``random_raw`` call, the only array a round allocates.  Drains share no
+draw state, and since a chunk's draws are fixed by ``(master_seed, i, j)``,
+the number of workers and the order in which they run never change a
+result.  Once a chunk fails, or the caller is interrupted, no thread starts
+another chunk.
 
 Batch draw order
 ----------------
@@ -228,9 +229,10 @@ def substream(master_seed: int, stream: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(philox)
 
 
-def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
+def trace_trial(variant: GameVariant, n: int, p: RationalLike, rng) -> TrialTrace:
     """Play one game and return its full trajectory, in O(k) time for a
-    host who opens ``k`` doors.
+    host who opens ``k`` doors.  ``p`` is read exactly, as
+    :func:`~montyhall.analytic.as_probability` reads it.
 
     ``rng`` needs ``integers(low, high)`` returning a uniform integer in
     ``[low, high)`` and ``random()`` returning a uniform float in ``[0, 1)``;
@@ -238,7 +240,7 @@ def trace_trial(variant: GameVariant, n: int, p: float, rng) -> TrialTrace:
     the host opens, the switch decision and, for a switcher, the slot.
     """
     _require_int("doors", n, 3, 2**63)
-    _require_unit("switch probability", p)
+    p = as_probability(p, "switch probability")
     k = _host_opens(variant, n)
     pick = int(rng.integers(1, n + 1))
     # The host opens a uniform k-subset of the goat doors other than the
@@ -373,8 +375,9 @@ def run_batch(
     ``config``'s game at ``ps[i]`` on stream ``i`` (see "Fan-out" in the
     module docstring).
 
-    Up to ``min(workers, chunks of all rows, os.cpu_count())`` threads drain
-    the queue; the queue takes no memory per chunk.  ``workers`` only
+    ``max(1, min(workers, chunks of all rows, os.cpu_count()))`` drains pull
+    from the queue: the caller and the threads of one pool, so ``workers=1``
+    starts no thread; the queue takes no memory per chunk.  ``workers`` only
     controls execution, never the result.
     """
     switches = [as_probability(p, "switch probability") for p in ps]
@@ -385,43 +388,39 @@ def run_batch(
     chunks = -(-trials // size)
     key = _philox_key(config.master_seed)
     pulls = iter(range(len(columns) * chunks))
-    wins = [0] * len(columns)
     lock = threading.Lock()
     stopped = threading.Event()
 
-    def drain() -> None:
+    def drain() -> list[int]:
         try:
             # Reused by every chunk this drain pulls; no other drain sees them.
             philox = np.random.Philox(0)
             work = np.empty((5, min(size, trials)), dtype=bool)
+            wins = [0] * len(columns)
             while not stopped.is_set():
                 with lock:
                     index = next(pulls, None)
                 if index is None:
-                    return
+                    break
                 row, chunk = divmod(index, chunks)
                 _position(philox, key, row, chunk)
-                chunk_wins = _chunk_wins(
+                wins[row] += _chunk_wins(
                     columns[row], philox, min(size, trials - chunk * size), work
                 )
-                with lock:
-                    wins[row] += chunk_wins
+            return wins
         except BaseException:
             stopped.set()
             raise
 
-    threads = min(workers, len(columns) * chunks, os.cpu_count() or 1)
-    if threads <= 1:
-        drain()
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(drain) for _ in range(threads)]
-            try:
-                for future in futures:
-                    future.result()
-            finally:
-                stopped.set()  # on an interrupt, shutdown then waits for running chunks only
-    return tuple(SimulationResult(trials, row_wins) for row_wins in wins)
+    threads = max(1, min(workers, len(columns) * chunks, os.cpu_count() or 1))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        try:
+            # The caller is a drain too, so the pool starts threads - 1.
+            futures = [pool.submit(drain) for _ in range(threads - 1)]
+            drained = [drain(), *(future.result() for future in futures)]
+        finally:
+            stopped.set()  # on an interrupt, shutdown then waits for running chunks only
+    return tuple(SimulationResult(trials, sum(row_wins)) for row_wins in zip(*drained))
 
 
 def sweep(
@@ -436,9 +435,9 @@ def sweep(
     half-widths.
 
     The whole grid is one :func:`run_batch` call, so the chunks of every row
-    go through one pull queue, drained by one thread pool for the whole
-    sweep when ``workers > 1``; ``workers`` only controls execution, never
-    the result.
+    go through one pull queue, drained by the caller and one thread pool
+    for the whole sweep; ``workers`` only controls execution, never the
+    result.
     """
     grid = switch_probability_grid(grid_step)
     _require_unit("delta", delta, open_interval=True)

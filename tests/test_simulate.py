@@ -3,6 +3,7 @@ cases, and statistical agreement with the exact probabilities."""
 
 import math
 import sys
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -105,6 +106,16 @@ def test_trace_rejects_bad_arguments():
         trace_trial("leave-two", 3, 0.5, ScriptedRNG())
     with pytest.raises(ValueError):
         trace_trial(LEAVE_TWO, 2**63, 0.5, ScriptedRNG())
+
+
+def test_trace_reads_p_like_every_other_layer():
+    def traces(p):
+        rng = np.random.default_rng(8)
+        return [trace_trial(OPEN_ONE, 5, p, rng) for _ in range(300)]
+
+    assert traces("1/3") == traces(F(1, 3))
+    with pytest.raises(ValueError):
+        trace_trial(OPEN_ONE, 5, "3/2", ScriptedRNG())
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
@@ -655,12 +666,19 @@ def test_thread_count_is_capped_by_chunks_and_cpus(monkeypatch):
 
     started = []
     real_pool = simulate.ThreadPoolExecutor
+    real_chunk_wins = simulate._chunk_wins
+    drawn = []  # (max_workers of the latest pool, drawn on the calling thread)
 
     def recording_pool(max_workers):
         started.append(max_workers)
         return real_pool(max_workers=max_workers)
 
+    def recording_chunk_wins(*args):
+        drawn.append((started[-1], threading.current_thread() is threading.main_thread()))
+        return real_chunk_wins(*args)
+
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(simulate, "_chunk_wins", recording_chunk_wins)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
     two_chunks = SimulationConfig(OPEN_ONE, 5, 200, master_seed=4, chunk_size=100)
     ten_chunks = SimulationConfig(OPEN_ONE, 5, 1000, master_seed=4, chunk_size=100)
@@ -671,8 +689,11 @@ def test_thread_count_is_capped_by_chunks_and_cpus(monkeypatch):
     for step, trials in ((F(1, 20), 200), (F(1), 100)):
         config = SimulationConfig(OPEN_ONE, 5, trials, master_seed=4, chunk_size=100)
         assert sweep(config, step, workers=8) == sweep(config, step)
-    # workers=1 runs inline; the chunk count, then the CPU count, caps the rest
-    assert started == [2, 3, 3, 2]
+    # One pool per call; the chunk count, then the CPU count, caps each.
+    assert started == [2, 1, 3, 1, 3, 1, 2, 1]
+    # The caller is a drain, so at workers=1 it draws every chunk itself.
+    assert all(on_caller for cap, on_caller in drawn if cap == 1)
+    assert sum(cap == 1 for cap, _ in drawn) == 2 + 10 + 42 + 2
 
 
 def test_threads_pull_each_chunk_exactly_once(monkeypatch):
@@ -703,68 +724,62 @@ def test_threads_pull_each_chunk_exactly_once(monkeypatch):
     assert threaded_rows == reference_rows
 
 
-def _failing_chunk_wins(monkeypatch, calls, fail_at, wins=None, pause=0.0):
+def _failing_chunk_wins(monkeypatch, calls, fail_at, wins=None):
     """Patch ``_chunk_wins`` to record each call's size in ``calls`` and raise
-    on call ``fail_at``; other calls take ``pause`` seconds more and return
-    ``wins`` or the real count."""
+    on call ``fail_at``; other calls return ``wins`` or the real count."""
     real = simulate._chunk_wins
 
     def chunk_wins(columns, philox, size, work):
         calls.append(size)
         if len(calls) == fail_at:
             raise RuntimeError("chunk failed")
-        if pause:
-            time.sleep(pause)
         return real(columns, philox, size, work) if wins is None else wins
 
     monkeypatch.setattr(simulate, "_chunk_wins", chunk_wins)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("threaded", ["run_batch", "sweep"])
-def test_threads_stop_pulling_after_a_failed_chunk(monkeypatch, threaded):
+def test_threads_stop_pulling_after_a_failed_chunk(monkeypatch, threaded, workers):
     calls = []
     _failing_chunk_wins(monkeypatch, calls, fail_at=3)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     with pytest.raises(RuntimeError, match="chunk failed"):
         if threaded == "run_batch":
             config = SimulationConfig(OPEN_ONE, 5, 2000 * 64, master_seed=1, chunk_size=64)
-            run_batch(config, [0.5], workers=2)
+            run_batch(config, [0.5], workers=workers)
         else:
-            sweep(SimulationConfig(OPEN_ONE, 5, 400 * 64, chunk_size=64), F(1, 4), workers=2)
-    # The failed chunk, plus at most one chunk the other thread had started.
-    assert 3 <= len(calls) <= 3 + 2
+            sweep(SimulationConfig(OPEN_ONE, 5, 400 * 64, chunk_size=64), F(1, 4), workers=workers)
+    # The failed chunk, plus at most two chunks the other thread, if any,
+    # pulled before it saw the stop.
+    assert 3 <= len(calls) <= 3 + 2 * (workers - 1)
 
 
-def test_an_interrupted_caller_stops_the_threads(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupted_caller_stops_the_threads(monkeypatch, workers):
     calls = []
-    # A millisecond per chunk keeps the threads from drawing all 2,000
-    # chunks before the caller wakes to be interrupted.
-    _failing_chunk_wins(monkeypatch, calls, fail_at=None, pause=1e-3)
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     drawn_at_interrupt = []
+    real = simulate._chunk_wins
 
-    class InterruptedPool(simulate.ThreadPoolExecutor):
-        def submit(self, fn):
-            future = super().submit(fn)
+    def chunk_wins(*args):
+        calls.append(None)
+        if threading.current_thread() is threading.main_thread() and len(calls) >= 10:
+            # The caller is interrupted while it draws a chunk, once some ran.
+            drawn_at_interrupt.append(len(calls))
+            raise KeyboardInterrupt
+        # A millisecond per chunk keeps the other thread from drawing all
+        # 2,000 chunks before the caller is interrupted.
+        time.sleep(1e-3)
+        return real(*args)
 
-            def interrupted_result(timeout=None):
-                # The caller is interrupted while it waits, once some chunks ran.
-                deadline = time.monotonic() + 10
-                while len(calls) < 10 and time.monotonic() < deadline:
-                    time.sleep(1e-3)
-                drawn_at_interrupt.append(len(calls))
-                raise KeyboardInterrupt
-
-            future.result = interrupted_result
-            return future
-
-    monkeypatch.setattr(simulate, "ThreadPoolExecutor", InterruptedPool)
+    monkeypatch.setattr(simulate, "_chunk_wins", chunk_wins)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     config = SimulationConfig(OPEN_ONE, 5, 2000 * 64, master_seed=1, chunk_size=64)
     with pytest.raises(KeyboardInterrupt):
-        run_batch(config, [0.5], workers=2)
-    # Each thread finishes the chunk it had started; slack of one more chunk
-    # per thread covers a thread switch between the interrupt and the stop.
-    assert 10 <= drawn_at_interrupt[0] <= len(calls) <= drawn_at_interrupt[0] + 2 * 2 < 2000
+        run_batch(config, [0.5], workers=workers)
+    # The other thread, if any, finishes the chunk it had started; slack of
+    # one more chunk covers a thread switch between the interrupt and the stop.
+    assert 10 <= drawn_at_interrupt[0] <= len(calls) <= drawn_at_interrupt[0] + 2 * (workers - 1) < 2000
 
 
 @pytest.mark.parametrize("workers", [1, 2])
