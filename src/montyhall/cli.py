@@ -9,6 +9,9 @@ Subcommands::
     plan       trial counts from the Chebyshev bound or the CLT approximation
     verify     exhaustive oracle-vs-closed-form equality checks
 
+Each command reads only the layers' public names; ``verify`` prints what
+``oracle.verify_closed_forms`` returns.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 Bad input exits 2 with one ``error:`` line before any simulation.  Seeds
 (``--seed``, else ``$MONTY_SEED``, else 0) lie in [0, 2**64), trials and
@@ -26,8 +29,6 @@ import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import IO, Mapping, Optional, Sequence
-
-import numpy as np
 
 from . import analytic, oracle, planner, simulate
 from .analytic import GameVariant, as_probability
@@ -216,60 +217,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    analytic._require_int("doors-max", args.doors_max, 3)
-    analytic._require_int("placement-checks", args.placement_checks, 0)
-    analytic._require_seed(args.seed)
-    grid = simulate.switch_probability_grid()
-    failures: list[str] = []
-
-    analytic_checks = 0
-    # One walk per (k, n) tree: both variants open k = 1 door at n = 3.
-    trees = {
-        (k, n): oracle._conditional_cells(k, oracle.CarDistribution.uniform(n))
-        for n in range(3, args.doors_max + 1)
-        for k in {analytic._host_opens(v, n) for v in GameVariant}
-    }
-    for variant in (GameVariant.LEAVE_TWO_CLOSED, GameVariant.OPEN_ONE):
-        for n in range(3, args.doors_max + 1):
-            # Both sides are free of p; weighing them by p is all a grid point adds.
-            tree = trees[analytic._host_opens(variant, n), n]
-            table = analytic._cells_given_switch(variant, n)
-            for p in grid:
-                got_cells = analytic._weigh_switch(tree, p)
-                got = sum(mass for (_, _, won), mass in got_cells.items() if won)
-                want = analytic.win_marginal(variant, n, p)
-                analytic_checks += 2
-                if got != want:
-                    failures.append(
-                        f"win probability mismatch at ({variant.value}, n={n}, "
-                        f"p={p}): enumeration {got} vs closed form {want}"
-                    )
-                if got_cells != analytic._weigh_switch(table, p):
-                    failures.append(
-                        f"partition mismatch at ({variant.value}, n={n}, p={p})"
-                    )
-
-    # The pick is uniform, so no car placement moves any cell of the partition.
-    # Both trees are p-free, so they agree at p = 1/2 iff they agree at every p.
-    variant = GameVariant.LEAVE_TWO_CLOSED
-    rng = np.random.default_rng(args.seed)
-    for index in range(args.placement_checks):
-        n = 3 + index % (args.doors_max - 2)
-        cars = oracle.random_car_distribution(n, rng)
-        tree = oracle._conditional_cells(analytic._host_opens(variant, n), cars)
-        if tree != analytic._cells_given_switch(variant, n):
-            failures.append(
-                f"placement partition mismatch at ({variant.value}, n={n}, "
-                f"p=1/2), cars={cars.alpha}"
-            )
-
+    analytic_checks, failures = oracle.verify_closed_forms(
+        args.doors_max, args.placement_checks, args.seed
+    )
     if failures:
-        print(
-            f"{len(failures)} of {analytic_checks + args.placement_checks} "
-            "checks FAILED:"
-        )
-        for line in failures:
-            print(f"  {line}")
+        total = analytic_checks + args.placement_checks
+        print(f"{len(failures)} of {total} checks FAILED:", *failures, sep="\n  ")
         return EXIT_VERIFY_FAILED
     print(
         f"{analytic_checks} analytic checks passed, "

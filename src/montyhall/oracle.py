@@ -17,14 +17,15 @@ The switch decision is independent of the car, the pick and the host, so the
 switch probability ``p`` only weights the two branches under each host action.
 The walk weights each trajectory given its switch decision, so one walk per
 (``k``, car distribution) serves every ``p``, which enters through the closed
-forms' own ``_weigh_switch``.  Nothing is kept between calls.  ``verify``
-holds each uniform (``k``, ``n``) tree it walks and weighs it at every ``p``;
-it compares each randomly placed tree with the closed-form table unweighted.
+forms' own ``_weigh_switch``.  Nothing is kept between calls.
+:func:`verify_closed_forms`, which ``montyhall verify`` prints, holds each
+uniform (``k``, ``n``) tree it walks and weighs it at every ``p``; it compares
+each randomly placed tree with the closed-form table unweighted.
 
 For both variants the walk is O(n^4): car x pick x host subset x final pick,
 where the subsets times the final picks are O(n^2) at ``k = 1`` and at
-``k = n - 2`` alike.  That is fine for desk-scale n.  No randomness anywhere
-in this module.
+``k = n - 2`` alike.  That is fine for desk-scale n.  Only car placements
+are random: :func:`verify_closed_forms` draws them from ``default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
+import numpy as np
+
+from . import analytic
 from .analytic import (
     CELL_ORDER,
     Cell,
@@ -42,11 +46,15 @@ from .analytic import (
     PartitionProbabilities,
     RationalLike,
     _as_rational,
+    _cells_given_switch,
     _host_opens,
     _require_doors,
+    _require_int,
+    _require_seed,
     _weigh_switch,
     as_probability,
 )
+from .simulate import switch_probability_grid
 
 __all__ = [
     "CarDistribution",
@@ -56,6 +64,7 @@ __all__ = [
     "exact_partition",
     "exact_initial_correct",
     "random_car_distribution",
+    "verify_closed_forms",
 ]
 
 
@@ -215,3 +224,63 @@ def random_car_distribution(n: int, rng) -> CarDistribution:
         total = sum(weights)
         if total > 0:
             return CarDistribution(tuple(Fraction(w, total) for w in weights))
+
+
+def verify_closed_forms(
+    doors_max: int, placement_checks: int, seed: int
+) -> tuple[int, list[str]]:
+    """The analytic check count and the failure lines of ``montyhall verify``.
+
+    For ``n`` from 3 to ``doors_max``, each variant's walked tree meets the
+    closed forms at every point of the default grid: P(win) and the eight
+    cells, two checks.  Then ``placement_checks`` leave-two trees, on car
+    placements drawn from ``default_rng(seed)``, meet the p-free table.
+    """
+    _require_int("doors-max", doors_max, 3)
+    _require_int("placement-checks", placement_checks, 0)
+    _require_seed(seed)
+    grid = switch_probability_grid()
+    failures: list[str] = []
+
+    analytic_checks = 0
+    # One walk per (k, n) tree: both variants open k = 1 door at n = 3.
+    trees = {
+        (k, n): _conditional_cells(k, CarDistribution.uniform(n))
+        for n in range(3, doors_max + 1)
+        for k in {_host_opens(v, n) for v in GameVariant}
+    }
+    for variant in (GameVariant.LEAVE_TWO_CLOSED, GameVariant.OPEN_ONE):
+        for n in range(3, doors_max + 1):
+            # Both sides are free of p; weighing them by p is all a grid point adds.
+            tree = trees[_host_opens(variant, n), n]
+            table = _cells_given_switch(variant, n)
+            for p in grid:
+                got_cells = _weigh_switch(tree, p)
+                got = sum(mass for (_, _, won), mass in got_cells.items() if won)
+                # Looked up at call time, so a patched or traced closed form is checked.
+                want = analytic.win_marginal(variant, n, p)
+                analytic_checks += 2
+                if got != want:
+                    failures.append(
+                        f"win probability mismatch at ({variant.value}, n={n}, "
+                        f"p={p}): enumeration {got} vs closed form {want}"
+                    )
+                if got_cells != _weigh_switch(table, p):
+                    failures.append(
+                        f"partition mismatch at ({variant.value}, n={n}, p={p})"
+                    )
+
+    # The pick is uniform, so no car placement moves any cell of the partition.
+    # Both trees are p-free, so they agree at p = 1/2 iff they agree at every p.
+    variant = GameVariant.LEAVE_TWO_CLOSED
+    rng = np.random.default_rng(seed)
+    for index in range(placement_checks):
+        n = 3 + index % (doors_max - 2)
+        cars = random_car_distribution(n, rng)
+        tree = _conditional_cells(_host_opens(variant, n), cars)
+        if tree != _cells_given_switch(variant, n):
+            failures.append(
+                f"placement partition mismatch at ({variant.value}, n={n}, "
+                f"p=1/2), cars={cars.alpha}"
+            )
+    return analytic_checks, failures

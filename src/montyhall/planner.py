@@ -58,6 +58,14 @@ class SampleSizePlan:
 normal_quantile = NormalDist().inv_cdf
 
 
+def _clt_quantile(delta: float) -> float:
+    """The z with Phi(z) = 1 - delta/2, as -Phi^-1(delta/2): 1 - delta/2
+    would drop digits of a small ``delta``, and a zero delta/2 has no z."""
+    if delta / 2.0 == 0:
+        raise ValueError(f"delta must be at least 1e-323 for the CLT, got {delta}")
+    return -normal_quantile(delta / 2.0)
+
+
 def sample_size(
     p_win: float, epsilon: float, delta: float, method: PlanMethod
 ) -> SampleSizePlan:
@@ -75,7 +83,7 @@ def sample_size(
     variance = Fraction(p_win) * (1 - Fraction(p_win))
     eps_sq = Fraction(epsilon) ** 2
     if method is PlanMethod.CLT:
-        z = -normal_quantile(delta / 2.0)  # 1 - delta/2 would drop digits
+        z = _clt_quantile(delta)
         l0 = max(1, math.ceil(Fraction(z) ** 2 * variance / eps_sq))
         return SampleSizePlan(l0=l0, z_x=z)
     l0 = max(1, math.ceil(variance / (Fraction(delta) * eps_sq)))
@@ -95,5 +103,5 @@ def band_halfwidth(p_win: float, l: int, delta: float, method: PlanMethod) -> fl
     _require_unit("delta", delta, open_interval=True)
     variance = p_win * (1.0 - p_win)
     if method is PlanMethod.CLT:
-        return -normal_quantile(delta / 2.0) * math.sqrt(variance / l)
+        return _clt_quantile(delta) * math.sqrt(variance / l)
     return math.sqrt(variance / (delta * l))

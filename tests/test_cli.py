@@ -78,6 +78,8 @@ def test_analytic_open_one_csv(capsys):
         ("plan", "--doors", "2"),
         ("plan", "--switch-prob", "abc"),
         ("simulate", "--doors", str(2**63), "--trials", "10"),
+        ("plan", "--method", "clt", "--delta", "5e-324"),
+        ("sweep", "--trials", "10", "--grid-step", "1/2", "--delta", "5e-324"),
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -583,6 +585,10 @@ _RNG_LINE = montyhall.simulate.RNG_ALGORITHM
         ("plan --switch-prob abc", ["error: not a rational probability: 'abc'"]),
         ("plan --epsilon 0", ["error: epsilon must be finite and > 0, got 0.0"]),
         ("sweep --delta 1 --trials 10", ["error: delta must be in (0, 1), got 1.0"]),
+        (
+            "sweep --delta 5e-324 --trials 10",
+            ["error: delta must be at least 1e-323 for the CLT, got 5e-324"],
+        ),
     ],
 )
 def test_outputs_are_pinned_across_versions(capsys, argv, lines):

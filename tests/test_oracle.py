@@ -22,6 +22,7 @@ from montyhall.oracle import (
     exact_partition,
     exact_win_probability,
     random_car_distribution,
+    verify_closed_forms,
 )
 
 LEAVE_TWO = GameVariant.LEAVE_TWO_CLOSED
@@ -259,3 +260,27 @@ def test_every_host_door_count_matches_the_chain_rule(n, uniform):
             (False, False, True): F(0),
             (False, False, False): wrong,
         }
+
+
+def test_verify_closed_forms_reports_its_checks():
+    # 2 variants x 3 door counts x 21 grid points x 2 checks; no failure.
+    assert verify_closed_forms(5, 3, 0) == (252, [])
+    assert verify_closed_forms(3, 0, 2**64 - 1) == (84, [])
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((2, 3, 0), "doors-max"),
+        ((5.0, 3, 0), "doors-max"),
+        ((5, -1, 0), "placement-checks"),
+        ((5, 3, -1), "seed"),
+        ((5, 3, 2**64), "seed"),
+        # Checked in this order: the first bad argument is the one named.
+        ((2, -1, -1), "doors-max"),
+        ((5, -1, -1), "placement-checks"),
+    ],
+)
+def test_verify_closed_forms_names_its_bad_input(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        verify_closed_forms(*args)

@@ -89,3 +89,25 @@ def test_every_module_level_import_is_used():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert _module_level_imports(tree) <= used, (path.name, _module_level_imports(tree) - used)
+
+
+def test_cli_reads_no_private_name_of_another_layer():
+    # The CLI goes through each layer's public surface; `verify`'s comparison
+    # lives in `oracle.verify_closed_forms`.
+    layers = {"analytic", "oracle", "planner", "simulate"}
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in layers
+        and node.attr.startswith("_")
+    ] + [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and node.module != "__future__"
+    ]
+    assert private == []

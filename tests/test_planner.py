@@ -206,6 +206,18 @@ def test_clt_quantile_keeps_its_digits_for_small_delta(delta):
     assert halfwidth == pytest.approx(z / 4, rel=1e-14)
 
 
+def test_clt_rejects_a_delta_whose_half_underflows():
+    # 5e-324 / 2 rounds to 0.0, where the quantile would name a "p".
+    with pytest.raises(ValueError, match=r"^delta must be at least 1e-323 "):
+        sample_size(0.5, 0.01, 5e-324, PlanMethod.CLT)
+    with pytest.raises(ValueError, match=r"^delta must be at least 1e-323 "):
+        band_halfwidth(0.5, 4, 5e-324, PlanMethod.CLT)
+    assert sample_size(0.5, 0.01, 1e-323, PlanMethod.CLT).z_x > 38
+    assert sample_size(0.5, 1.0, 5e-324, PlanMethod.CHEBYSHEV).l0 == math.ceil(
+        Fraction(1, 4) / Fraction(5e-324)
+    )
+
+
 def test_band_halfwidth_rejects_bad_inputs():
     with pytest.raises(ValueError):
         band_halfwidth(0.5, 0, 0.01, PlanMethod.CLT)

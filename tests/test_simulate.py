@@ -788,15 +788,37 @@ def test_sweep_queue_is_never_materialised(monkeypatch, workers):
     calls = []
     _failing_chunk_wins(monkeypatch, calls, fail_at=5, wins=0)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    raised = []
+
+    def run():
+        try:
+            sweep(SimulationConfig(OPEN_ONE, 5, 2**62, chunk_size=1), F(1, 2), workers=workers)
+        except BaseException as exc:
+            raised.append(exc)
+
+    def stray_chunk(*args):
+        raise RuntimeError("stopped by the test")
+
+    # A drain that missed the stop would pull 2**62 chunks: on a daemon
+    # thread, that fails the test instead of hanging the suite.
+    runner = threading.Thread(target=run, daemon=True)
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        with pytest.raises(RuntimeError, match="chunk failed"):
-            sweep(SimulationConfig(OPEN_ONE, 5, 2**62, chunk_size=1), F(1, 2), workers=workers)
+        runner.start()
+        runner.join(timeout=10)
         elapsed = time.perf_counter() - start
         _, peak = tracemalloc.get_traced_memory()
+        hung = runner.is_alive()
+        if hung:
+            # End the stray drain, so it neither grows `calls` nor slows later tests.
+            monkeypatch.setattr(simulate, "_chunk_wins", stray_chunk)
+            runner.join(timeout=10)
     finally:
         tracemalloc.stop()
+    assert not hung, "sweep still running 10 s after the failed chunk"
+    assert len(raised) == 1 and isinstance(raised[0], RuntimeError)
+    assert str(raised[0]) == "chunk failed"
     assert elapsed < 5
     assert peak < 2**20
     assert 5 <= len(calls) <= 5 + workers
