@@ -36,7 +36,9 @@ __all__ = [
     "GameVariant",
     "PartitionProbabilities",
     "CELL_ORDER",
+    "GRID_STEP_DEFAULT",
     "as_probability",
+    "switch_probability_grid",
     "win_given_switch",
     "win_given_stay",
     "win_marginal",
@@ -115,6 +117,20 @@ def as_probability(value: RationalLike, name: str = "probability") -> Fraction:
     p = _as_rational(value, name)
     _require_unit(name, p)
     return p
+
+
+#: Default grid step: 21 switch probabilities 0.00, 0.05, ..., 1.00.
+GRID_STEP_DEFAULT = Fraction(1, 20)
+
+_MAX_GRID_INTERVALS = 10**6
+
+
+def switch_probability_grid(step: RationalLike = GRID_STEP_DEFAULT) -> list[Fraction]:
+    """Exact grid {k * step : 0 <= k <= 1/step} for a step 1/k, k <= 10**6."""
+    step = as_probability(step)
+    if step.numerator != 1 or step.denominator > _MAX_GRID_INTERVALS:
+        raise ValueError(f"grid step must be 1/k, k <= {_MAX_GRID_INTERVALS}: {step}")
+    return [k * step for k in range(step.denominator + 1)]
 
 
 @dataclass(frozen=True)

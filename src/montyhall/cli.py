@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="derive the trial count from the planner at worst-case variance",
     )
-    sub.add_argument("--grid-step", default="1/20", metavar="STEP")
+    sub.add_argument("--grid-step", default=analytic.GRID_STEP_DEFAULT, metavar="STEP")
     sub.add_argument("--epsilon", type=float, default=0.01)
     sub.add_argument("--delta", type=float, default=0.01)
     sub.add_argument("--chunk-size", type=int, default=simulate.DEFAULT_CHUNK_SIZE)

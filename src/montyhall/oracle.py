@@ -18,14 +18,15 @@ switch probability ``p`` only weights the two branches under each host action.
 The walk weights each trajectory given its switch decision, so one walk per
 (``k``, car distribution) serves every ``p``, which enters through the closed
 forms' own ``_weigh_switch``.  Nothing is kept between calls.
-:func:`verify_closed_forms`, which ``montyhall verify`` prints, holds each
-uniform (``k``, ``n``) tree it walks and weighs it at every ``p``; it compares
+:func:`verify_closed_forms`, which ``montyhall verify`` prints, walks one
+uniform tree per (variant, ``n``) and weighs it at every ``p``; it compares
 each randomly placed tree with the closed-form table unweighted.
 
-For both variants the walk is O(n^4): car x pick x host subset x final pick,
-where the subsets times the final picks are O(n^2) at ``k = 1`` and at
-``k = n - 2`` alike.  That is fine for desk-scale n.  Only car placements
-are random: :func:`verify_closed_forms` draws them from ``default_rng(seed)``.
+The walk visits car x pick x host subset x candidate final door.  The
+leave-two host (``k = n - 2``) has at most ``n - 1`` subsets, so that walk
+is O(n^3); only the open-one host (``k = 1``, ``n - 2`` subsets) is O(n^4).
+That is fine for desk-scale n.  Only car placements are random:
+:func:`verify_closed_forms` draws them from ``default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ from .analytic import (
     _require_seed,
     _weigh_switch,
     as_probability,
+    switch_probability_grid,
 )
-from .simulate import switch_probability_grid
 
 __all__ = [
     "CarDistribution",
@@ -216,14 +217,13 @@ def random_car_distribution(n: int, rng) -> CarDistribution:
 
     ``rng`` is a ``numpy.random.Generator`` (or anything with a compatible
     ``integers`` method).  Integer weights in [0, 100] are normalized exactly,
-    so individual doors may get probability zero.  They are ints already, so
-    each becomes ``Fraction(w, total)`` once and the constructor checks it.
+    so individual doors may get probability zero.
     """
+    _require_doors(n)
     while True:
         weights = [int(rng.integers(0, 101)) for _ in range(n)]
-        total = sum(weights)
-        if total > 0:
-            return CarDistribution(tuple(Fraction(w, total) for w in weights))
+        if any(weights):
+            return CarDistribution.from_weights(weights)
 
 
 def verify_closed_forms(
@@ -243,16 +243,10 @@ def verify_closed_forms(
     failures: list[str] = []
 
     analytic_checks = 0
-    # One walk per (k, n) tree: both variants open k = 1 door at n = 3.
-    trees = {
-        (k, n): _conditional_cells(k, CarDistribution.uniform(n))
-        for n in range(3, doors_max + 1)
-        for k in {_host_opens(v, n) for v in GameVariant}
-    }
     for variant in (GameVariant.LEAVE_TWO_CLOSED, GameVariant.OPEN_ONE):
         for n in range(3, doors_max + 1):
             # Both sides are free of p; weighing them by p is all a grid point adds.
-            tree = trees[_host_opens(variant, n), n]
+            tree = _conditional_cells(_host_opens(variant, n), CarDistribution.uniform(n))
             table = _cells_given_switch(variant, n)
             for p in grid:
                 got_cells = _weigh_switch(tree, p)

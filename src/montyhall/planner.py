@@ -104,4 +104,5 @@ def band_halfwidth(p_win: float, l: int, delta: float, method: PlanMethod) -> fl
     variance = p_win * (1.0 - p_win)
     if method is PlanMethod.CLT:
         return _clt_quantile(delta) * math.sqrt(variance / l)
-    return math.sqrt(variance / (delta * l))
+    # Divided in two steps: a subnormal delta * l would lose its digits.
+    return math.sqrt(variance / l) / math.sqrt(delta)

@@ -10,9 +10,9 @@ All randomness flows from numpy's counter-based Philox4x64-10 generator, in
 the key = stream, counter = position scheme of Salmon et al., "Parallel
 Random Numbers: As Easy as 1, 2, 3" (SC'11).  A run has one Philox key,
 ``SeedSequence(master_seed).generate_state(2, np.uint64)``, and chunk ``j``
-of grid point ``i`` starts at counter ``(0, 0, i, j)`` (low word first), so
-its draws are the raw 64-bit words of ``Philox(key=key, counter=[0, 0, i,
-j])``: a pure function of ``(master_seed, i, j)``.  A chunk advances only
+of row ``i`` starts at counter ``(0, 0, i, j)`` (low word first), so its
+draws are the raw 64-bit words of ``Philox(key=key, counter=[0, 0, i, j])``:
+a pure function of ``(master_seed, i, j)``.  A chunk advances only
 the low counter words, so chunks never overlap, and results are bit-for-bit
 reproducible for a fixed configuration regardless of how many workers
 execute the chunks.  Changing ``chunk_size`` changes the substream layout
@@ -24,7 +24,7 @@ Fan-out
 -------
 :func:`run_batch` plays one row per switch probability, and :func:`sweep`
 makes one :func:`run_batch` call for its whole grid.  The chunks of every
-row form one pull queue in (grid index, chunk index) order, computed lazily
+row form one pull queue in (row, chunk index) order, computed lazily
 from the index.  The caller drains it together with the threads of one
 ``ThreadPoolExecutor``, started once per call (once per sweep, not once per
 row), none at ``workers == 1``.  Each drain pulls the next chunk as it
@@ -83,6 +83,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .analytic import (
+    GRID_STEP_DEFAULT,
     GameVariant,
     RationalLike,
     _host_opens,
@@ -91,6 +92,7 @@ from .analytic import (
     _require_seed,
     _require_unit,
     as_probability,
+    switch_probability_grid,
     win_marginal,
 )
 from .planner import PlanMethod, band_halfwidth
@@ -98,12 +100,10 @@ from .planner import PlanMethod, band_halfwidth
 __all__ = [
     "RNG_ALGORITHM",
     "DEFAULT_CHUNK_SIZE",
-    "GRID_STEP_DEFAULT",
     "SimulationConfig",
     "TrialTrace",
     "SimulationResult",
     "SweepRow",
-    "switch_probability_grid",
     "substream",
     "trace_trial",
     "run_batch",
@@ -122,11 +122,6 @@ RNG_ALGORITHM = (
 )
 
 DEFAULT_CHUNK_SIZE = 65536
-
-#: Default grid step: 21 switch probabilities 0.00, 0.05, ..., 1.00.
-GRID_STEP_DEFAULT = Fraction(1, 20)
-
-_MAX_GRID_INTERVALS = 10**6
 
 _CAR_DOOR = 1  # car placement is fixed; arbitrary placement loses no generality
 
@@ -168,6 +163,7 @@ class SimulationResult:
     wins: int
 
     def __post_init__(self) -> None:
+        _require_int("trials", self.trials, 1)
         if not 0 <= self.wins <= self.trials:
             raise ValueError(f"wins {self.wins} outside [0, {self.trials}]")
 
@@ -189,14 +185,6 @@ class SweepRow(NamedTuple):
     analytic: Fraction
     clt_halfwidth: float
     chebyshev_halfwidth: float
-
-
-def switch_probability_grid(step: RationalLike = GRID_STEP_DEFAULT) -> list[Fraction]:
-    """Exact grid {k * step : 0 <= k <= 1/step} for a step 1/k, k <= 10**6."""
-    step = as_probability(step)
-    if step.numerator != 1 or step.denominator > _MAX_GRID_INTERVALS:
-        raise ValueError(f"grid step must be 1/k, k <= {_MAX_GRID_INTERVALS}: {step}")
-    return [k * step for k in range(step.denominator + 1)]
 
 
 def _philox_key(master_seed: int) -> tuple[int, int]:
@@ -224,6 +212,9 @@ def substream(master_seed: int, stream: int, chunk: int) -> np.random.Generator:
     Its draws are a pure function of the arguments: its raw words are the
     ones the batch kernel draws for that chunk.
     """
+    _require_seed(master_seed)
+    _require_int("stream", stream, 0, 2**64)
+    _require_int("chunk", chunk, 0, 2**64)
     philox = np.random.Philox(0)
     _position(philox, _philox_key(master_seed), stream, chunk)
     return np.random.Generator(philox)
@@ -430,9 +421,9 @@ def sweep(
     delta: float = 0.01,
     workers: int = 1,
 ) -> tuple[SweepRow, ...]:
-    """One row per grid point, each batch on its own substream (the grid
-    index), with the exact reference value and CLT/Chebyshev confidence
-    half-widths.
+    """One row per point of :func:`~montyhall.analytic.switch_probability_grid`,
+    each batch on its own substream (the grid index), with the exact
+    reference value and CLT/Chebyshev confidence half-widths.
 
     The whole grid is one :func:`run_batch` call, so the chunks of every row
     go through one pull queue, drained by the caller and one thread pool

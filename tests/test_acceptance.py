@@ -13,6 +13,7 @@ from montyhall.analytic import (
     GameVariant,
     linear_coefficients,
     partition_probabilities,
+    switch_probability_grid,
     win_given_stay,
     win_given_switch,
     win_marginal,
@@ -25,7 +26,7 @@ from montyhall.oracle import (
     random_car_distribution,
 )
 from montyhall.planner import PlanMethod, normal_quantile, sample_size
-from montyhall.simulate import SimulationConfig, sweep, switch_probability_grid
+from montyhall.simulate import SimulationConfig, sweep
 
 LEAVE_TWO = GameVariant.LEAVE_TWO_CLOSED
 OPEN_ONE = GameVariant.OPEN_ONE

@@ -282,6 +282,17 @@ def test_sweep_table_format(capsys):
     assert "empirical" in out and "analytic" in out
 
 
+def test_sweep_chebyshev_band_is_finite_for_a_tiny_delta(capsys):
+    # delta * trials is subnormal here; the band is about 1.5e159, not inf.
+    assert run_cli("sweep", "--trials", "10", "--grid-step", "1/3",
+                   "--delta", "1e-320") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "Infinity" not in out
+    bands = [float(row.split(",")[4]) for row in out.splitlines()[-4:]]
+    assert bands == [1.49072028298e159, 1.57135714948e159, 1.57135714948e159,
+                     1.49072028298e159]
+
+
 def test_sweep_stdout_default(capsys):
     assert run_cli("sweep", "--doors", "3", "--trials", "1000", "--seed", "1",
                    "--grid-step", "1/2") == EXIT_OK
@@ -353,9 +364,8 @@ def test_verify_walks_each_tree_once(monkeypatch, capsys):
         argv = ("verify", "--doors-max", "5", "--placement-checks", "3")
         assert run_cli(*argv) == EXIT_OK
         outputs.append(capsys.readouterr().out)
-        # one walk per (k, n) tree, whatever p, where the variants share the
-        # n = 3 tree; one per placement check
-        assert len(walks) == 2 * 3 - 1 + 3
+        # one walk per (variant, n) tree, whatever p; one per placement check
+        assert len(walks) == 2 * 3 + 3
     assert "252 analytic checks passed, 3 placement checks passed" in outputs[0]
     assert outputs[1] == outputs[0]
 
@@ -588,6 +598,45 @@ _RNG_LINE = montyhall.simulate.RNG_ALGORITHM
         (
             "sweep --delta 5e-324 --trials 10",
             ["error: delta must be at least 1e-323 for the CLT, got 5e-324"],
+        ),
+        (
+            "sweep --variant open-one --doors 5 --trials 2000 --grid-step 1/4 --seed 3 "
+            "--chunk-size 512",
+            [
+                "# seed=3",
+                f"# rng={_RNG_LINE}",
+                "# variant=open-one",
+                "# doors=5",
+                "# trials=2000",
+                "# epsilon=0.01",
+                "# delta=0.01",
+                "# chunk_size=512",
+                "# grid_step=1/4",
+                "p,empirical,analytic,clt_halfwidth,chebyshev_halfwidth",
+                "0,0.2065,0.2,0.0230389176847,0.0894427191",
+                "0.25,0.222,0.216666666667,0.0237285629078,0.0921200907029",
+                "0.5,0.246,0.233333333333,0.0243609244575,0.0945750730607",
+                "0.75,0.248,0.25,0.0249403599883,0.0968245836552",
+                "1,0.2605,0.266666666667,0.0254704818453,0.0988826464946",
+            ],
+        ),
+        (
+            "sweep --variant leave-two --doors 6 --trials 3000 --grid-step 1/5 --seed 9 "
+            "--format table --epsilon 0.02 --delta 0.05",
+            [
+                "sweep: variant=leave-two doors=6 trials=3000 seed=9 epsilon=0.02 delta=0.05",
+                "     p    empirical       analytic     clt_hw    cheb_hw",
+                "     0     0.158000 0.166666666667   0.013336   0.030429",
+                "   0.2     0.304333            0.3   0.016398   0.037417",
+                "   0.4     0.431000 0.433333333333   0.017732   0.040460",
+                "   0.6     0.559667 0.566666666667   0.017732   0.040460",
+                "   0.8     0.716333            0.7   0.016398   0.037417",
+                "     1     0.838000 0.833333333333   0.013336   0.030429",
+            ],
+        ),
+        (
+            "verify --doors-max 5 --placement-checks 3",
+            ["252 analytic checks passed, 3 placement checks passed"],
         ),
     ],
 )

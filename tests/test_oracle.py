@@ -210,6 +210,15 @@ def test_random_car_distribution_equals_its_draws_normalized(n):
         assert rng.bit_generator.state == drawn.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [2, 3.5, "4", True])
+def test_random_car_distribution_checks_doors_before_drawing(n):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^doors must be >= 3 and an integer"):
+        random_car_distribution(n, rng)
+    assert rng.bit_generator.state == before
+
+
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
 @pytest.mark.parametrize("n", range(3, 7))
 @pytest.mark.parametrize("p", [F(0), F(1, 20), F(1, 2), F(1)])

@@ -111,3 +111,28 @@ def test_cli_reads_no_private_name_of_another_layer():
         if alias.name.startswith("_") and node.module != "__future__"
     ]
     assert private == []
+
+
+def test_layers_import_only_the_layers_below_them():
+    # The closed forms stand alone; the oracle checks them and the planner
+    # bounds them without the Monte Carlo layer, which sits on both.
+    allowed = {
+        "analytic": set(),
+        "planner": {"analytic"},
+        "oracle": {"analytic"},
+        "simulate": {"analytic", "planner"},
+    }
+    for layer, below in allowed.items():
+        tree = ast.parse((PACKAGE / f"{layer}.py").read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                # "from . import x" names modules; "from .x import y" names x.
+                imported.update([node.module] if node.module else [a.name for a in node.names])
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("montyhall."):
+                imported.add(node.module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                imported.update(
+                    a.name.split(".")[1] for a in node.names if a.name.startswith("montyhall.")
+                )
+        assert imported <= below, (layer, imported - below)

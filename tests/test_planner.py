@@ -218,6 +218,16 @@ def test_clt_rejects_a_delta_whose_half_underflows():
     )
 
 
+def test_chebyshev_band_survives_a_subnormal_delta_times_l():
+    # delta * l = 1e-319 is subnormal and keeps 4 digits; the band must not.
+    delta = 1e-320
+    with mpmath.workdps(30):
+        exact = mpmath.sqrt(mpmath.mpf(0.25) / (10 * mpmath.mpf(delta)))
+    halfwidth = band_halfwidth(0.5, 10, delta, PlanMethod.CHEBYSHEV)
+    assert halfwidth == pytest.approx(1.5811e159, rel=1e-4)
+    assert halfwidth == pytest.approx(float(exact), rel=1e-15)
+
+
 def test_band_halfwidth_rejects_bad_inputs():
     with pytest.raises(ValueError):
         band_halfwidth(0.5, 0, 0.01, PlanMethod.CLT)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from montyhall import cli, oracle, simulate
-from montyhall.analytic import GameVariant, _host_opens, win_marginal
+from montyhall.analytic import GameVariant, _host_opens, switch_probability_grid, win_marginal
 from montyhall.oracle import CarDistribution, enumerate_trajectories
 from montyhall.simulate import (
     SimulationConfig,
@@ -22,7 +22,6 @@ from montyhall.simulate import (
     run_batch,
     substream,
     sweep,
-    switch_probability_grid,
     trace_trial,
 )
 
@@ -618,6 +617,32 @@ def test_result_fields_and_validation():
     assert result.std_error == pytest.approx(math.sqrt(0.35 * 0.65 / 2000))
     with pytest.raises(ValueError):
         SimulationResult(10, 11)
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5, True, "10"])
+def test_result_rejects_a_trial_count_below_one_or_not_an_int(trials):
+    with pytest.raises(ValueError, match=r"^trials must be >= 1 and an integer"):
+        SimulationResult(trials, 0)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((-1, 0, 0), "seed"),
+        ((2**64, 0, 0), "seed"),
+        ((0, -1, 0), "stream"),
+        ((0, 2**64, 0), "stream"),
+        ((0, 1.0, 0), "stream"),
+        ((0, 0, -1), "chunk"),
+        ((0, 0, 2**64), "chunk"),
+        ((0, 0, True), "chunk"),
+    ],
+)
+def test_substream_names_its_bad_argument(args, name):
+    with pytest.raises(ValueError, match=rf"^{name} must be in \[0, \d+\) and an integer"):
+        substream(*args)
+    last = substream(2**64 - 1, 2**64 - 1, 2**64 - 1)
+    assert last.bit_generator.state["state"]["counter"][2:].tolist() == [2**64 - 1] * 2
 
 
 def test_config_validation(monkeypatch):
