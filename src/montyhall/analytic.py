@@ -112,8 +112,11 @@ def as_probability(value: RationalLike, name: str = "probability") -> Fraction:
 
     Decimal strings are read exactly ("0.05" becomes 1/20, not the nearest
     binary float); "1/3"-style fraction strings are accepted as-is, and a
-    float becomes the exact rational it stores.
+    float becomes the exact rational it stores.  A ``Fraction`` is exact
+    already and comes back as it is.
     """
+    if type(value) is Fraction and 0 <= value.numerator <= value.denominator:
+        return value
     p = _as_rational(value, name)
     _require_unit(name, p)
     return p
@@ -130,7 +133,7 @@ def switch_probability_grid(step: RationalLike = GRID_STEP_DEFAULT) -> list[Frac
     step = as_probability(step)
     if step.numerator != 1 or step.denominator > _MAX_GRID_INTERVALS:
         raise ValueError(f"grid step must be 1/k, k <= {_MAX_GRID_INTERVALS}: {step}")
-    return [k * step for k in range(step.denominator + 1)]
+    return [Fraction(k, step.denominator) for k in range(step.denominator + 1)]
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,14 @@ Bad input exits 2 with one ``error:`` line before any simulation.  Seeds
 (``--seed``, else ``$MONTY_SEED``, else 0) lie in [0, 2**64), trials and
 simulated door counts below 2**63, and the grid step is 1/k with k <= 10**6;
 every accepted flag is checked, even where a path leaves it unread.
-Decimals are rendered to 12 significant digits (half-even), so identical
-invocations produce byte-identical output.
+Decimals are rendered to 12 significant digits (half-even), in exponent form
+from 10**12 up, so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal
@@ -47,19 +48,37 @@ VARIANTS = {v.value: v for v in GameVariant}
 CSV_COLUMNS = "p,empirical,analytic,clt_halfwidth,chebyshev_halfwidth"
 
 _SIG12 = Context(prec=12, rounding=ROUND_HALF_EVEN)
+#: The magnitude from which fmt12 writes exponent form.
+_EXPONENT_FROM = 10**12
 
 
 def fmt12(value) -> str:
-    """Render a Fraction or float to 12 significant digits, half-even,
-    plain notation with trailing zeros stripped."""
+    """Render a Fraction or float to 12 significant digits, half-even: in
+    plain notation with trailing zeros stripped below 10**12 in magnitude,
+    and from there up in exponent form, as ``format(x, ".12g")`` writes it."""
     if isinstance(value, Fraction):
         quantized = _SIG12.divide(Decimal(value.numerator), Decimal(value.denominator))
+        if abs(value.numerator) >= _EXPONENT_FROM * value.denominator:
+            return format(quantized.normalize(), "e")
     else:
-        quantized = _SIG12.plus(Decimal(float(value)))
+        value = float(value)
+        if math.isfinite(value):
+            # Python rounds a float's exact binary value half-even, as Decimal
+            # does; only its notation for small and large values differs.
+            text = format(value, ".12g")
+            if "e" not in text or abs(value) >= _EXPONENT_FROM:
+                return text if value else "0"  # -0.0 too
+            return format(Decimal(text), "f")
+        quantized = _SIG12.plus(Decimal(value))
     text = format(quantized, "f")
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return text
+
+
+def _fixed6(value: float) -> str:
+    """Six decimals, or six in exponent form from 10**12 in magnitude up."""
+    return f"{value:.6e}" if abs(value) >= 1e12 else f"{value:.6f}"
 
 
 def _cell_label(cell: tuple[bool, bool, bool]) -> str:
@@ -103,8 +122,8 @@ def _write_sweep_table(
     for row in rows:
         fh.write(
             f"{fmt12(row.p):>6} {row.result.empirical:>12.6f} "
-            f"{fmt12(row.analytic):>14} {row.clt_halfwidth:>10.6f} "
-            f"{row.chebyshev_halfwidth:>10.6f}\n"
+            f"{fmt12(row.analytic):>14} {_fixed6(row.clt_halfwidth):>10} "
+            f"{_fixed6(row.chebyshev_halfwidth):>10}\n"
         )
 
 

@@ -26,6 +26,8 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Optional
 
+import numpy as np
+
 from .analytic import _require_int, _require_member, _require_unit
 
 __all__ = [
@@ -90,19 +92,27 @@ def sample_size(
     return SampleSizePlan(l0=l0)
 
 
-def band_halfwidth(p_win: float, l: int, delta: float, method: PlanMethod) -> float:
+def band_halfwidth(p_win, l: int, delta: float, method: PlanMethod):
     """Half-width of the confidence band around the empirical frequency after
-    ``l`` trials, at failure probability ``delta``.
+    ``l`` trials, at failure probability ``delta``.  ``p_win`` is a float, or
+    a numpy array of them for one half-width each, by the same arithmetic.
 
     Inverse of :func:`sample_size`: plugging the planned ``l0`` back in gives
     a half-width of at most the planned epsilon (up to the integer ceiling).
     """
     _require_member(PlanMethod, method)
-    _require_unit("p_win", p_win)
+    sqrt = math.sqrt
+    if isinstance(p_win, np.ndarray):
+        outside = ~((p_win >= 0) & (p_win <= 1))  # nan is outside too
+        if outside.any():
+            _require_unit("p_win", float(p_win[outside][0]))
+        sqrt = np.sqrt
+    else:
+        _require_unit("p_win", p_win)
     _require_int("trial count", l, 1)
     _require_unit("delta", delta, open_interval=True)
     variance = p_win * (1.0 - p_win)
     if method is PlanMethod.CLT:
-        return _clt_quantile(delta) * math.sqrt(variance / l)
+        return _clt_quantile(delta) * sqrt(variance / l)
     # Divided in two steps: a subnormal delta * l would lose its digits.
-    return math.sqrt(variance / l) / math.sqrt(delta)
+    return sqrt(variance / l) / math.sqrt(delta)

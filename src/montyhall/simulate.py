@@ -27,17 +27,18 @@ makes one :func:`run_batch` call for its whole grid.  The chunks of every
 row form one pull queue in (row, chunk index) order, computed lazily
 from the index.  The caller drains it together with the threads of one
 ``ThreadPoolExecutor``, started once per call (once per sweep, not once per
-row), none at ``workers == 1``.  Each drain pulls the next chunk as it
-finishes one and sums its chunks' wins by grid index; the caller adds those
-sums row by row.  The key is derived once per call.  Each drain owns one
-Philox bit generator, which it moves to a chunk's counter before drawing
-it, and one workspace of boolean game columns, sized for one chunk, which
-every chunk overwrites; each round of draws takes its raw words in one
-``random_raw`` call, the only array a round allocates.  Drains share no
-draw state, and since a chunk's draws are fixed by ``(master_seed, i, j)``,
-the number of workers and the order in which they run never change a
-result.  Once a chunk fails, or the caller is interrupted, no thread starts
-another chunk.
+row), none at ``workers == 1``.  A drain pulls a block at a time: up to 16
+consecutive chunks of at most ``DEFAULT_CHUNK_SIZE`` games in all, so a
+chunk of that size or more is a block of one, and a block of small chunks
+may span rows.  Each drain sums its chunks' wins by grid index; the caller
+adds those sums row by row.  The key is derived once per call.  Each drain
+owns one Philox bit generator, which it moves to a chunk's counter before
+drawing it, and one workspace that every block overwrites: boolean game
+arrays for a block, and the raw words of a block of several chunks.  Drains
+share no draw state, and since a chunk's draws are fixed by
+``(master_seed, i, j)``, the number of workers, the blocks and the order in
+which they run never change a result.  Once a block fails, or the caller is
+interrupted, no thread starts another block.
 
 Batch draw order
 ----------------
@@ -68,6 +69,18 @@ rounded up to a multiple of 2**-64.  Host bookkeeping that cannot change a
 win -- which goat doors the host touches -- is collapsed out of the batch
 kernel; :func:`trace_trial` plays single games with the full door-by-door
 mechanics and is what trajectory-level tests should sample.
+
+The kernel plays a block as follows; none of it changes which words a
+chunk reads.  Each chunk's first round and a few spare words, ``m`` words
+in all with ``m`` a multiple of 4, come from one ``random_raw`` call, after
+which Philox sits at counter ``(m / 4, 0, i, j)`` with nothing buffered.
+Chunks of the block that share a size and a switch lane type are compared
+as one ``(chunks, games)`` array per column, with the switch thresholds as
+a per-chunk column, and counted per chunk.  A block of one is read as
+drawn; a block of several is first copied into the workspace.  The redraw
+rounds of all the block's short chunks then run together, as one flat
+array of their games per column, each chunk's lanes read from its spare
+words; a chunk whose spare runs out draws on from Philox at its counter.
 """
 
 from __future__ import annotations
@@ -192,12 +205,15 @@ def _philox_key(master_seed: int) -> tuple[int, int]:
     return int(words[0]), int(words[1])
 
 
-def _position(philox: np.random.Philox, key: tuple[int, int], stream: int, chunk: int) -> None:
-    """Move ``philox`` to counter ``(0, 0, stream, chunk)`` under ``key``,
-    with nothing buffered: the start of chunk ``chunk`` of stream ``stream``."""
+def _position(
+    philox: np.random.Philox, key: tuple[int, int], stream: int, chunk: int, step: int = 0
+) -> None:
+    """Move ``philox`` to counter ``(step, 0, stream, chunk)`` under ``key``,
+    with nothing buffered: word ``4 * step`` of chunk ``chunk`` of stream
+    ``stream``."""
     philox.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, stream, chunk), "key": key},
+        "state": {"counter": (step, 0, stream, chunk), "key": key},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,  # empty: the next draw runs the counter
         "has_uint32": 0,
@@ -262,35 +278,27 @@ def trace_trial(variant: GameVariant, n: int, p: RationalLike, rng) -> TrialTrac
     return TrialTrace(pick, frozenset(opened), switched, final, final == _CAR_DOOR)
 
 
-def _count_wins(
-    hit: np.ndarray, switch: np.ndarray, slot0: np.ndarray, scratch: np.ndarray
-) -> int:
-    """Wins among games whose pick hit the car (``hit``) or not, that switched
-    (``switch``) or stayed, and whose switcher took slot 0 (``slot0``).
-
-    A stayer wins on a hit.  A switcher wins on a miss and slot 0: door 1 is
-    the lowest-numbered closed door a switcher can reach, so slot 0 is the car.
-    The inputs are left as they are; ``scratch`` is overwritten in place of
-    two temporary arrays.
-    """
-    stay_wins = int(np.count_nonzero(np.greater(hit, switch, out=scratch)))
-    to_car = np.bitwise_and(switch, slot0, out=scratch)
-    return stay_wins + int(np.count_nonzero(np.greater(to_car, hit, out=to_car)))
-
-
 #: Lane types of a column, by width: 16, 32 or 64 bits, little-endian.
 _LANES = {width: np.dtype(f"<u{width // 8}") for width in (16, 32, 64)}
+
+#: A drain pulls up to this many consecutive chunks of the queue at once, of
+#: at most ``DEFAULT_CHUNK_SIZE`` games in all; a larger chunk is a block of one.
+_BLOCK_CHUNKS = 16
+
+#: Words each chunk draws past its first round, for its redraws.
+_SPARE_WORDS = 16
 
 
 class _Column(NamedTuple):
     """One exact Bernoulli column: a game succeeds when its ``dtype`` lane is
-    below ``success`` and is accepted when it is below ``accept`` (``None``:
-    every lane).  A ``dtype`` of ``None`` marks a column with one outcome,
-    ``success``, which draws nothing."""
+    below ``success`` and is accepted when the lane is at most ``last``
+    (``None``: every lane).  A ``dtype`` of ``None`` marks a column with one
+    outcome, ``success``, which draws nothing.  A column that stands for
+    several chunks (see :func:`_stack`) holds arrays of thresholds."""
 
     dtype: np.dtype | None
     success: int
-    accept: int | None
+    last: int | None
 
 
 def _column(num: int, den: int) -> _Column:
@@ -303,8 +311,8 @@ def _column(num: int, den: int) -> _Column:
         return _Column(None, bool(num), None)
     width = 16 if den <= 2**8 else 32 if den <= 2**24 else 64
     per = 2**width // den
-    accept = None if den * per == 2**width else den * per
-    return _Column(_LANES[width], num * per, accept)
+    last = None if den * per == 2**width else den * per - 1
+    return _Column(_LANES[width], num * per, last)
 
 
 def _words(column: _Column, size: int) -> int:
@@ -312,51 +320,217 @@ def _words(column: _Column, size: int) -> int:
     return 0 if column.dtype is None else -(-size * column.dtype.itemsize // 8)
 
 
-def _draw(column: _Column, words: np.ndarray, success: np.ndarray, accepted: np.ndarray) -> bool:
-    """Write ``column``'s outcome for each game of ``success`` from the lanes
-    of ``words``.  Return whether any game can be rejected; if so, write
-    which were accepted into ``accepted``, else leave it as it is."""
-    if column.dtype is None:
-        success.fill(column.success)
-        return False
-    # Little-endian words split into lanes least significant first on any host.
-    lanes = words.astype("<u8", copy=False).view(column.dtype)[: len(success)]
+def _lanes(words: np.ndarray, dtype: np.dtype, games: int) -> np.ndarray:
+    """The first ``games`` lanes of type ``dtype`` along the last axis of the
+    little-endian ``words``, least significant first."""
+    return words.view(dtype)[..., :games]
+
+
+def _stack(columns: Sequence[_Column], dtype, sizes: Sequence[int] | None = None) -> _Column:
+    """One column for several chunks whose columns compare lanes of type
+    ``dtype``: each chunk's thresholds fill its row of a ``(chunks, 1)``
+    array, or, given each chunk's game count in ``sizes``, its games' run of
+    a flat array.  A column with one outcome joins as lanes of 0 under a
+    threshold of 0 or 1, and a column that accepts every lane with a ``last``
+    of the largest lane.  Chunks of one row share its column as it is."""
+    if all(column is columns[0] for column in columns):
+        return columns[0]
+    success = np.array([int(column.success) for column in columns], dtype=dtype or bool)
+    last = None
+    if any(column.last is not None for column in columns):
+        full = 2 ** (8 * dtype.itemsize) - 1
+        last = np.array([full if c.last is None else c.last for c in columns], dtype=dtype)
+    if sizes is None:
+        return _Column(dtype, success[:, None], None if last is None else last[:, None])
+    return _Column(
+        dtype, np.repeat(success, sizes), None if last is None else np.repeat(last, sizes)
+    )
+
+
+def _draw(column: _Column, lanes: np.ndarray, success: np.ndarray, accepted: np.ndarray) -> bool:
+    """Write whether each lane of ``lanes`` succeeds in ``column`` to
+    ``success``.  Return whether any lane can be rejected; if so, write which
+    were accepted into ``accepted``, else leave it as it is."""
     np.less(lanes, column.success, out=success)
-    if column.accept is None:
+    if column.last is None:
         return False
-    np.less(lanes, column.accept, out=accepted)
+    np.less_equal(lanes, column.last, out=accepted)
     return True
 
 
-def _chunk_wins(
-    columns: tuple[_Column, ...], philox: np.random.Philox, size: int, work: np.ndarray
-) -> int:
-    """Wins of ``size`` games drawn from ``philox`` by the hit, switch and
-    slot-0 ``columns``; games rejected in any column are drawn again until
-    ``size`` are accepted.  ``work`` holds five boolean rows of at least
-    ``size`` games, overwritten here: the three columns, the kept games and
-    scratch."""
-    wins = 0
-    while size:
-        counts = [_words(column, size) for column in columns]
-        words = philox.random_raw(sum(counts))
-        hit, switch, slot0, kept, scratch = (row[:size] for row in work)
-        masked = False
-        for column, success, count in zip(columns, (hit, switch, slot0), counts):
-            if _draw(column, words[:count], success, scratch if masked else kept):
-                if masked:
-                    np.bitwise_and(kept, scratch, out=kept)
-                masked = True
-            words = words[count:]
-        if masked:
-            # A dropped game counts as a stayer who missed: never a win.
-            np.bitwise_and(hit, kept, out=hit)
-            np.bitwise_and(switch, kept, out=switch)
-            size -= int(np.count_nonzero(kept))
-        else:
-            size = 0
-        wins += _count_wins(hit, switch, slot0, scratch)
-    return wins
+def _win_mask(hit, switch, slot0, out: np.ndarray) -> np.ndarray:
+    """Write to ``out`` which games win among games whose pick hit the car
+    (``hit``) or not, that switched (``switch``) or stayed, and whose
+    switcher took slot 0 (``slot0``); each may be a constant that broadcasts.
+
+    A stayer wins on a hit.  A switcher wins on a miss and slot 0: door 1 is
+    the lowest-numbered closed door a switcher can reach, so slot 0 is the
+    car.  Both at once: ``hit ^ (switch & (hit | slot0))``.
+    """
+    np.bitwise_or(hit, slot0, out=out)
+    np.bitwise_and(out, switch, out=out)
+    return np.bitwise_xor(out, hit, out=out)
+
+
+def _round(columns, lanes, work) -> tuple[np.ndarray, np.ndarray | None]:
+    """One round of games: ``lanes`` holds the lanes of each of the hit,
+    switch and slot-0 ``columns``, shaped like the games (``None`` for a
+    column with one outcome), and ``work`` five boolean arrays of that shape,
+    overwritten here.  Return the games won and, if a lane can be rejected,
+    the games kept; a dropped game never wins."""
+    *outcomes, kept, won = work
+    masked = False
+    for column, lane, success in zip(columns, lanes, outcomes):
+        if lane is None:
+            # Spread out here: a boolean operation that broadcasts a
+            # constant over a long axis runs an order of magnitude slower.
+            np.copyto(success, column.success)
+        elif _draw(column, lane, success, won if masked else kept):
+            if masked:
+                np.bitwise_and(kept, won, out=kept)
+            masked = True
+    _win_mask(*outcomes, won)
+    if not masked:
+        return won, None
+    return np.bitwise_and(won, kept, out=won), kept
+
+
+class _Short:
+    """A chunk short of games after a round: ``left`` games to draw again,
+    from ``words``, the drawn words it has not taken, and then from word
+    ``drawn`` (a multiple of 4) of its counter on."""
+
+    __slots__ = ("index", "row", "chunk", "left", "words", "drawn")
+
+    def __init__(self, index, row, chunk, left, words, drawn):
+        self.index, self.row, self.chunk = index, row, chunk
+        self.left, self.words, self.drawn = left, words, drawn
+
+    def take(self, count: int, philox: np.random.Philox, key: tuple[int, int]) -> np.ndarray:
+        """The chunk's next ``count`` words."""
+        if count > len(self.words):
+            # The spare ran out: the rest come from Philox at the chunk's counter.
+            more = count - len(self.words) + _SPARE_WORDS
+            more += -more % 4
+            _position(philox, key, self.row, self.chunk, self.drawn // 4)
+            fresh = philox.random_raw(more).astype("<u8", copy=False)
+            self.words = np.concatenate((self.words, fresh))
+            self.drawn += more
+        taken, self.words = self.words[:count], self.words[count:]
+        return taken
+
+
+class _Run(NamedTuple):
+    """What every drain of one :func:`run_batch` call reads: the Philox key,
+    the hit and slot-0 columns, and each row's switch column."""
+
+    key: tuple[int, int]
+    hit: _Column
+    slot0: _Column
+    switches: list[_Column]
+
+
+class _Workspace:
+    """A drain's buffers, reused by every block it plays: five boolean game
+    arrays, and the words of a block of several chunks."""
+
+    def __init__(self, games: int) -> None:
+        self.games = np.empty((5, games), dtype=bool)
+        self.words = np.empty(0, dtype=np.uint64)
+
+    def shaped(self, *shape: int) -> list[np.ndarray]:
+        """The five game arrays, cut to ``shape``."""
+        return list(self.games[:, : math.prod(shape)].reshape(5, *shape))
+
+
+def _block_wins(
+    run: _Run, philox: np.random.Philox, work: _Workspace, block: Sequence[tuple[int, int, int]]
+) -> list[tuple[int, int]]:
+    """The wins and the raw words taken of each ``(row, chunk index, size)``
+    chunk of ``block`` (see "Batch draw order" in the module docstring)."""
+    hit, slot0, switches = run.hit, run.slot0, run.switches
+    groups: dict[tuple, list[int]] = {}
+    for index, (row, _, size) in enumerate(block):
+        groups.setdefault((size, switches[row].dtype), []).append(index)
+    # One random_raw call per chunk: its first round and its spare words, in
+    # whole counters, so the next word sits at counter (stride / 4, 0, i, j).
+    raws, plans = [], []
+    for (size, dtype), members in groups.items():
+        switch = _stack([switches[block[index][0]] for index in members], dtype)
+        counts = (_words(hit, size), _words(switch, size), _words(slot0, size))
+        stride = sum(counts) + _SPARE_WORDS
+        stride += -stride % 4
+        for index in members:
+            row, chunk, _ = block[index]
+            _position(philox, run.key, row, chunk)
+            raws.append(philox.random_raw(stride))
+        plans.append((size, members, (hit, switch, slot0), counts, stride))
+    if len(raws) == 1:
+        words = raws[0]  # a block of one is read as drawn
+    else:
+        total = sum(map(len, raws))
+        if len(work.words) < total:
+            work.words = np.empty(total, dtype=np.uint64)
+        words = np.concatenate(raws, out=work.words[:total])
+    # Little-endian words split into lanes least significant first on any host.
+    words = words.astype("<u8", copy=False)
+
+    # The first round of each group of chunks that share a size and a
+    # switch lane type, as one (chunks, games) array per column.
+    wins, taken, short = [0] * len(block), [0] * len(block), []
+    start = 0
+    for size, members, columns, counts, stride in plans:
+        grid = words[start : start + len(members) * stride].reshape(len(members), stride)
+        start += len(members) * stride
+        lanes, at = [], 0
+        for column, count in zip(columns, counts):
+            drawn = column.dtype is not None
+            lanes.append(_lanes(grid[:, at : at + count], column.dtype, size) if drawn else None)
+            at += count
+        won, kept = _round(columns, lanes, work.shaped(len(members), size))
+        for member, index in enumerate(members):
+            wins[index] = int(np.count_nonzero(won[member]))
+            taken[index] = at
+            left = 0 if kept is None else size - int(np.count_nonzero(kept[member]))
+            if left:
+                row, chunk, _ = block[index]
+                short.append(_Short(index, row, chunk, left, grid[member, at:], stride))
+
+    # Redraws: the next round of every short chunk at once, each from its
+    # own words, as one flat array of all their games per column.
+    while short:
+        lefts = [entry.left for entry in short]
+        own = [switches[entry.row] for entry in short]
+        switch = _stack(own, _LANES[64], lefts)
+        hits, switched, slots = [], [], []
+        for entry, column in zip(short, own):
+            left = entry.left
+            h, w, s = _words(hit, left), _words(column, left), _words(slot0, left)
+            chunk_words = entry.take(h + w + s, philox, run.key)
+            taken[entry.index] += h + w + s
+            hits.append(_lanes(chunk_words[:h], hit.dtype, left))
+            if column.dtype is not None:
+                switched.append(_lanes(chunk_words[h : h + w], column.dtype, left))
+            elif switch.dtype is not None:  # one outcome among drawn columns
+                switched.append(np.zeros(left, dtype=np.uint8))
+            if s:
+                slots.append(_lanes(chunk_words[h + w :], slot0.dtype, left))
+        columns = (hit, switch, slot0)
+        lanes = [
+            None if not part else part[0] if len(part) == 1 else np.concatenate(part)
+            for part in (hits, switched, slots)
+        ]
+        won, kept = _round(columns, lanes, work.shaped(sum(lefts)))
+        end = 0
+        for entry in short:
+            start, end = end, end + entry.left
+            wins[entry.index] += int(np.count_nonzero(won[start:end]))
+            if kept is None:
+                entry.left = 0
+            else:
+                entry.left -= int(np.count_nonzero(kept[start:end]))
+        short = [entry for entry in short if entry.left]
+    return list(zip(wins, taken))
 
 
 def run_batch(
@@ -366,51 +540,59 @@ def run_batch(
     ``config``'s game at ``ps[i]`` on stream ``i`` (see "Fan-out" in the
     module docstring).
 
-    ``max(1, min(workers, chunks of all rows, os.cpu_count()))`` drains pull
+    ``max(1, min(workers, blocks of all rows, os.cpu_count()))`` drains pull
     from the queue: the caller and the threads of one pool, so ``workers=1``
     starts no thread; the queue takes no memory per chunk.  ``workers`` only
     controls execution, never the result.
     """
     switches = [as_probability(p, "switch probability") for p in ps]
     _require_int("workers", workers, 1)
-    n, trials, size = config.n, config.trials, config.chunk_size
-    hit, slot0 = _column(1, n), _column(1, n - 1 - _host_opens(config.variant, n))
-    columns = [(hit, _column(p.numerator, p.denominator), slot0) for p in switches]
+    n, trials = config.n, config.trials
+    size = min(config.chunk_size, trials)
+    run = _Run(
+        _philox_key(config.master_seed),
+        _column(1, n),
+        _column(1, n - 1 - _host_opens(config.variant, n)),
+        [_column(p.numerator, p.denominator) for p in switches],
+    )
     chunks = -(-trials // size)
-    key = _philox_key(config.master_seed)
-    pulls = iter(range(len(columns) * chunks))
+    total = len(switches) * chunks
+    per_block = max(1, min(_BLOCK_CHUNKS, DEFAULT_CHUNK_SIZE // size))
+    starts = iter(range(0, total, per_block))
     lock = threading.Lock()
     stopped = threading.Event()
 
     def drain() -> list[int]:
         try:
-            # Reused by every chunk this drain pulls; no other drain sees them.
+            # Reused by every block this drain pulls; no other drain sees them.
             philox = np.random.Philox(0)
-            work = np.empty((5, min(size, trials)), dtype=bool)
-            wins = [0] * len(columns)
+            work = _Workspace(per_block * size)
+            wins = [0] * len(switches)
             while not stopped.is_set():
                 with lock:
-                    index = next(pulls, None)
-                if index is None:
+                    start = next(starts, None)
+                if start is None:
                     break
-                row, chunk = divmod(index, chunks)
-                _position(philox, key, row, chunk)
-                wins[row] += _chunk_wins(
-                    columns[row], philox, min(size, trials - chunk * size), work
-                )
+                block = []
+                for index in range(start, min(start + per_block, total)):
+                    row, chunk = divmod(index, chunks)
+                    block.append((row, chunk, min(size, trials - chunk * size)))
+                played = _block_wins(run, philox, work, block)
+                for (row, _, _), (chunk_wins, _) in zip(block, played):
+                    wins[row] += chunk_wins
             return wins
         except BaseException:
             stopped.set()
             raise
 
-    threads = max(1, min(workers, len(columns) * chunks, os.cpu_count() or 1))
+    threads = max(1, min(workers, -(-total // per_block), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         try:
             # The caller is a drain too, so the pool starts threads - 1.
             futures = [pool.submit(drain) for _ in range(threads - 1)]
             drained = [drain(), *(future.result() for future in futures)]
         finally:
-            stopped.set()  # on an interrupt, shutdown then waits for running chunks only
+            stopped.set()  # on an interrupt, shutdown then waits for running blocks only
     return tuple(SimulationResult(trials, sum(row_wins)) for row_wins in zip(*drained))
 
 
@@ -432,19 +614,19 @@ def sweep(
     """
     grid = switch_probability_grid(grid_step)
     _require_unit("delta", delta, open_interval=True)
-    rows = []
-    for p, result in zip(grid, run_batch(config, grid, workers=workers)):
-        exact = win_marginal(config.variant, config.n, p)
-        p_win = float(exact)
-        rows.append(
-            SweepRow(
-                p=p,
-                result=result,
-                analytic=exact,
-                clt_halfwidth=band_halfwidth(p_win, config.trials, delta, PlanMethod.CLT),
-                chebyshev_halfwidth=band_halfwidth(
-                    p_win, config.trials, delta, PlanMethod.CHEBYSHEV
-                ),
-            )
-        )
-    return tuple(rows)
+    results = run_batch(config, grid, workers=workers)
+    # P(win) is affine in p, so one intercept a/b and slope c/d give every
+    # row exactly: a/b + c/d * p over one denominator, reduced once.
+    intercept = win_marginal(config.variant, config.n, 0)
+    slope = win_marginal(config.variant, config.n, 1) - intercept
+    a, b = intercept.numerator, intercept.denominator
+    c, d = slope.numerator, slope.denominator
+    exact = [
+        Fraction(a * d * p.denominator + c * b * p.numerator, b * d * p.denominator) for p in grid
+    ]
+    p_win = np.array([float(value) for value in exact])
+    bands = (
+        band_halfwidth(p_win, config.trials, delta, method).tolist()
+        for method in (PlanMethod.CLT, PlanMethod.CHEBYSHEV)
+    )
+    return tuple(map(SweepRow, grid, results, exact, *bands))

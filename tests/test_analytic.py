@@ -141,6 +141,30 @@ def test_as_probability_parses_exactly():
         as_probability("goat")
 
 
+@given(p=st.fractions(min_value=0, max_value=1))
+def test_as_probability_returns_a_fraction_as_it_is(p):
+    assert as_probability(p) is p
+
+
+@given(
+    bad=st.one_of(
+        st.fractions(max_value=Fraction(-1, 10**30)),
+        st.fractions(min_value=1 + Fraction(1, 10**30)),
+    )
+)
+def test_as_probability_rejects_a_fraction_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError) as caught:
+        as_probability(bad, "switch probability")
+    assert str(caught.value) == f"switch probability must be in [0, 1], got {bad!r}"
+
+
+@given(bad=st.sampled_from(["goat", "1/0", float("nan"), float("inf"), None, [0.5]]))
+def test_as_probability_rejects_a_non_rational(bad):
+    with pytest.raises(ValueError) as caught:
+        as_probability(bad, "p")
+    assert str(caught.value) == f"not a rational p: {bad!r}"
+
+
 def test_partition_type_rejects_bad_cells():
     good = partition_probabilities(LEAVE_TWO, 3, Fraction(1, 2))
     cells = dict(good.cells)

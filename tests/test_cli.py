@@ -1,9 +1,12 @@
 """Command-line surface: flags, exit codes, CSV contract, reproducibility."""
 
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import montyhall.analytic
 import montyhall.oracle
@@ -38,6 +41,59 @@ def test_fmt12_rendering():
     assert fmt12(F(1)) == "1"
     assert fmt12(0.05) == "0.05"
     assert fmt12(1 / 3) == "0.333333333333"
+
+
+_SIG12 = Context(prec=12, rounding=ROUND_HALF_EVEN)
+
+
+def _decimal_fmt12(value):
+    """12 significant digits, half-even, in plain notation: the rendering
+    every value below 10**12 keeps, written out with Decimal."""
+    if isinstance(value, Fraction):
+        quantized = _SIG12.divide(Decimal(value.numerator), Decimal(value.denominator))
+    else:
+        quantized = _SIG12.plus(Decimal(float(value)))
+    text = format(quantized, "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
+
+
+@st.composite
+def _twelve_digit_ties(draw):
+    """A float whose exact value has 13 significant digits, the last a 5:
+    d / 10**k for a 13-digit d that 5**k divides, which is m / 2**k."""
+    k = draw(st.integers(min_value=1, max_value=13))
+    low, high = -(-(10**12) // 5**k), (10**13 - 1) // 5**k
+    m = draw(st.integers(min_value=low, max_value=high).filter(lambda m: m % 2))
+    return draw(st.sampled_from([1, -1])) * m / 2**k
+
+
+_BELOW_10_TO_12 = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).filter(lambda x: not abs(x) >= 1e12),
+    st.floats(max_value=1e-300, min_value=-1e-300),  # subnormals and their neighbours
+    st.floats(min_value=1e11, max_value=1e12, exclude_max=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 999999999999.5, 0.05, 1 / 3]),
+    _twelve_digit_ties(),
+)
+
+
+@settings(max_examples=2000, derandomize=True)
+@given(value=_BELOW_10_TO_12)
+def test_fmt12_keeps_the_decimal_rendering_below_10_to_12(value):
+    assert fmt12(value) == _decimal_fmt12(value)
+
+
+@given(value=st.fractions(min_value=-(10**11), max_value=10**11, max_denominator=10**15))
+def test_fmt12_renders_a_fraction_as_decimal_does(value):
+    assert fmt12(value) == _decimal_fmt12(value)
+
+
+@settings(max_examples=500, derandomize=True)
+@given(value=st.floats(min_value=1e12, allow_infinity=False), sign=st.sampled_from([1, -1]))
+def test_fmt12_writes_exponent_form_from_10_to_12(value, sign):
+    text = fmt12(sign * value)
+    assert text == format(sign * value, ".12g") and "e+" in text
+    assert Decimal(text) == Decimal(_decimal_fmt12(sign * value))
+    assert fmt12(F(sign * value)) == text
 
 
 def test_analytic_reports_exact_values(capsys):
@@ -108,7 +164,7 @@ def test_simulated_doors_stop_below_2_to_63(argv, monkeypatch, capsys):
     def no_chunk(*args, **kwargs):
         raise AssertionError("simulated before the inputs were checked")
 
-    monkeypatch.setattr(montyhall.simulate, "_chunk_wins", no_chunk)
+    monkeypatch.setattr(montyhall.simulate, "_block_wins", no_chunk)
     assert run_cli(*argv, "--doors", str(2**63)) == EXIT_USAGE
     assert "doors must be" in capsys.readouterr().err
 
@@ -268,7 +324,7 @@ def test_sweep_rejects_bad_plan_inputs_before_simulating(
     def no_chunk(*args, **kwargs):
         raise AssertionError("simulated before the inputs were checked")
 
-    monkeypatch.setattr(montyhall.simulate, "_chunk_wins", no_chunk)
+    monkeypatch.setattr(montyhall.simulate, "_block_wins", no_chunk)
     path = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--doors", "3", "--out", str(path), *flags) == EXIT_USAGE
     assert "error" in capsys.readouterr().err.lower()
@@ -637,6 +693,38 @@ _RNG_LINE = montyhall.simulate.RNG_ALGORITHM
         (
             "verify --doors-max 5 --placement-checks 3",
             ["252 analytic checks passed, 3 placement checks passed"],
+        ),
+        # From 10**12 up a value is written in exponent form, not as a
+        # digit string of its whole binary expansion.
+        (
+            "sweep --trials 10 --grid-step 1/3 --delta 1e-320",
+            [
+                "# seed=0",
+                f"# rng={_RNG_LINE}",
+                "# variant=leave-two",
+                "# doors=3",
+                "# trials=10",
+                "# epsilon=0.01",
+                "# delta=1e-320",
+                "# chunk_size=65536",
+                "# grid_step=1/3",
+                "p,empirical,analytic,clt_halfwidth,chebyshev_halfwidth",
+                "0,0.7,0.333333333333,5.70752194657,1.49072028298e+159",
+                "0.333333333333,0.6,0.444444444444,6.01625638219,1.57135714948e+159",
+                "0.666666666667,0.7,0.555555555556,6.01625638219,1.57135714948e+159",
+                "1,0.6,0.666666666667,5.70752194657,1.49072028298e+159",
+            ],
+        ),
+        (
+            "sweep --trials 10 --grid-step 1/3 --delta 1e-320 --format table",
+            [
+                "sweep: variant=leave-two doors=3 trials=10 seed=0 epsilon=0.01 delta=1e-320",
+                "     p    empirical       analytic     clt_hw    cheb_hw",
+                "     0     0.700000 0.333333333333   5.707522 1.490720e+159",
+                "0.333333333333     0.600000 0.444444444444   6.016256 1.571357e+159",
+                "0.666666666667     0.700000 0.555555555556   6.016256 1.571357e+159",
+                "     1     0.600000 0.666666666667   5.707522 1.490720e+159",
+            ],
         ),
     ],
 )

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -239,6 +240,23 @@ def test_band_halfwidth_rejects_bad_inputs():
         band_halfwidth(0.5, 1.5, 0.01, PlanMethod.CLT)
     with pytest.raises(ValueError):
         band_halfwidth(0.5, 100, 0.01, "clt")
+
+
+@given(
+    p_wins=st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=30),
+    l=st.integers(min_value=1, max_value=2**62),
+    delta=st.floats(min_value=1e-320, max_value=0.999),
+    method=st.sampled_from(list(PlanMethod)),
+)
+def test_band_halfwidth_of_an_array_is_the_scalar_band_of_each_entry(p_wins, l, delta, method):
+    bands = band_halfwidth(np.array(p_wins), l, delta, method)
+    assert bands.tolist() == [band_halfwidth(p_win, l, delta, method) for p_win in p_wins]
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, float("nan"), float("inf")])
+def test_band_halfwidth_names_the_first_bad_entry_of_an_array(bad):
+    with pytest.raises(ValueError, match=rf"^p_win must be in \[0, 1\], got {bad!r}$"):
+        band_halfwidth(np.array([0.5, bad, 2.0]), 100, 0.01, PlanMethod.CLT)
 
 
 @given(

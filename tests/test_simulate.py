@@ -18,7 +18,7 @@ from montyhall.oracle import CarDistribution, enumerate_trajectories
 from montyhall.simulate import (
     SimulationConfig,
     SimulationResult,
-    _count_wins,
+    _win_mask,
     run_batch,
     substream,
     sweep,
@@ -266,7 +266,7 @@ def test_substream_matches_v2_layout_after_reuse():
 
 
 def _kernel_win_probability(n, k, p):
-    """``_count_wins`` over one game per (pick, slot) cell, the two columns
+    """``_win_mask`` over one game per (pick, slot) cell, the two columns
     the kernel draws uniformly, as an exact probability at switch rate p."""
     picks, slots = np.meshgrid(
         np.arange(1, n + 1), np.arange(n - 1 - k), indexing="ij"
@@ -274,9 +274,9 @@ def _kernel_win_probability(n, k, p):
     hit = picks.ravel() == 1
     slot0 = slots.ravel() == 0
     cells = hit.size
-    scratch = np.empty(cells, dtype=bool)
-    stay = _count_wins(hit, np.zeros(cells, dtype=bool), slot0, scratch)
-    switch = _count_wins(hit, np.ones(cells, dtype=bool), slot0, scratch)
+    out = np.empty(cells, dtype=bool)
+    stay = int(np.count_nonzero(_win_mask(hit, np.zeros(cells, dtype=bool), slot0, out)))
+    switch = int(np.count_nonzero(_win_mask(hit, np.ones(cells, dtype=bool), slot0, out)))
     return F(stay, cells) * (1 - p) + F(switch, cells) * p
 
 
@@ -325,14 +325,15 @@ def test_bernoulli_column_is_exact_on_every_16_bit_word():
     for den in range(1, 257):
         for num in range(den + 1):
             column = simulate._column(num, den)
-            success = np.empty(2**16, dtype=bool)
-            accepted = np.ones(2**16, dtype=bool)
-            masked = simulate._draw(column, every_lane, success, accepted)
             if den == 1:
                 assert column.dtype is None and simulate._words(column, 2**16) == 0
-                assert not masked and np.all(success == bool(num))
+                assert column.success is bool(num) and column.last is None
                 continue
             assert column.dtype == np.dtype("<u2") and simulate._words(column, 2**16) == 2**14
+            success = np.empty(2**16, dtype=bool)
+            accepted = np.ones(2**16, dtype=bool)
+            lanes = simulate._lanes(every_lane, column.dtype, 2**16)
+            simulate._draw(column, lanes, success, accepted)
             kept = int(np.count_nonzero(accepted))
             assert 2**16 - kept < 2**16 // 256
             assert F(int(np.count_nonzero(success & accepted)), kept) == F(num, den)
@@ -359,7 +360,7 @@ def test_bernoulli_column_thresholds_on_wide_words(den, width):
     for num in sorted({1, den // 3, den - 1}):
         column = simulate._column(num, den)
         assert column.dtype == np.dtype(f"<u{width // 8}")
-        accept = column.accept if column.accept is not None else 2**width
+        accept = column.last + 1 if column.last is not None else 2**width
         assert F(column.success, accept) == F(num, den)
         assert accept == den * per and 2**width - accept < den
         lanes = [num * per - 1, num * per, den * per - 1]
@@ -373,7 +374,8 @@ def test_bernoulli_column_thresholds_on_wide_words(den, width):
         assert simulate._words(column, len(lanes)) == len(words)
         success = np.empty(len(lanes), dtype=bool)
         accepted = np.empty(len(lanes), dtype=bool)
-        masked = simulate._draw(column, words, success, accepted)
+        in_words = simulate._lanes(words, column.dtype, len(lanes))
+        masked = simulate._draw(column, in_words, success, accepted)
         assert success.tolist() == want_success
         if not masked:
             assert all(want_accepted)
@@ -394,7 +396,7 @@ def test_probability_beyond_2_to_64_rounds_up(prob):
     if column.dtype is None:
         assert rounded == 1 and column.success is True
     else:
-        accept = column.accept if column.accept is not None else 2**64
+        accept = column.last + 1 if column.last is not None else 2**64
         assert F(column.success, accept) == rounded
 
 
@@ -409,18 +411,17 @@ def test_batch_keeps_the_switch_probability_exact():
 
 
 def _record_chunks(monkeypatch):
-    """Wrap ``_chunk_wins`` to log each chunk's (stream, chunk) and the raw
-    words it took from its drain's bit generator, in the order drawn."""
+    """Wrap ``_block_wins`` to log each chunk's (stream, chunk) and the raw
+    words its rounds took, block by block in the order played."""
     drawn = []
-    real = simulate._chunk_wins
+    real = simulate._block_wins
 
-    def recording(columns, philox, size, work):
-        wins = real(columns, philox, size, work)
-        _, _, stream, chunk = (int(word) for word in philox.state["state"]["counter"])
-        drawn.append(((stream, chunk), _words_drawn(philox)))
-        return wins
+    def recording(run, philox, work, block):
+        played = real(run, philox, work, block)
+        drawn.extend(((row, chunk), words) for (row, chunk, _), (_, words) in zip(block, played))
+        return played
 
-    monkeypatch.setattr(simulate, "_chunk_wins", recording)
+    monkeypatch.setattr(simulate, "_block_wins", recording)
     return drawn
 
 
@@ -498,6 +499,32 @@ def test_reused_workspace_leaks_nothing_between_chunks(
     rows = sweep(config, step, workers=workers)
     for stream, row in enumerate(rows):
         assert row.result.wins == _v3_wins(config, row.p, stream)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "variant, n, ps, trials, chunk_size",
+    [
+        # One block of ten chunks whose switch columns are certain (p = 0, 1),
+        # 16-bit (1/2, 1/3) and 32-bit (1/1000); each row's second chunk is short.
+        (OPEN_ONE, 15, [F(0), F(1, 2), F(1, 1000), F(1, 3), F(1)], 100, 64),
+        # Twenty chunks a row: the second block holds row 0's last four
+        # chunks and row 1's first twelve.
+        (LEAVE_TWO, 10, [F(1, 5), F(2, 7), F(3, 8)], 20 * 64, 64),
+        # Rows whose last chunk is short, in blocks of a few 4,096-game chunks.
+        (OPEN_ONE, 7, [F(3, 10), F(1, 250)], 3 * 4096 + 17, 4096),
+        # The 16-bit p = 1/241 lane rejects 225 lanes in 2**16, so the chunk's
+        # redraws take about 170 words, more than a few spare ones.
+        (OPEN_ONE, 15, [F(1, 241)], 2**16, 2**16),
+    ],
+)
+def test_block_shapes_match_the_recount(monkeypatch, variant, n, ps, trials, chunk_size, workers):
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    config = SimulationConfig(variant, n, trials, 31, chunk_size)
+    results = run_batch(config, ps, workers=workers)
+    assert [result.wins for result in results] == [
+        _v3_wins(config, p, stream) for stream, p in enumerate(ps)
+    ]
 
 
 def _list_trace_trial(variant, n, p, rng):
@@ -680,45 +707,46 @@ def test_config_validation(monkeypatch):
     def no_chunk(*args):
         raise AssertionError("drew a chunk before the inputs were checked")
 
-    monkeypatch.setattr(simulate, "_chunk_wins", no_chunk)
+    monkeypatch.setattr(simulate, "_block_wins", no_chunk)
     for workers in (0, 1.5):
         with pytest.raises(ValueError):
             sweep(SimulationConfig(LEAVE_TWO, 3, 100), F(1, 2), workers=workers)
 
 
 def test_thread_count_is_capped_by_chunks_and_cpus(monkeypatch):
+    # A drain pulls blocks of up to 16 chunks, so the blocks cap the threads.
     import montyhall.simulate as simulate
 
     started = []
     real_pool = simulate.ThreadPoolExecutor
-    real_chunk_wins = simulate._chunk_wins
+    real_block_wins = simulate._block_wins
     drawn = []  # (max_workers of the latest pool, drawn on the calling thread)
 
     def recording_pool(max_workers):
         started.append(max_workers)
         return real_pool(max_workers=max_workers)
 
-    def recording_chunk_wins(*args):
+    def recording_block_wins(*args):
         drawn.append((started[-1], threading.current_thread() is threading.main_thread()))
-        return real_chunk_wins(*args)
+        return real_block_wins(*args)
 
     monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
-    monkeypatch.setattr(simulate, "_chunk_wins", recording_chunk_wins)
+    monkeypatch.setattr(simulate, "_block_wins", recording_block_wins)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
-    two_chunks = SimulationConfig(OPEN_ONE, 5, 200, master_seed=4, chunk_size=100)
-    ten_chunks = SimulationConfig(OPEN_ONE, 5, 1000, master_seed=4, chunk_size=100)
-    for config in (two_chunks, ten_chunks):
+    two_blocks = SimulationConfig(OPEN_ONE, 5, 32 * 100, master_seed=4, chunk_size=100)
+    ten_blocks = SimulationConfig(OPEN_ONE, 5, 160 * 100, master_seed=4, chunk_size=100)
+    for config in (two_blocks, ten_blocks):
         assert run_batch(config, [0.5], workers=8) == run_batch(config, [0.5])
-    # A sweep takes one pool for all its rows: 21 rows of two chunks, then
-    # 2 rows of one chunk each.
-    for step, trials in ((F(1, 20), 200), (F(1), 100)):
+    # A sweep takes one pool for all its rows: 21 rows of two chunks make
+    # blocks of 16, 16 and 10 chunks; 2 rows of nine make blocks of 16 and 2.
+    for step, trials in ((F(1, 20), 200), (F(1), 900)):
         config = SimulationConfig(OPEN_ONE, 5, trials, master_seed=4, chunk_size=100)
         assert sweep(config, step, workers=8) == sweep(config, step)
-    # One pool per call; the chunk count, then the CPU count, caps each.
+    # One pool per call; the block count, then the CPU count, caps each.
     assert started == [2, 1, 3, 1, 3, 1, 2, 1]
-    # The caller is a drain, so at workers=1 it draws every chunk itself.
+    # The caller is a drain, so at workers=1 it draws every block itself.
     assert all(on_caller for cap, on_caller in drawn if cap == 1)
-    assert sum(cap == 1 for cap, _ in drawn) == 2 + 10 + 42 + 2
+    assert sum(cap == 1 for cap, _ in drawn) == 2 + 10 + 3 + 2
 
 
 def test_threads_pull_each_chunk_exactly_once(monkeypatch):
@@ -749,33 +777,35 @@ def test_threads_pull_each_chunk_exactly_once(monkeypatch):
     assert threaded_rows == reference_rows
 
 
-def _failing_chunk_wins(monkeypatch, calls, fail_at, wins=None):
-    """Patch ``_chunk_wins`` to record each call's size in ``calls`` and raise
-    on call ``fail_at``; other calls return ``wins`` or the real count."""
-    real = simulate._chunk_wins
+def _failing_block_wins(monkeypatch, calls, fail_at, wins=None):
+    """Patch ``_block_wins`` to record each call's chunk count in ``calls``
+    and raise on call ``fail_at``; other calls give each chunk ``wins`` or
+    its real count."""
+    real = simulate._block_wins
 
-    def chunk_wins(columns, philox, size, work):
-        calls.append(size)
+    def block_wins(run, philox, work, block):
+        calls.append(len(block))
         if len(calls) == fail_at:
-            raise RuntimeError("chunk failed")
-        return real(columns, philox, size, work) if wins is None else wins
+            raise RuntimeError("block failed")
+        return real(run, philox, work, block) if wins is None else [(wins, 0)] * len(block)
 
-    monkeypatch.setattr(simulate, "_chunk_wins", chunk_wins)
+    monkeypatch.setattr(simulate, "_block_wins", block_wins)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("threaded", ["run_batch", "sweep"])
 def test_threads_stop_pulling_after_a_failed_chunk(monkeypatch, threaded, workers):
+    # 2,000 chunks of 64 games: 125 blocks of 16.
     calls = []
-    _failing_chunk_wins(monkeypatch, calls, fail_at=3)
+    _failing_block_wins(monkeypatch, calls, fail_at=3)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    with pytest.raises(RuntimeError, match="chunk failed"):
+    with pytest.raises(RuntimeError, match="block failed"):
         if threaded == "run_batch":
             config = SimulationConfig(OPEN_ONE, 5, 2000 * 64, master_seed=1, chunk_size=64)
             run_batch(config, [0.5], workers=workers)
         else:
             sweep(SimulationConfig(OPEN_ONE, 5, 400 * 64, chunk_size=64), F(1, 4), workers=workers)
-    # The failed chunk, plus at most two chunks the other thread, if any,
+    # The failed block, plus at most two blocks the other thread, if any,
     # pulled before it saw the stop.
     assert 3 <= len(calls) <= 3 + 2 * (workers - 1)
 
@@ -784,34 +814,35 @@ def test_threads_stop_pulling_after_a_failed_chunk(monkeypatch, threaded, worker
 def test_an_interrupted_caller_stops_the_threads(monkeypatch, workers):
     calls = []
     drawn_at_interrupt = []
-    real = simulate._chunk_wins
+    real = simulate._block_wins
 
-    def chunk_wins(*args):
+    def block_wins(*args):
         calls.append(None)
         if threading.current_thread() is threading.main_thread() and len(calls) >= 10:
-            # The caller is interrupted while it draws a chunk, once some ran.
+            # The caller is interrupted while it draws a block, once some ran.
             drawn_at_interrupt.append(len(calls))
             raise KeyboardInterrupt
-        # A millisecond per chunk keeps the other thread from drawing all
-        # 2,000 chunks before the caller is interrupted.
+        # A millisecond per block keeps the other thread from drawing all
+        # 125 blocks before the caller is interrupted.
         time.sleep(1e-3)
         return real(*args)
 
-    monkeypatch.setattr(simulate, "_chunk_wins", chunk_wins)
+    monkeypatch.setattr(simulate, "_block_wins", block_wins)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     config = SimulationConfig(OPEN_ONE, 5, 2000 * 64, master_seed=1, chunk_size=64)
     with pytest.raises(KeyboardInterrupt):
         run_batch(config, [0.5], workers=workers)
-    # The other thread, if any, finishes the chunk it had started; slack of
-    # one more chunk covers a thread switch between the interrupt and the stop.
-    assert 10 <= drawn_at_interrupt[0] <= len(calls) <= drawn_at_interrupt[0] + 2 * (workers - 1) < 2000
+    # The other thread, if any, finishes the block it had started; slack of
+    # one more block covers a thread switch between the interrupt and the stop.
+    assert 10 <= drawn_at_interrupt[0] <= len(calls) <= drawn_at_interrupt[0] + 2 * (workers - 1) < 125
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_queue_is_never_materialised(monkeypatch, workers):
-    # 3 rows of 2**62 one-game chunks: a list of the chunks could not be built.
+    # 3 rows of 2**62 one-game chunks, pulled in blocks of 16: a list of the
+    # chunks could not be built.
     calls = []
-    _failing_chunk_wins(monkeypatch, calls, fail_at=5, wins=0)
+    _failing_block_wins(monkeypatch, calls, fail_at=5, wins=0)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     raised = []
 
@@ -821,7 +852,7 @@ def test_sweep_queue_is_never_materialised(monkeypatch, workers):
         except BaseException as exc:
             raised.append(exc)
 
-    def stray_chunk(*args):
+    def stray_block(*args):
         raise RuntimeError("stopped by the test")
 
     # A drain that missed the stop would pull 2**62 chunks: on a daemon
@@ -837,13 +868,13 @@ def test_sweep_queue_is_never_materialised(monkeypatch, workers):
         hung = runner.is_alive()
         if hung:
             # End the stray drain, so it neither grows `calls` nor slows later tests.
-            monkeypatch.setattr(simulate, "_chunk_wins", stray_chunk)
+            monkeypatch.setattr(simulate, "_block_wins", stray_block)
             runner.join(timeout=10)
     finally:
         tracemalloc.stop()
     assert not hung, "sweep still running 10 s after the failed chunk"
     assert len(raised) == 1 and isinstance(raised[0], RuntimeError)
-    assert str(raised[0]) == "chunk failed"
+    assert str(raised[0]) == "block failed"
     assert elapsed < 5
     assert peak < 2**20
     assert 5 <= len(calls) <= 5 + workers
