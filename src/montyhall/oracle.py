@@ -19,8 +19,9 @@ The walk weights each trajectory given its switch decision, so one walk per
 (``k``, car distribution) serves every ``p``, which enters through the closed
 forms' own ``_weigh_switch``.  Nothing is kept between calls.
 :func:`verify_closed_forms`, which ``montyhall verify`` prints, walks one
-uniform tree per (variant, ``n``) and weighs it at every ``p``; it compares
-each randomly placed tree with the closed-form table unweighted.
+uniform tree per (variant, ``n``) and compares it with the closed-form table
+once, free of ``p``; at each ``p`` it checks the tree's P(win) against the
+closed form.  It compares each randomly placed tree with the table too.
 
 The walk visits car x pick x host subset x candidate final door.  The
 leave-two host (``k = n - 2``) has at most ``n - 1`` subsets, so that walk
@@ -31,6 +32,7 @@ That is fine for desk-scale n.  Only car placements are random:
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,17 +151,19 @@ def _conditional_cells(k: int, cars: CarDistribution) -> dict[Cell, Fraction]:
 
     The stay cells sum to 1 and so do the switch cells.  Trajectories share
     only a handful of distinct weights, so the walk counts (cell, weight)
-    pairs and multiplies out each distinct pair once.  Each call walks the
-    tree anew; the result is free of ``p``, so a caller may keep it.
+    pairs and adds each cell's numerators over one common denominator in
+    integers.  Each call walks the tree anew; the result is free of ``p``,
+    so a caller may keep it.
     """
     tally = Counter(
         (pick == car, switched, final == car, weight)
         for car, pick, _opened, switched, final, weight in _raw_trajectories(k, cars)
     )
-    cells = dict.fromkeys(CELL_ORDER, Fraction(0))
+    common = math.lcm(*(den for *_, (_, den) in tally))
+    numerators = dict.fromkeys(CELL_ORDER, 0)
     for (correct, switched, won, (num, den)), count in tally.items():
-        cells[correct, switched, won] += Fraction(num * count, den)
-    return cells
+        numerators[correct, switched, won] += num * count * (common // den)
+    return {cell: Fraction(num, common) for cell, num in numerators.items()}
 
 
 def enumerate_trajectories(
@@ -233,8 +237,10 @@ def verify_closed_forms(
 
     For ``n`` from 3 to ``doors_max``, each variant's walked tree meets the
     closed forms at every point of the default grid: P(win) and the eight
-    cells, two checks.  Then ``placement_checks`` leave-two trees, on car
-    placements drawn from ``default_rng(seed)``, meet the p-free table.
+    cells, two checks.  Both trees are free of ``p``, so they are weighed
+    at each ``p`` only when they differ.  Then ``placement_checks`` leave-two
+    trees, on car placements drawn from ``default_rng(seed)``, meet the
+    p-free table.
     """
     _require_int("doors-max", doors_max, 3)
     _require_int("placement-checks", placement_checks, 0)
@@ -245,12 +251,13 @@ def verify_closed_forms(
     analytic_checks = 0
     for variant in (GameVariant.LEAVE_TWO_CLOSED, GameVariant.OPEN_ONE):
         for n in range(3, doors_max + 1):
-            # Both sides are free of p; weighing them by p is all a grid point adds.
             tree = _conditional_cells(_host_opens(variant, n), CarDistribution.uniform(n))
             table = _cells_given_switch(variant, n)
+            same = tree == table
+            stay = tree[True, False, True] + tree[False, False, True]
+            move = tree[True, True, True] + tree[False, True, True]
             for p in grid:
-                got_cells = _weigh_switch(tree, p)
-                got = sum(mass for (_, _, won), mass in got_cells.items() if won)
+                got = stay + (move - stay) * p
                 # Looked up at call time, so a patched or traced closed form is checked.
                 want = analytic.win_marginal(variant, n, p)
                 analytic_checks += 2
@@ -259,7 +266,8 @@ def verify_closed_forms(
                         f"win probability mismatch at ({variant.value}, n={n}, "
                         f"p={p}): enumeration {got} vs closed form {want}"
                     )
-                if got_cells != _weigh_switch(table, p):
+                # Unequal p-free trees can still agree at p = 0 or 1.
+                if not same and _weigh_switch(tree, p) != _weigh_switch(table, p):
                     failures.append(
                         f"partition mismatch at ({variant.value}, n={n}, p={p})"
                     )

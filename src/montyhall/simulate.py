@@ -4,21 +4,23 @@ Both variants are one game in which the host opens ``k`` goat doors (see
 :mod:`montyhall.analytic`); the batch kernel and :func:`trace_trial` only
 read ``k``.
 
-Reproducibility contract (stream v3)
+Reproducibility contract (stream v4)
 ------------------------------------
-All randomness flows from numpy's counter-based Philox4x64-10 generator, in
-the key = stream, counter = position scheme of Salmon et al., "Parallel
-Random Numbers: As Easy as 1, 2, 3" (SC'11).  A run has one Philox key,
-``SeedSequence(master_seed).generate_state(2, np.uint64)``, and chunk ``j``
-of row ``i`` starts at counter ``(0, 0, i, j)`` (low word first), so its
-draws are the raw 64-bit words of ``Philox(key=key, counter=[0, 0, i, j])``:
-a pure function of ``(master_seed, i, j)``.  A chunk advances only
-the low counter words, so chunks never overlap, and results are bit-for-bit
-reproducible for a fixed configuration regardless of how many workers
-execute the chunks.  Changing ``chunk_size`` changes the substream layout
-and therefore the draws, so it is part of :class:`SimulationConfig`.
-Stream v2 drew from the same counters through ``Generator.integers`` and
-``Generator.random``, so v3 output differs from v2 output.
+All randomness flows from numpy's PCG64DXSM generator (O'Neill, "PCG: A
+Family of Simple Fast Space-Efficient Statistically Good Algorithms for
+Random Number Generation", 2014), laid out in the key = stream, counter =
+position scheme of Salmon et al., "Parallel Random Numbers: As Easy as 1, 2,
+3" (SC'11).  A run has one base state, ``PCG64DXSM(SeedSequence(master_seed))``,
+and word ``w`` of chunk ``j`` of row ``i`` is output
+``i * 2**96 + j * 2**64 + w`` of that one sequence, reached with ``advance``:
+a pure function of ``(master_seed, i, j, w)``.  Each chunk owns 2**64
+words, so no two chunks share a word while rows and chunks per row stay
+below 2**32: :class:`SimulationConfig` rejects 2**32 chunks or more, and a
+grid has at most 10**6 + 1 rows.  Results are bit-for-bit reproducible for
+a fixed configuration regardless of how many workers execute the chunks.
+Changing ``chunk_size`` changes the layout and therefore the draws, so it is
+part of :class:`SimulationConfig`.  Stream v3 drew the same columns from Philox at
+counter ``(0, 0, i, j)``, so v4 output differs from v3 output.
 
 Fan-out
 -------
@@ -31,10 +33,10 @@ row), none at ``workers == 1``.  A drain pulls a block at a time: up to 16
 consecutive chunks of at most ``DEFAULT_CHUNK_SIZE`` games in all, so a
 chunk of that size or more is a block of one, and a block of small chunks
 may span rows.  Each drain sums its chunks' wins by grid index; the caller
-adds those sums row by row.  The key is derived once per call.  Each drain
-owns one Philox bit generator, which it moves to a chunk's counter before
-drawing it, and one workspace that every block overwrites: boolean game
-arrays for a block, and the raw words of a block of several chunks.  Drains
+adds those sums row by row.  The base state is derived once per call.  Each
+drain owns one PCG64DXSM bit generator, which it moves to a chunk's words
+before drawing them, and one workspace that every block overwrites: boolean
+game arrays for a block, and the raw words of a block of several chunks.  Drains
 share no draw state, and since a chunk's draws are fixed by
 ``(master_seed, i, j)``, the number of workers, the blocks and the order in
 which they run never change a result.  Once a block fails, or the caller is
@@ -46,7 +48,7 @@ A win depends on three Bernoulli events per game: the pick hit the car
 (``1/n``), the player switched (``p``), and a switcher took slot 0, the car's
 place among the ``n - 1 - k`` other closed doors (``1/(n - 1 - k)``).
 Within a chunk the kernel draws them as whole columns in that order, each
-by one exact threshold rule on raw Philox words; a round's three columns
+by one exact threshold rule on raw 64-bit words; a round's three columns
 take consecutive words.  For a column of
 probability ``num/den``:
 
@@ -61,9 +63,9 @@ probability ``num/den``:
   or 1) draws nothing.
 
 A game rejected in any column is dropped, and the chunk's shortfall is drawn
-again by the same rule, all three columns, from where the counter has
-reached.  The accepted region is a product set, so the columns stay exact
-and independent.  ``p`` is kept as an exact ``Fraction``; one whose
+again by the same rule, all three columns, from the chunk's next word.  The
+accepted region is a product set, so the columns stay exact and
+independent.  ``p`` is kept as an exact ``Fraction``; one whose
 denominator exceeds 2**64 (among binary floats, only some below 2**-12) is
 rounded up to a multiple of 2**-64.  Host bookkeeping that cannot change a
 win -- which goat doors the host touches -- is collapsed out of the batch
@@ -71,16 +73,15 @@ kernel; :func:`trace_trial` plays single games with the full door-by-door
 mechanics and is what trajectory-level tests should sample.
 
 The kernel plays a block as follows; none of it changes which words a
-chunk reads.  Each chunk's first round and a few spare words, ``m`` words
-in all with ``m`` a multiple of 4, come from one ``random_raw`` call, after
-which Philox sits at counter ``(m / 4, 0, i, j)`` with nothing buffered.
-Chunks of the block that share a size and a switch lane type are compared
-as one ``(chunks, games)`` array per column, with the switch thresholds as
-a per-chunk column, and counted per chunk.  A block of one is read as
-drawn; a block of several is first copied into the workspace.  The redraw
-rounds of all the block's short chunks then run together, as one flat
-array of their games per column, each chunk's lanes read from its spare
-words; a chunk whose spare runs out draws on from Philox at its counter.
+chunk reads.  Each chunk's first round and a few spare words come from one
+``random_raw`` call.  Chunks of the block that share a size and a switch
+lane type are compared as one ``(chunks, games)`` array per column, with the
+switch thresholds as a per-chunk column, and counted per chunk.  A block of
+one is read as drawn; a block of several is first copied into the
+workspace.  The redraw rounds of all the block's short chunks then run
+together, as one flat array of their games per column, each chunk's lanes
+read from its spare words; a chunk whose spare runs out draws on from its
+next word.
 """
 
 from __future__ import annotations
@@ -124,17 +125,20 @@ __all__ = [
 ]
 
 #: The ``rng`` text of ``simulate`` and the sweep's ``# rng=`` line: the
-#: generator, the numpy version and the stream v3 rule described above.  A
+#: generator, the numpy version and the stream v4 rule described above.  A
 #: change to the stream bumps the version here.
 RNG_ALGORITHM = (
-    f"Philox4x64-10 (numpy.random.Philox); numpy {np.__version__}; stream=v3; "
-    "key=SeedSequence(seed).generate_state(2, uint64); "
-    "counter=(0, 0, grid_index, chunk_index); "
+    f"PCG64DXSM (numpy.random.PCG64DXSM); numpy {np.__version__}; stream=v4; "
+    "base=PCG64DXSM(SeedSequence(seed)); "
+    "word w of (grid_index, chunk_index)=output grid_index*2^96+chunk_index*2^64+w; "
     "columns=hit,switch,slot0 as exact thresholds on 16/32/64-bit lanes "
     "of raw words, rejected games redrawn"
 )
 
 DEFAULT_CHUNK_SIZE = 65536
+
+#: Rows and chunks per row stay below this, so that chunks' words are disjoint.
+_INDEX_LIMIT = 2**32
 
 _CAR_DOOR = 1  # car placement is fixed; arbitrary placement loses no generality
 
@@ -156,6 +160,9 @@ class SimulationConfig:
         _require_int("trials", self.trials, 1, 2**63)
         _require_int("chunk_size", self.chunk_size, 1)
         _require_seed(self.master_seed)
+        chunks = -(-self.trials // min(self.chunk_size, self.trials))
+        if chunks >= _INDEX_LIMIT:
+            raise ValueError(f"trials / chunk_size must give < 2**32 chunks, got {chunks}")
 
 
 class TrialTrace(NamedTuple):
@@ -200,40 +207,26 @@ class SweepRow(NamedTuple):
     chebyshev_halfwidth: float
 
 
-def _philox_key(master_seed: int) -> tuple[int, int]:
-    words = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
-    return int(words[0]), int(words[1])
-
-
-def _position(
-    philox: np.random.Philox, key: tuple[int, int], stream: int, chunk: int, step: int = 0
-) -> None:
-    """Move ``philox`` to counter ``(step, 0, stream, chunk)`` under ``key``,
-    with nothing buffered: word ``4 * step`` of chunk ``chunk`` of stream
-    ``stream``."""
-    philox.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (step, 0, stream, chunk), "key": key},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,  # empty: the next draw runs the counter
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _position(bits: np.random.PCG64DXSM, base: dict, stream: int, chunk: int, word=0) -> None:
+    """Move ``bits`` to word ``word`` of chunk ``chunk`` of stream ``stream``:
+    output ``stream * 2**96 + chunk * 2**64 + word`` of ``base``."""
+    bits.state = base
+    bits.advance(stream * 2**96 + chunk * 2**64 + word)
 
 
 def substream(master_seed: int, stream: int, chunk: int) -> np.random.Generator:
     """A new generator for chunk ``chunk`` of stream ``stream``, positioned
-    at counter ``(0, 0, stream, chunk)`` under ``master_seed``'s key.
+    at its first word under ``master_seed``'s base state.
 
     Its draws are a pure function of the arguments: its raw words are the
     ones the batch kernel draws for that chunk.
     """
     _require_seed(master_seed)
-    _require_int("stream", stream, 0, 2**64)
-    _require_int("chunk", chunk, 0, 2**64)
-    philox = np.random.Philox(0)
-    _position(philox, _philox_key(master_seed), stream, chunk)
-    return np.random.Generator(philox)
+    _require_int("stream", stream, 0, _INDEX_LIMIT)
+    _require_int("chunk", chunk, 0, _INDEX_LIMIT)
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(master_seed))
+    _position(bits, bits.state, stream, chunk)
+    return np.random.Generator(bits)
 
 
 def trace_trial(variant: GameVariant, n: int, p: RationalLike, rng) -> TrialTrace:
@@ -302,7 +295,7 @@ class _Column(NamedTuple):
 
 
 def _column(num: int, den: int) -> _Column:
-    """The stream v3 column for the reduced fraction ``num/den`` (see the
+    """The stream v4 column for the reduced fraction ``num/den`` (see the
     module docstring)."""
     if den > 2**64:
         rounded = Fraction(-(-num * 2**64 // den), 2**64)  # up to k * 2**-64
@@ -397,8 +390,8 @@ def _round(columns, lanes, work) -> tuple[np.ndarray, np.ndarray | None]:
 
 class _Short:
     """A chunk short of games after a round: ``left`` games to draw again,
-    from ``words``, the drawn words it has not taken, and then from word
-    ``drawn`` (a multiple of 4) of its counter on."""
+    from ``words``, the drawn words it has not taken, and then from its word
+    ``drawn`` on."""
 
     __slots__ = ("index", "row", "chunk", "left", "words", "drawn")
 
@@ -406,14 +399,13 @@ class _Short:
         self.index, self.row, self.chunk = index, row, chunk
         self.left, self.words, self.drawn = left, words, drawn
 
-    def take(self, count: int, philox: np.random.Philox, key: tuple[int, int]) -> np.ndarray:
+    def take(self, count: int, bits: np.random.PCG64DXSM, base: dict) -> np.ndarray:
         """The chunk's next ``count`` words."""
         if count > len(self.words):
-            # The spare ran out: the rest come from Philox at the chunk's counter.
+            # The spare ran out: the rest come from the chunk's next words.
             more = count - len(self.words) + _SPARE_WORDS
-            more += -more % 4
-            _position(philox, key, self.row, self.chunk, self.drawn // 4)
-            fresh = philox.random_raw(more).astype("<u8", copy=False)
+            _position(bits, base, self.row, self.chunk, self.drawn)
+            fresh = bits.random_raw(more).astype("<u8", copy=False)
             self.words = np.concatenate((self.words, fresh))
             self.drawn += more
         taken, self.words = self.words[:count], self.words[count:]
@@ -421,10 +413,10 @@ class _Short:
 
 
 class _Run(NamedTuple):
-    """What every drain of one :func:`run_batch` call reads: the Philox key,
+    """What every drain of one :func:`run_batch` call reads: the base state,
     the hit and slot-0 columns, and each row's switch column."""
 
-    key: tuple[int, int]
+    base: dict
     hit: _Column
     slot0: _Column
     switches: list[_Column]
@@ -444,7 +436,7 @@ class _Workspace:
 
 
 def _block_wins(
-    run: _Run, philox: np.random.Philox, work: _Workspace, block: Sequence[tuple[int, int, int]]
+    run: _Run, bits: np.random.PCG64DXSM, work: _Workspace, block: Sequence[tuple[int, int, int]]
 ) -> list[tuple[int, int]]:
     """The wins and the raw words taken of each ``(row, chunk index, size)``
     chunk of ``block`` (see "Batch draw order" in the module docstring)."""
@@ -452,18 +444,16 @@ def _block_wins(
     groups: dict[tuple, list[int]] = {}
     for index, (row, _, size) in enumerate(block):
         groups.setdefault((size, switches[row].dtype), []).append(index)
-    # One random_raw call per chunk: its first round and its spare words, in
-    # whole counters, so the next word sits at counter (stride / 4, 0, i, j).
+    # One random_raw call per chunk: its first round and its spare words.
     raws, plans = [], []
     for (size, dtype), members in groups.items():
         switch = _stack([switches[block[index][0]] for index in members], dtype)
         counts = (_words(hit, size), _words(switch, size), _words(slot0, size))
         stride = sum(counts) + _SPARE_WORDS
-        stride += -stride % 4
         for index in members:
             row, chunk, _ = block[index]
-            _position(philox, run.key, row, chunk)
-            raws.append(philox.random_raw(stride))
+            _position(bits, run.base, row, chunk)
+            raws.append(bits.random_raw(stride))
         plans.append((size, members, (hit, switch, slot0), counts, stride))
     if len(raws) == 1:
         words = raws[0]  # a block of one is read as drawn
@@ -506,7 +496,7 @@ def _block_wins(
         for entry, column in zip(short, own):
             left = entry.left
             h, w, s = _words(hit, left), _words(column, left), _words(slot0, left)
-            chunk_words = entry.take(h + w + s, philox, run.key)
+            chunk_words = entry.take(h + w + s, bits, run.base)
             taken[entry.index] += h + w + s
             hits.append(_lanes(chunk_words[:h], hit.dtype, left))
             if column.dtype is not None:
@@ -550,7 +540,7 @@ def run_batch(
     n, trials = config.n, config.trials
     size = min(config.chunk_size, trials)
     run = _Run(
-        _philox_key(config.master_seed),
+        np.random.PCG64DXSM(np.random.SeedSequence(config.master_seed)).state,
         _column(1, n),
         _column(1, n - 1 - _host_opens(config.variant, n)),
         [_column(p.numerator, p.denominator) for p in switches],
@@ -565,7 +555,7 @@ def run_batch(
     def drain() -> list[int]:
         try:
             # Reused by every block this drain pulls; no other drain sees them.
-            philox = np.random.Philox(0)
+            bits = np.random.PCG64DXSM(0)
             work = _Workspace(per_block * size)
             wins = [0] * len(switches)
             while not stopped.is_set():
@@ -577,7 +567,7 @@ def run_batch(
                 for index in range(start, min(start + per_block, total)):
                     row, chunk = divmod(index, chunks)
                     block.append((row, chunk, min(size, trials - chunk * size)))
-                played = _block_wins(run, philox, work, block)
+                played = _block_wins(run, bits, work, block)
                 for (row, _, _), (chunk_wins, _) in zip(block, played):
                     wins[row] += chunk_wins
             return wins

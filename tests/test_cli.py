@@ -169,6 +169,28 @@ def test_simulated_doors_stop_below_2_to_63(argv, monkeypatch, capsys):
     assert "doors must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--trials", str(2**32)),
+        ("sweep", "--trials", str(2**32), "--grid-step", "1/2"),
+    ],
+)
+def test_chunks_per_row_stop_below_2_to_32(argv, monkeypatch, capsys):
+    # Stream v4 gives each chunk 2**64 words of a row's 2**96: no more than
+    # 2**32 - 1 chunks fit in a row.  Configs are built, never run.
+    def no_chunk(*args, **kwargs):
+        raise AssertionError("simulated before the inputs were checked")
+
+    monkeypatch.setattr(montyhall.simulate, "_block_wins", no_chunk)
+    assert run_cli(*argv, "--chunk-size", "1") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: trials / chunk_size must give < 2**32 chunks, got {2**32}"
+    ]
+
+
 def test_help_exits_zero(capsys):
     assert run_cli("--help") == EXIT_OK
     out = capsys.readouterr().out
@@ -234,10 +256,10 @@ def test_sweep_csv_layout(tmp_path):
     meta = [line for line in lines if line.startswith("# ")]
     assert meta == [
         "# seed=1",
-        "# rng=Philox4x64-10 (numpy.random.Philox); numpy "
-        f"{np.__version__}; stream=v3; "
-        "key=SeedSequence(seed).generate_state(2, uint64); "
-        "counter=(0, 0, grid_index, chunk_index); "
+        "# rng=PCG64DXSM (numpy.random.PCG64DXSM); numpy "
+        f"{np.__version__}; stream=v4; "
+        "base=PCG64DXSM(SeedSequence(seed)); "
+        "word w of (grid_index, chunk_index)=output grid_index*2^96+chunk_index*2^64+w; "
         "columns=hit,switch,slot0 as exact thresholds on 16/32/64-bit lanes "
         "of raw words, rejected games redrawn",
         "# variant=leave-two",
@@ -433,28 +455,28 @@ def test_verify_walks_each_tree_once(monkeypatch, capsys):
             "leave-two",
             "10",
             [
-                "0,0.09945,0.1,0.00546415910316,0.0212132034356",
-                "0.25,0.2958,0.3,0.00834664089983,0.032403703492",
-                "0.5,0.50275,0.5,0.00910693183859,0.0353553390593",
-                "0.75,0.70105,0.7,0.00834664089983,0.032403703492",
-                "1,0.89935,0.9,0.00546415910316,0.0212132034356",
+                "0,0.1018,0.1,0.00546415910316,0.0212132034356",
+                "0.25,0.2991,0.3,0.00834664089983,0.032403703492",
+                "0.5,0.49485,0.5,0.00910693183859,0.0353553390593",
+                "0.75,0.70205,0.7,0.00834664089983,0.032403703492",
+                "1,0.90045,0.9,0.00546415910316,0.0212132034356",
             ],
         ),
         (
             "open-one",
             "5",
             [
-                "0,0.19645,0.2,0.00728554547087,0.0282842712475",
-                "0.25,0.2158,0.216666666667,0.00750363043913,0.0291309304882",
-                "0.5,0.2361,0.233333333333,0.0077036007193,0.0299072640749",
-                "0.75,0.2496,0.25,0.00788683432275,0.0306186217848",
-                "1,0.26935,0.266666666667,0.00805447357332,0.0312694383988",
+                "0,0.2023,0.2,0.00728554547087,0.0282842712475",
+                "0.25,0.2171,0.216666666667,0.00750363043913,0.0291309304882",
+                "0.5,0.23175,0.233333333333,0.0077036007193,0.0299072640749",
+                "0.75,0.2438,0.25,0.00788683432275,0.0306186217848",
+                "1,0.26665,0.266666666667,0.00805447357332,0.0312694383988",
             ],
         ),
     ],
 )
 def test_sweep_csv_is_pinned_across_versions(capsys, variant, doors, rows):
-    # Stream v3's output, recorded once.  A silent change to the draws (a
+    # Stream v4's output, recorded once.  A silent change to the draws (a
     # lane width, a threshold, the column order or the redraw rule) moves
     # the empirical column, which run-to-run comparisons cannot see.
     # The "# rng=" line carries the numpy version, so it is left out.
@@ -617,11 +639,11 @@ _RNG_LINE = montyhall.simulate.RNG_ALGORITHM
                 "seed         11",
                 "chunk_size   1024",
                 f"rng          {_RNG_LINE}",
-                "wins         812",
-                "empirical    0.1624",
-                "std_error    0.00521586502893",
+                "wins         779",
+                "empirical    0.1558",
+                "std_error    0.00512886654145",
                 "analytic     107/700 = 0.152857142857",
-                "abs_error    0.00954285714286",
+                "abs_error    0.00294285714286",
             ],
         ),
         (
@@ -636,11 +658,11 @@ _RNG_LINE = montyhall.simulate.RNG_ALGORITHM
                 "seed,11",
                 "chunk_size,65536",
                 f"rng,{_RNG_LINE}",
-                "wins,2844",
-                "empirical,0.5688",
-                "std_error,0.00700380696479",
+                "wins,2949",
+                "empirical,0.5898",
+                "std_error,0.00695609028119",
                 "analytic,7/12 = 0.583333333333",
-                "abs_error,0.0145333333333",
+                "abs_error,0.00646666666667",
             ],
         ),
         ("analytic --doors 2", ["error: doors must be >= 3 and an integer, got 2"]),
@@ -669,11 +691,11 @@ _RNG_LINE = montyhall.simulate.RNG_ALGORITHM
                 "# chunk_size=512",
                 "# grid_step=1/4",
                 "p,empirical,analytic,clt_halfwidth,chebyshev_halfwidth",
-                "0,0.2065,0.2,0.0230389176847,0.0894427191",
-                "0.25,0.222,0.216666666667,0.0237285629078,0.0921200907029",
-                "0.5,0.246,0.233333333333,0.0243609244575,0.0945750730607",
-                "0.75,0.248,0.25,0.0249403599883,0.0968245836552",
-                "1,0.2605,0.266666666667,0.0254704818453,0.0988826464946",
+                "0,0.1945,0.2,0.0230389176847,0.0894427191",
+                "0.25,0.213,0.216666666667,0.0237285629078,0.0921200907029",
+                "0.5,0.2355,0.233333333333,0.0243609244575,0.0945750730607",
+                "0.75,0.234,0.25,0.0249403599883,0.0968245836552",
+                "1,0.261,0.266666666667,0.0254704818453,0.0988826464946",
             ],
         ),
         (
@@ -682,12 +704,12 @@ _RNG_LINE = montyhall.simulate.RNG_ALGORITHM
             [
                 "sweep: variant=leave-two doors=6 trials=3000 seed=9 epsilon=0.02 delta=0.05",
                 "     p    empirical       analytic     clt_hw    cheb_hw",
-                "     0     0.158000 0.166666666667   0.013336   0.030429",
-                "   0.2     0.304333            0.3   0.016398   0.037417",
-                "   0.4     0.431000 0.433333333333   0.017732   0.040460",
-                "   0.6     0.559667 0.566666666667   0.017732   0.040460",
-                "   0.8     0.716333            0.7   0.016398   0.037417",
-                "     1     0.838000 0.833333333333   0.013336   0.030429",
+                "     0     0.174000 0.166666666667   0.013336   0.030429",
+                "   0.2     0.301000            0.3   0.016398   0.037417",
+                "   0.4     0.435667 0.433333333333   0.017732   0.040460",
+                "   0.6     0.571333 0.566666666667   0.017732   0.040460",
+                "   0.8     0.697333            0.7   0.016398   0.037417",
+                "     1     0.831000 0.833333333333   0.013336   0.030429",
             ],
         ),
         (
@@ -709,10 +731,10 @@ _RNG_LINE = montyhall.simulate.RNG_ALGORITHM
                 "# chunk_size=65536",
                 "# grid_step=1/3",
                 "p,empirical,analytic,clt_halfwidth,chebyshev_halfwidth",
-                "0,0.7,0.333333333333,5.70752194657,1.49072028298e+159",
-                "0.333333333333,0.6,0.444444444444,6.01625638219,1.57135714948e+159",
-                "0.666666666667,0.7,0.555555555556,6.01625638219,1.57135714948e+159",
-                "1,0.6,0.666666666667,5.70752194657,1.49072028298e+159",
+                "0,0.2,0.333333333333,5.70752194657,1.49072028298e+159",
+                "0.333333333333,0.5,0.444444444444,6.01625638219,1.57135714948e+159",
+                "0.666666666667,0.5,0.555555555556,6.01625638219,1.57135714948e+159",
+                "1,0.8,0.666666666667,5.70752194657,1.49072028298e+159",
             ],
         ),
         (
@@ -720,10 +742,10 @@ _RNG_LINE = montyhall.simulate.RNG_ALGORITHM
             [
                 "sweep: variant=leave-two doors=3 trials=10 seed=0 epsilon=0.01 delta=1e-320",
                 "     p    empirical       analytic     clt_hw    cheb_hw",
-                "     0     0.700000 0.333333333333   5.707522 1.490720e+159",
-                "0.333333333333     0.600000 0.444444444444   6.016256 1.571357e+159",
-                "0.666666666667     0.700000 0.555555555556   6.016256 1.571357e+159",
-                "     1     0.600000 0.666666666667   5.707522 1.490720e+159",
+                "     0     0.200000 0.333333333333   5.707522 1.490720e+159",
+                "0.333333333333     0.500000 0.444444444444   6.016256 1.571357e+159",
+                "0.666666666667     0.500000 0.555555555556   6.016256 1.571357e+159",
+                "     1     0.800000 0.666666666667   5.707522 1.490720e+159",
             ],
         ),
     ],
@@ -761,7 +783,7 @@ def test_verify_placement_checks_compare_the_whole_partition(monkeypatch, capsys
     assert out.count("placement") == 2
 
 
-def test_verify_catches_a_fault_in_the_walked_tree(monkeypatch, capsys):
+def _fault_the_four_door_open_one_tree(monkeypatch):
     walk = montyhall.oracle._conditional_cells
 
     def faulty(k, cars):
@@ -774,6 +796,10 @@ def test_verify_catches_a_fault_in_the_walked_tree(monkeypatch, capsys):
         return cells
 
     monkeypatch.setattr(montyhall.oracle, "_conditional_cells", faulty)
+
+
+def test_verify_catches_a_fault_in_the_walked_tree(monkeypatch, capsys):
+    _fault_the_four_door_open_one_tree(monkeypatch)
     assert run_cli("verify", "--doors-max", "4", "--placement-checks", "0") == (
         EXIT_VERIFY_FAILED
     )
@@ -782,6 +808,25 @@ def test_verify_catches_a_fault_in_the_walked_tree(monkeypatch, capsys):
     assert lines[1:] == [
         f"  partition mismatch at (open-one, n=4, p={F(i, 20)})" for i in range(1, 21)
     ]
+
+
+def test_verify_weighs_the_tables_only_when_they_differ(monkeypatch, capsys):
+    # Both tables are free of p: equal once, they are equal at every p.
+    weigh = montyhall.oracle._weigh_switch
+    weighed = []
+
+    def counted(cells, p):
+        weighed.append(p)
+        return weigh(cells, p)
+
+    monkeypatch.setattr(montyhall.oracle, "_weigh_switch", counted)
+    assert run_cli("verify", "--doors-max", "5") == EXIT_OK
+    assert weighed == []
+    capsys.readouterr()
+    _fault_the_four_door_open_one_tree(monkeypatch)
+    assert run_cli("verify", "--doors-max", "5") == EXIT_VERIFY_FAILED
+    assert len(weighed) == 2 * 21  # both tables of the faulted tree, at every p
+    assert capsys.readouterr().out.startswith("20 of ")
 
 
 def test_verify_minimal_doors(capsys):

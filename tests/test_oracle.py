@@ -271,6 +271,24 @@ def test_every_host_door_count_matches_the_chain_rule(n, uniform):
         }
 
 
+def _fraction_sum_cells(k, cars):
+    """``_conditional_cells`` as it summed before: one ``Fraction`` per
+    (cell, weight) pair of the walk."""
+    cells = dict.fromkeys(oracle.CELL_ORDER, F(0))
+    for car, pick, _, switched, final, (num, den) in oracle._raw_trajectories(k, cars):
+        cells[pick == car, switched, final == car] += F(num, den)
+    return cells
+
+
+def test_integer_cell_sums_equal_the_fraction_sums_on_random_placements():
+    rng = np.random.default_rng(20261019)
+    for n in range(3, 9):
+        for _ in range(5):
+            cars = random_car_distribution(n, rng)
+            for k in range(1, n - 1):
+                assert oracle._conditional_cells(k, cars) == _fraction_sum_cells(k, cars)
+
+
 def test_verify_closed_forms_reports_its_checks():
     # 2 variants x 3 door counts x 21 grid points x 2 checks; no failure.
     assert verify_closed_forms(5, 3, 0) == (252, [])

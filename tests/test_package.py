@@ -57,6 +57,14 @@ def test_readme_quick_tour_shows_what_its_comments_say():
     assert l0 == 250_000
 
 
+def test_readme_names_the_generator_and_stream_version_of_the_rng_line():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    generator = simulate.RNG_ALGORITHM.split(" ", 1)[0]
+    (version,) = re.findall(r"stream=(v\d+)", simulate.RNG_ALGORITHM)
+    assert f"numpy's {generator} generator" in text
+    assert f"laid out as stream {version}:" in text
+
+
 def test_readme_command_lines_run_as_written(tmp_path, monkeypatch, capsys):
     text = README.read_text(encoding="utf-8")
     (block,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", text, re.S)

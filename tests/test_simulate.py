@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from montyhall import cli, oracle, simulate
-from montyhall.analytic import GameVariant, _host_opens, switch_probability_grid, win_marginal
+from montyhall.analytic import (
+    GameVariant,
+    _host_opens,
+    partition_probabilities,
+    switch_probability_grid,
+    win_marginal,
+)
 from montyhall.oracle import CarDistribution, enumerate_trajectories
 from montyhall.simulate import (
     SimulationConfig,
@@ -185,82 +191,81 @@ def test_batch_depends_on_seed_and_stream():
     assert rows[3] != rows[0]
 
 
-def _v2_generator(master_seed, stream, chunk):
-    """Chunk ``chunk`` of stream ``stream`` as streams v2 and v3 lay it out,
-    built without ``substream``."""
-    key = np.random.SeedSequence(master_seed).generate_state(2, np.uint64)
-    philox = np.random.Philox(key=key, counter=[0, 0, stream, chunk])
-    return np.random.Generator(philox)
+def _v4_generator(master_seed, stream, chunk):
+    """Chunk ``chunk`` of stream ``stream`` as stream v4 lays it out, built
+    without the package: the outputs of one PCG64DXSM sequence, seeded from
+    ``SeedSequence(master_seed)``, from output ``stream * 2**96 + chunk * 2**64`` on."""
+    bits = np.random.PCG64DXSM(np.random.SeedSequence(master_seed))
+    bits.advance(stream * 2**96 + chunk * 2**64)
+    return np.random.Generator(bits)
 
 
-def _words_drawn(bit_generator):
-    """Raw 64-bit words ``bit_generator`` has handed out since counter
-    (0, 0, i, j)."""
-    state = bit_generator.state
-    return 4 * int(state["state"]["counter"][0]) - (4 - state["buffer_pos"])
-
-
-def _v3_draw(rng, prob, size):
-    """One stream v3 column of ``size`` games at ``prob``, written out apart
-    from the package: (successes, accepted) as boolean arrays."""
+def _v4_draw(rng, prob, size):
+    """One stream v4 column of ``size`` games at ``prob``, written out apart
+    from the package: (successes, accepted) as boolean arrays, and the raw
+    words it took."""
     num, den = prob.numerator, prob.denominator
     if den == 1:
-        return np.full(size, bool(num)), np.ones(size, dtype=bool)
+        return np.full(size, bool(num)), np.ones(size, dtype=bool), 0
     width = min((w for w in (16, 32, 64) if den <= 2 ** (w - 8)), default=64)
-    raw = rng.bit_generator.random_raw(math.ceil(size * width / 64))
+    words = math.ceil(size * width / 64)
+    raw = rng.bit_generator.random_raw(words)
     lanes = np.frombuffer(raw.astype("<u8").tobytes(), dtype=f"<u{width // 8}")
     lanes = [int(lane) for lane in lanes[:size]]
     per = 2**width // den
     return (
         np.array([lane < num * per for lane in lanes], dtype=bool),
         np.array([lane < den * per for lane in lanes], dtype=bool),
+        words,
     )
 
 
-def _v3_chunks(config, p, stream=0):
+def _v4_chunks(config, p, stream=0):
     """Each chunk of ``config`` at switch probability ``p`` recounted from the
-    v3 layout: the accepted games' (hit, switch, slot 0) columns, the size of
+    v4 layout: the accepted games' (hit, switch, slot 0) columns, the size of
     every round of draws, and the raw words the chunk took."""
     k = _host_opens(config.variant, config.n)
     probs = (F(1, config.n), F(p), F(1, config.n - 1 - k))
     full, rest = divmod(config.trials, config.chunk_size)
     sizes = [config.chunk_size] * full + ([rest] if rest else [])
     for index, size in enumerate(sizes):
-        rng = _v2_generator(config.master_seed, stream, index)
+        rng = _v4_generator(config.master_seed, stream, index)
         kept = [[], [], []]
         rounds = []
+        drawn = 0
         while size:
             rounds.append(size)
-            draws = [_v3_draw(rng, prob, size) for prob in probs]
+            draws = [_v4_draw(rng, prob, size) for prob in probs]
             accepted = draws[0][1] & draws[1][1] & draws[2][1]
-            for column, (success, _) in zip(kept, draws):
+            for column, (success, _, words) in zip(kept, draws):
                 column.append(success[accepted])
+                drawn += words
             size -= int(np.count_nonzero(accepted))
-        yield [np.concatenate(column) for column in kept], rounds, _words_drawn(rng.bit_generator)
+        yield [np.concatenate(column) for column in kept], rounds, drawn
 
 
 def _pick_hits(config, p):
-    """Recount initial picks of door 1 straight from the v3 layout, without
+    """Recount initial picks of door 1 straight from the v4 layout, without
     the games a rejected word dropped."""
-    return sum(int(hit.sum()) for (hit, _, _), _, _ in _v3_chunks(config, p))
+    return sum(int(hit.sum()) for (hit, _, _), _, _ in _v4_chunks(config, p))
 
 
-def _v3_wins(config, p, stream=0):
-    """Recount the wins straight from the v3 layout."""
+def _v4_wins(config, p, stream=0):
+    """Recount the wins straight from the v4 layout."""
     wins = 0
-    for (hit, switch, slot0), _, _ in _v3_chunks(config, p, stream):
+    for (hit, switch, slot0), _, _ in _v4_chunks(config, p, stream):
         wins += int(np.count_nonzero((hit & ~switch) | (~hit & switch & slot0)))
     return wins
 
 
-def test_substream_matches_v2_layout_after_reuse():
-    # The thread's generator is reset on every call, so a call for another
-    # (seed, stream, chunk) in between leaves no trace in the draws.
+def test_substream_matches_the_layout_after_reuse():
+    # A call for another (seed, stream, chunk) in between leaves no trace in
+    # the draws.
     a, b = (5, 3, 7), (6, 0, 2)
     first = substream(*a).random(8)
     substream(*b).random(3)
     again = substream(*a).random(8)
-    expected = _v2_generator(*a).random(8)
+    expected = _v4_generator(*a).random(8)
     assert np.array_equal(first, expected)
     assert np.array_equal(again, expected)
 
@@ -416,8 +421,8 @@ def _record_chunks(monkeypatch):
     drawn = []
     real = simulate._block_wins
 
-    def recording(run, philox, work, block):
-        played = real(run, philox, work, block)
+    def recording(run, bits, work, block):
+        played = real(run, bits, work, block)
         drawn.extend(((row, chunk), words) for (row, chunk, _), (_, words) in zip(block, played))
         return played
 
@@ -440,7 +445,7 @@ def test_open_one_chunk_draws_three_16_bit_columns_and_its_redraws(monkeypatch, 
     capsys.readouterr()
     drawn = dict(drawn)  # the simulate command's stream 0 replaces the sweep's
     for stream in (7, 0):
-        ((_, rounds, words),) = _v3_chunks(config, F(7, 20), stream)
+        ((_, rounds, words),) = _v4_chunks(config, F(7, 20), stream)
         assert rounds[0] == 2**16 and len(rounds) > 1
         assert words == sum(3 * -(-size // 4) for size in rounds) < 3 * 2**14 + 300
         assert drawn[stream, 0] == words
@@ -451,7 +456,7 @@ def test_certain_columns_draw_nothing(monkeypatch, p):
     # Leave-two's slot column and a switch column at p = 0 or 1 are certain:
     # the chunk takes the hit column's words alone.
     config = SimulationConfig(LEAVE_TWO, 10, 2**16, master_seed=13)
-    ((_, rounds, words),) = _v3_chunks(config, p)
+    ((_, rounds, words),) = _v4_chunks(config, p)
     assert words == sum(-(-size // 4) for size in rounds)
     drawn = _record_chunks(monkeypatch)
     run_batch(config, [p])
@@ -466,14 +471,14 @@ def test_rejection_path_end_to_end_at_the_largest_door_count(variant):
     n = 2**63 - 1
     for p in (F(0), F(1, 2**63 + 1)):
         config = SimulationConfig(variant, n, 5 * 997 + 13, master_seed=21, chunk_size=997)
-        chunks = list(_v3_chunks(config, p))
+        chunks = list(_v4_chunks(config, p))
         assert [len(hit) for (hit, _, _), _, _ in chunks] == [997] * 5 + [13]
         if p:
             assert sum(len(rounds) for _, rounds, _ in chunks) > 6 * 5
         results = [run_batch(config, [p], workers=workers)[0] for workers in (1, 2)]
         assert results[0] == results[1]
         assert results[0].trials == config.trials
-        assert results[0].wins == _v3_wins(config, p)
+        assert results[0].wins == _v4_wins(config, p)
         if not p:
             assert results[0].wins == _pick_hits(config, p)
 
@@ -498,7 +503,7 @@ def test_reused_workspace_leaks_nothing_between_chunks(
     config = SimulationConfig(variant, n, trials, 17, chunk_size)
     rows = sweep(config, step, workers=workers)
     for stream, row in enumerate(rows):
-        assert row.result.wins == _v3_wins(config, row.p, stream)
+        assert row.result.wins == _v4_wins(config, row.p, stream)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -523,8 +528,45 @@ def test_block_shapes_match_the_recount(monkeypatch, variant, n, ps, trials, chu
     config = SimulationConfig(variant, n, trials, 31, chunk_size)
     results = run_batch(config, ps, workers=workers)
     assert [result.wins for result in results] == [
-        _v3_wins(config, p, stream) for stream, p in enumerate(ps)
+        _v4_wins(config, p, stream) for stream, p in enumerate(ps)
     ]
+
+
+def test_kept_games_fall_in_the_eight_cells_as_the_partition_says(monkeypatch):
+    # test_09b pools P(win) alone, so a kernel bias that moves the cells but
+    # keeps P(win) exact passes it.  Here each kept game of every round is
+    # tallied by its (hit, switched, won) cell, and each cell's pooled z
+    # over the panel must stay within 5; a cell that the partition leaves
+    # empty must stay empty.
+    real = simulate._round
+    tally = np.zeros(8, dtype=np.int64)  # indexed by 4 * hit + 2 * switched + won
+
+    def counting(columns, lanes, work):
+        won, kept = real(columns, lanes, work)
+        hit, switched = work[0], work[1]
+        cell = (hit.astype(np.uint8) << 2) | (switched.astype(np.uint8) << 1) | won
+        tally[:] += np.bincount((cell if kept is None else cell[kept]).ravel(), minlength=8)
+        return won, kept
+
+    monkeypatch.setattr(simulate, "_round", counting)
+    excess, variance = np.zeros(8), np.zeros(8)
+    for variant, n in ((OPEN_ONE, 15), (LEAVE_TWO, 10)):
+        for seed in range(4):
+            config = SimulationConfig(variant, n, 250000, master_seed=100 + seed)
+            for p in switch_probability_grid(F(1, 4)):
+                tally[:] = 0
+                (result,) = run_batch(config, [p])
+                assert tally.sum() == config.trials and tally[1::2].sum() == result.wins
+                cells = partition_probabilities(variant, n, p)
+                for index in range(8):
+                    pi = float(cells[bool(index & 4), bool(index & 2), bool(index & 1)])
+                    excess[index] += tally[index] - config.trials * pi
+                    variance[index] += config.trials * pi * (1 - pi)
+    for index in range(8):
+        if variance[index] == 0:
+            assert excess[index] == 0, index
+        else:
+            assert abs(excess[index]) / variance[index] ** 0.5 <= 5.0, index
 
 
 def _list_trace_trial(variant, n, p, rng):
@@ -663,13 +705,16 @@ def test_result_rejects_a_trial_count_below_one_or_not_an_int(trials):
         ((0, 0, -1), "chunk"),
         ((0, 0, 2**64), "chunk"),
         ((0, 0, True), "chunk"),
+        # Stream v4's blocks are disjoint for streams and chunks below 2**32.
+        ((0, 2**32, 0), "stream"),
+        ((0, 0, 2**32), "chunk"),
     ],
 )
 def test_substream_names_its_bad_argument(args, name):
     with pytest.raises(ValueError, match=rf"^{name} must be in \[0, \d+\) and an integer"):
         substream(*args)
-    last = substream(2**64 - 1, 2**64 - 1, 2**64 - 1)
-    assert last.bit_generator.state["state"]["counter"][2:].tolist() == [2**64 - 1] * 2
+    last = (2**64 - 1, 2**32 - 1, 2**32 - 1)
+    assert np.array_equal(substream(*last).random(4), _v4_generator(*last).random(4))
 
 
 def test_config_validation(monkeypatch):
@@ -703,6 +748,13 @@ def test_config_validation(monkeypatch):
         run_batch(SimulationConfig(LEAVE_TWO, 3, 100), [0.5], workers=1.5)
     with pytest.raises(ValueError):
         SimulationConfig(LEAVE_TWO, 2**63, 100)
+    # Stream v4 gives each chunk of a row its own 2**64 words, fewer than 2**32 chunks a row.
+    for trials, chunk_size in ((2**32, 1), (2**62, 2**30), (2**48, 2**16)):
+        with pytest.raises(ValueError, match=r"^trials / chunk_size must give < 2\*\*32 chunks"):
+            SimulationConfig(LEAVE_TWO, 3, trials, chunk_size=chunk_size)
+    accepted = ((2**32 - 1, 1), (2**62, 2**30 + 1), (2**48 - 2**16, 2**16), (2**62, 2**63))
+    for trials, chunk_size in accepted:
+        assert SimulationConfig(LEAVE_TWO, 3, trials, chunk_size=chunk_size).trials == trials
 
     def no_chunk(*args):
         raise AssertionError("drew a chunk before the inputs were checked")
@@ -783,11 +835,11 @@ def _failing_block_wins(monkeypatch, calls, fail_at, wins=None):
     its real count."""
     real = simulate._block_wins
 
-    def block_wins(run, philox, work, block):
+    def block_wins(run, bits, work, block):
         calls.append(len(block))
         if len(calls) == fail_at:
             raise RuntimeError("block failed")
-        return real(run, philox, work, block) if wins is None else [(wins, 0)] * len(block)
+        return real(run, bits, work, block) if wins is None else [(wins, 0)] * len(block)
 
     monkeypatch.setattr(simulate, "_block_wins", block_wins)
 
@@ -839,8 +891,8 @@ def test_an_interrupted_caller_stops_the_threads(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_queue_is_never_materialised(monkeypatch, workers):
-    # 3 rows of 2**62 one-game chunks, pulled in blocks of 16: a list of the
-    # chunks could not be built.
+    # 3 rows of 2**32 - 1 one-game chunks, pulled in blocks of 16: a list of
+    # the chunks would not fit in memory.
     calls = []
     _failing_block_wins(monkeypatch, calls, fail_at=5, wins=0)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
@@ -848,14 +900,15 @@ def test_sweep_queue_is_never_materialised(monkeypatch, workers):
 
     def run():
         try:
-            sweep(SimulationConfig(OPEN_ONE, 5, 2**62, chunk_size=1), F(1, 2), workers=workers)
+            config = SimulationConfig(OPEN_ONE, 5, 2**32 - 1, chunk_size=1)
+            sweep(config, F(1, 2), workers=workers)
         except BaseException as exc:
             raised.append(exc)
 
     def stray_block(*args):
         raise RuntimeError("stopped by the test")
 
-    # A drain that missed the stop would pull 2**62 chunks: on a daemon
+    # A drain that missed the stop would pull 2**32 chunks: on a daemon
     # thread, that fails the test instead of hanging the suite.
     runner = threading.Thread(target=run, daemon=True)
     tracemalloc.start()
