@@ -80,9 +80,10 @@ def _require_unit(name: str, value: float, *, open_interval: bool = False) -> No
         raise ValueError(f"{name} must be in {bounds}, got {value!r}")
 
 
-def _require_member(enum: type[Enum], value: Enum) -> None:
-    if not isinstance(value, enum):
-        raise ValueError(f"expected a {enum.__name__}, got {value!r}")
+def _require_member(kind: type, value: object) -> None:
+    """An instance of ``kind``: an ``Enum`` member, or a value object."""
+    if not isinstance(value, kind):
+        raise ValueError(f"expected a {kind.__name__}, got {value!r}")
 
 
 def _require_doors(n: int) -> None:
@@ -192,11 +193,14 @@ def linear_coefficients(variant: GameVariant, n: int) -> tuple[Fraction, Fractio
 
 def win_marginal(variant: GameVariant, n: int, p: RationalLike) -> Fraction:
     """Marginal probability of winning at (n, p), by total probability:
-    ``p * P(win | switch) + (1 - p) * P(win | stay)``."""
+    ``p * P(win | switch) + (1 - p) * P(win | stay)``.  For ``p = a/b`` and
+    ``c = n - 1 - k`` closed doors a switcher can take, that is one fraction,
+    ``((b - a) * c + a * (n - 1)) / (b * n * c)``."""
     _require_doors(n)
     p = as_probability(p)
-    intercept, slope = linear_coefficients(variant, n)
-    return intercept + slope * p
+    closed = n - 1 - _host_opens(variant, n)
+    a, b = p.numerator, p.denominator
+    return Fraction((b - a) * closed + a * (n - 1), b * n * closed)
 
 
 def _cells_given_switch(variant: GameVariant, n: int) -> dict[Cell, Fraction]:

@@ -21,7 +21,8 @@ forms' own ``_weigh_switch``.  Nothing is kept between calls.
 :func:`verify_closed_forms`, which ``montyhall verify`` prints, walks one
 uniform tree per (variant, ``n``) and compares it with the closed-form table
 once, free of ``p``; at each ``p`` it checks the tree's P(win) against the
-closed form.  It compares each randomly placed tree with the table too.
+closed form, cross-multiplied in integers, and builds a ``Fraction`` only for
+a failure line.  It compares each randomly placed tree with the table too.
 
 The walk visits car x pick x host subset x candidate final door.  The
 leave-two host (``k = n - 2``) has at most ``n - 1`` subsets, so that walk
@@ -53,6 +54,7 @@ from .analytic import (
     _host_opens,
     _require_doors,
     _require_int,
+    _require_member,
     _require_seed,
     _weigh_switch,
     as_probability,
@@ -89,6 +91,7 @@ class CarDistribution:
 
     @classmethod
     def uniform(cls, n: int) -> "CarDistribution":
+        _require_doors(n)
         return cls(tuple(Fraction(1, n) for _ in range(n)))
 
     @classmethod
@@ -172,6 +175,7 @@ def enumerate_trajectories(
     """Every game trajectory with positive weight; weights sum to exactly 1.
     The game has ``len(cars)`` doors."""
     p = as_probability(p)
+    _require_member(CarDistribution, cars)
     k = _host_opens(variant, len(cars))
     # The chance of each trajectory's switch decision, looked up by its cell.
     decision = _weigh_switch(dict.fromkeys(CELL_ORDER, Fraction(1)), p)
@@ -200,6 +204,7 @@ def exact_partition(
     walked on each call and weighted by ``p`` or ``1 - p``.  The cells sum to
     1 by construction."""
     p = as_probability(p)
+    _require_member(CarDistribution, cars)
     tree = _conditional_cells(_host_opens(variant, len(cars)), cars)
     return PartitionProbabilities(_weigh_switch(tree, p))
 
@@ -211,8 +216,8 @@ def exact_initial_correct(cars: CarDistribution) -> Fraction:
     after the pick, so each call walks the cheaper leave-two-closed tree.
     Its stay branch holds every pick with weight 1, free of ``p``.
     """
-    k = _host_opens(GameVariant.LEAVE_TWO_CLOSED, len(cars))
-    cells = _conditional_cells(k, cars)
+    _require_member(CarDistribution, cars)
+    cells = _conditional_cells(_host_opens(GameVariant.LEAVE_TWO_CLOSED, len(cars)), cars)
     return cells[True, False, True] + cells[True, False, False]
 
 
@@ -226,8 +231,9 @@ def random_car_distribution(n: int, rng) -> CarDistribution:
     _require_doors(n)
     while True:
         weights = [int(rng.integers(0, 101)) for _ in range(n)]
-        if any(weights):
-            return CarDistribution.from_weights(weights)
+        total = sum(weights)
+        if total:
+            return CarDistribution(tuple(Fraction(w, total) for w in weights))
 
 
 def verify_closed_forms(
@@ -249,22 +255,29 @@ def verify_closed_forms(
     failures: list[str] = []
 
     analytic_checks = 0
+    tables = {}
     for variant in (GameVariant.LEAVE_TWO_CLOSED, GameVariant.OPEN_ONE):
         for n in range(3, doors_max + 1):
             tree = _conditional_cells(_host_opens(variant, n), CarDistribution.uniform(n))
-            table = _cells_given_switch(variant, n)
+            table = tables[variant, n] = _cells_given_switch(variant, n)
             same = tree == table
             stay = tree[True, False, True] + tree[False, False, True]
             move = tree[True, True, True] + tree[False, True, True]
+            # P(win) at p = a/b is (stay * (b - a) + move * a) / b; its
+            # numerator is stay_num * (b - a) + move_num * a over den * b.
+            stay_num = stay.numerator * move.denominator
+            move_num = move.numerator * stay.denominator
+            den = stay.denominator * move.denominator
             for p in grid:
-                got = stay + (move - stay) * p
+                a, b = p.numerator, p.denominator
+                got = stay_num * (b - a) + move_num * a
                 # Looked up at call time, so a patched or traced closed form is checked.
                 want = analytic.win_marginal(variant, n, p)
                 analytic_checks += 2
-                if got != want:
+                if got * want.denominator != want.numerator * den * b:
                     failures.append(
                         f"win probability mismatch at ({variant.value}, n={n}, "
-                        f"p={p}): enumeration {got} vs closed form {want}"
+                        f"p={p}): enumeration {Fraction(got, den * b)} vs closed form {want}"
                     )
                 # Unequal p-free trees can still agree at p = 0 or 1.
                 if not same and _weigh_switch(tree, p) != _weigh_switch(table, p):
@@ -280,7 +293,7 @@ def verify_closed_forms(
         n = 3 + index % (doors_max - 2)
         cars = random_car_distribution(n, rng)
         tree = _conditional_cells(_host_opens(variant, n), cars)
-        if tree != _cells_given_switch(variant, n):
+        if tree != tables[variant, n]:
             failures.append(
                 f"placement partition mismatch at ({variant.value}, n={n}, "
                 f"p=1/2), cars={cars.alpha}"

@@ -95,7 +95,9 @@ def sample_size(
 def band_halfwidth(p_win, l: int, delta: float, method: PlanMethod):
     """Half-width of the confidence band around the empirical frequency after
     ``l`` trials, at failure probability ``delta``.  ``p_win`` is a float, or
-    a numpy array of them for one half-width each, by the same arithmetic.
+    a 1-D numpy array of them for one half-width each, by the same arithmetic.
+    ``l`` is below 2**63, as a :class:`~montyhall.simulate.SimulationConfig`'s
+    trials are.
 
     Inverse of :func:`sample_size`: plugging the planned ``l0`` back in gives
     a half-width of at most the planned epsilon (up to the integer ceiling).
@@ -103,13 +105,15 @@ def band_halfwidth(p_win, l: int, delta: float, method: PlanMethod):
     _require_member(PlanMethod, method)
     sqrt = math.sqrt
     if isinstance(p_win, np.ndarray):
+        if p_win.ndim != 1:
+            raise ValueError(f"p_win must be a float or a 1-D array, got {p_win.ndim}-D")
         outside = ~((p_win >= 0) & (p_win <= 1))  # nan is outside too
         if outside.any():
             _require_unit("p_win", float(p_win[outside][0]))
         sqrt = np.sqrt
     else:
         _require_unit("p_win", p_win)
-    _require_int("trial count", l, 1)
+    _require_int("trial count", l, 1, 2**63)
     _require_unit("delta", delta, open_interval=True)
     variance = p_win * (1.0 - p_win)
     if method is PlanMethod.CLT:

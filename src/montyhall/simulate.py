@@ -36,7 +36,8 @@ may span rows.  Each drain sums its chunks' wins by grid index; the caller
 adds those sums row by row.  The base state is derived once per call.  Each
 drain owns one PCG64DXSM bit generator, which it moves to a chunk's words
 before drawing them, and one workspace that every block overwrites: boolean
-game arrays for a block, and the raw words of a block of several chunks.  Drains
+game arrays for a block, the raw words of a block of several chunks, and the
+short chunks that wait for its next redraw pass.  Drains
 share no draw state, and since a chunk's draws are fixed by
 ``(master_seed, i, j)``, the number of workers, the blocks and the order in
 which they run never change a result.  Once a block fails, or the caller is
@@ -78,10 +79,12 @@ chunk reads.  Each chunk's first round and a few spare words come from one
 lane type are compared as one ``(chunks, games)`` array per column, with the
 switch thresholds as a per-chunk column, and counted per chunk.  A block of
 one is read as drawn; a block of several is first copied into the
-workspace.  The redraw rounds of all the block's short chunks then run
-together, as one flat array of their games per column, each chunk's lanes
-read from its spare words; a chunk whose spare runs out draws on from its
-next word.
+workspace.  A chunk left short waits in its drain with a copy of its spare
+words.  The drain redraws all its waiting chunks in one pass once 16 wait
+or they hold more games than a block, and at its end unless stopped: each
+round one flat array of their games per column, each chunk's lanes read
+from its own words (after its spare, from its next word), and one
+``np.add.reduceat`` for each chunk's wins and kept games.
 """
 
 from __future__ import annotations
@@ -389,23 +392,22 @@ def _round(columns, lanes, work) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 class _Short:
-    """A chunk short of games after a round: ``left`` games to draw again,
-    from ``words``, the drawn words it has not taken, and then from its word
-    ``drawn`` on."""
+    """A chunk short of games after its first round: ``left`` games to draw
+    again, from ``words``, its own copy of the drawn words it has not taken,
+    and then from its word ``drawn`` on."""
 
-    __slots__ = ("index", "row", "chunk", "left", "words", "drawn")
+    __slots__ = ("row", "chunk", "left", "words", "drawn")
 
-    def __init__(self, index, row, chunk, left, words, drawn):
-        self.index, self.row, self.chunk = index, row, chunk
+    def __init__(self, row, chunk, left, words, drawn):
+        self.row, self.chunk = row, chunk
         self.left, self.words, self.drawn = left, words, drawn
 
-    def take(self, count: int, bits: np.random.PCG64DXSM, base: dict) -> np.ndarray:
+    def take(self, count: int, work: "_Workspace") -> np.ndarray:
         """The chunk's next ``count`` words."""
         if count > len(self.words):
             # The spare ran out: the rest come from the chunk's next words.
             more = count - len(self.words) + _SPARE_WORDS
-            _position(bits, base, self.row, self.chunk, self.drawn)
-            fresh = bits.random_raw(more).astype("<u8", copy=False)
+            fresh = work.raw(self.row, self.chunk, self.drawn, more).astype("<u8", copy=False)
             self.words = np.concatenate((self.words, fresh))
             self.drawn += more
         taken, self.words = self.words[:count], self.words[count:]
@@ -423,23 +425,36 @@ class _Run(NamedTuple):
 
 
 class _Workspace:
-    """A drain's buffers, reused by every block it plays: five boolean game
-    arrays, and the words of a block of several chunks."""
+    """A drain's draw state and buffers, reused by every block it plays: its
+    PCG64DXSM bit generator, five boolean game arrays, the words of a block
+    of several chunks, and the short chunks that wait for a redraw pass."""
 
-    def __init__(self, games: int) -> None:
+    def __init__(self, base: dict, games: int) -> None:
+        self.base = base
+        self.bits = np.random.PCG64DXSM(0)
         self.games = np.empty((5, games), dtype=bool)
         self.words = np.empty(0, dtype=np.uint64)
+        self.pending: list[_Short] = []
 
-    def shaped(self, *shape: int) -> list[np.ndarray]:
-        """The five game arrays, cut to ``shape``."""
-        return list(self.games[:, : math.prod(shape)].reshape(5, *shape))
+    def raw(self, row: int, chunk: int, word: int, count: int) -> np.ndarray:
+        """Words ``word`` to ``word + count - 1`` of chunk ``chunk`` of row ``row``."""
+        _position(self.bits, self.base, row, chunk, word)
+        return self.bits.random_raw(count)
+
+    def shaped(self, *shape: int) -> np.ndarray:
+        """The five game arrays, cut to ``shape`` (grown for a large redraw pass)."""
+        size = math.prod(shape)
+        if size > self.games.shape[1]:
+            self.games = np.empty((5, size), dtype=bool)
+        return self.games[:, :size].reshape(5, *shape)
 
 
 def _block_wins(
-    run: _Run, bits: np.random.PCG64DXSM, work: _Workspace, block: Sequence[tuple[int, int, int]]
+    run: _Run, work: _Workspace, block: Sequence[tuple[int, int, int]]
 ) -> list[tuple[int, int]]:
-    """The wins and the raw words taken of each ``(row, chunk index, size)``
-    chunk of ``block`` (see "Batch draw order" in the module docstring)."""
+    """The wins and the raw words of the first round of each ``(row, chunk
+    index, size)`` chunk of ``block``; a chunk left short joins
+    ``work.pending`` (see "Batch draw order" in the module docstring)."""
     hit, slot0, switches = run.hit, run.slot0, run.switches
     groups: dict[tuple, list[int]] = {}
     for index, (row, _, size) in enumerate(block):
@@ -452,8 +467,7 @@ def _block_wins(
         stride = sum(counts) + _SPARE_WORDS
         for index in members:
             row, chunk, _ = block[index]
-            _position(bits, run.base, row, chunk)
-            raws.append(bits.random_raw(stride))
+            raws.append(work.raw(row, chunk, 0, stride))
         plans.append((size, members, (hit, switch, slot0), counts, stride))
     if len(raws) == 1:
         words = raws[0]  # a block of one is read as drawn
@@ -467,7 +481,7 @@ def _block_wins(
 
     # The first round of each group of chunks that share a size and a
     # switch lane type, as one (chunks, games) array per column.
-    wins, taken, short = [0] * len(block), [0] * len(block), []
+    wins, taken = [0] * len(block), [0] * len(block)
     start = 0
     for size, members, columns, counts, stride in plans:
         grid = words[start : start + len(members) * stride].reshape(len(members), stride)
@@ -483,11 +497,18 @@ def _block_wins(
             taken[index] = at
             left = 0 if kept is None else size - int(np.count_nonzero(kept[member]))
             if left:
+                # A copy: the next block may overwrite the block's words.
                 row, chunk, _ = block[index]
-                short.append(_Short(index, row, chunk, left, grid[member, at:], stride))
+                work.pending.append(_Short(row, chunk, left, grid[member, at:].copy(), stride))
+    return list(zip(wins, taken))
 
-    # Redraws: the next round of every short chunk at once, each from its
-    # own words, as one flat array of all their games per column.
+
+def _redraw(run: _Run, work: _Workspace, wins: list[int]) -> None:
+    """Play every chunk of ``work.pending`` to the end and add its wins to
+    ``wins`` by row.  Each round plays the games of all of them as one flat
+    array per column, each chunk's lanes read from its own words."""
+    hit, slot0, switches = run.hit, run.slot0, run.switches
+    short, work.pending = work.pending, []
     while short:
         lefts = [entry.left for entry in short]
         own = [switches[entry.row] for entry in short]
@@ -496,8 +517,7 @@ def _block_wins(
         for entry, column in zip(short, own):
             left = entry.left
             h, w, s = _words(hit, left), _words(column, left), _words(slot0, left)
-            chunk_words = entry.take(h + w + s, bits, run.base)
-            taken[entry.index] += h + w + s
+            chunk_words = entry.take(h + w + s, work)
             hits.append(_lanes(chunk_words[:h], hit.dtype, left))
             if column.dtype is not None:
                 switched.append(_lanes(chunk_words[h : h + w], column.dtype, left))
@@ -510,17 +530,16 @@ def _block_wins(
             None if not part else part[0] if len(part) == 1 else np.concatenate(part)
             for part in (hits, switched, slots)
         ]
-        won, kept = _round(columns, lanes, work.shaped(sum(lefts)))
-        end = 0
-        for entry in short:
-            start, end = end, end + entry.left
-            wins[entry.index] += int(np.count_nonzero(won[start:end]))
-            if kept is None:
-                entry.left = 0
-            else:
-                entry.left -= int(np.count_nonzero(kept[start:end]))
+        games = work.shaped(sum(lefts))
+        _round(columns, lanes, games)
+        # A short chunk has a column that can reject, so _round wrote the
+        # kept games (row 3) as well as the games won (row 4).
+        starts = np.cumsum([0, *lefts[:-1]])
+        kept, won = np.add.reduceat(games[3:], starts, axis=1, dtype=np.intp).tolist()
+        for entry, entry_kept, entry_won in zip(short, kept, won):
+            entry.left -= entry_kept
+            wins[entry.row] += entry_won
         short = [entry for entry in short if entry.left]
-    return list(zip(wins, taken))
 
 
 def run_batch(
@@ -548,15 +567,15 @@ def run_batch(
     chunks = -(-trials // size)
     total = len(switches) * chunks
     per_block = max(1, min(_BLOCK_CHUNKS, DEFAULT_CHUNK_SIZE // size))
+    capacity = per_block * size  # the games of a drain's largest block
     starts = iter(range(0, total, per_block))
     lock = threading.Lock()
     stopped = threading.Event()
 
     def drain() -> list[int]:
         try:
-            # Reused by every block this drain pulls; no other drain sees them.
-            bits = np.random.PCG64DXSM(0)
-            work = _Workspace(per_block * size)
+            # Reused by every block this drain pulls; no other drain sees it.
+            work = _Workspace(run.base, capacity)
             wins = [0] * len(switches)
             while not stopped.is_set():
                 with lock:
@@ -567,9 +586,14 @@ def run_batch(
                 for index in range(start, min(start + per_block, total)):
                     row, chunk = divmod(index, chunks)
                     block.append((row, chunk, min(size, trials - chunk * size)))
-                played = _block_wins(run, bits, work, block)
+                played = _block_wins(run, work, block)
                 for (row, _, _), (chunk_wins, _) in zip(block, played):
                     wins[row] += chunk_wins
+                pending = work.pending
+                if len(pending) >= _BLOCK_CHUNKS or sum(e.left for e in pending) > capacity:
+                    _redraw(run, work, wins)
+            if not stopped.is_set():
+                _redraw(run, work, wins)
             return wins
         except BaseException:
             stopped.set()

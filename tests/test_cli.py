@@ -829,6 +829,27 @@ def test_verify_weighs_the_tables_only_when_they_differ(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("20 of ")
 
 
+def test_verify_reports_a_closed_form_off_by_10_to_minus_12(monkeypatch, capsys):
+    # P(win) is compared in integers; a failure line still prints both sides
+    # as reduced fractions.  Open-one at n = 4, p = 7/20 wins with 47/160.
+    real = montyhall.analytic.win_marginal
+    nudge = (montyhall.analytic.GameVariant.OPEN_ONE, 4, F(7, 20))
+
+    def nudged(variant, n, p):
+        value = real(variant, n, p)
+        return value + F(1, 10**12) if (variant, n, p) == nudge else value
+
+    monkeypatch.setattr(montyhall.analytic, "win_marginal", nudged)
+    assert run_cli("verify", "--doors-max", "5", "--placement-checks", "3") == (
+        EXIT_VERIFY_FAILED
+    )
+    assert capsys.readouterr().out.splitlines() == [
+        "1 of 255 checks FAILED:",
+        "  win probability mismatch at (open-one, n=4, p=7/20): "
+        "enumeration 47/160 vs closed form 293750000001/1000000000000",
+    ]
+
+
 def test_verify_minimal_doors(capsys):
     assert run_cli("verify", "--doors-max", "3") == EXIT_OK
     capsys.readouterr()

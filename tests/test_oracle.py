@@ -193,6 +193,26 @@ def test_input_validation():
         CarDistribution.from_weights([-1, 2, 2])
 
 
+@pytest.mark.parametrize("n", [2.5, 2, "4", True])
+def test_uniform_placement_checks_its_door_count(n):
+    # A float once reached range() and raised TypeError.
+    with pytest.raises(ValueError, match=r"^doors must be >= 3 and an integer"):
+        CarDistribution.uniform(n)
+
+
+@pytest.mark.parametrize("cars", [[F(1, 3)] * 3, (F(1, 2), F(1, 2), F(0)), "abc", 5])
+def test_walks_take_only_a_car_distribution(cars):
+    # A list of probabilities once raised AttributeError inside the walk.
+    walks = (
+        lambda: exact_partition(LEAVE_TWO, F(1, 2), cars),
+        lambda: exact_initial_correct(cars),
+        lambda: list(enumerate_trajectories(OPEN_ONE, F(1, 2), cars)),
+    )
+    for walk in walks:
+        with pytest.raises(ValueError, match=r"^expected a CarDistribution, got "):
+            walk()
+
+
 def test_random_car_distribution_is_valid_and_reproducible():
     first = random_car_distribution(6, np.random.default_rng(11))
     second = random_car_distribution(6, np.random.default_rng(11))

@@ -242,6 +242,22 @@ def test_band_halfwidth_rejects_bad_inputs():
         band_halfwidth(0.5, 100, 0.01, "clt")
 
 
+def test_band_halfwidth_takes_trial_counts_below_2_to_63():
+    # 2**2000 trials once overflowed the float division.
+    assert band_halfwidth(0.5, 2**63 - 1, 0.01, PlanMethod.CLT) > 0
+    for l in (2**63, 2**2000):
+        message = rf"^trial count must be in \[1, {2**63}\) and an integer"
+        with pytest.raises(ValueError, match=message):
+            band_halfwidth(0.5, l, 0.01, PlanMethod.CLT)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 1), (2, 2, 2), ()])
+def test_band_halfwidth_takes_only_a_1d_array(shape):
+    # A 2-D array once came back as a 2-D array of bands.
+    with pytest.raises(ValueError, match=r"^p_win must be a float or a 1-D array, got \d-D$"):
+        band_halfwidth(np.full(shape, 0.5), 100, 0.01, PlanMethod.CLT)
+
+
 @given(
     p_wins=st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=30),
     l=st.integers(min_value=1, max_value=2**62),

@@ -416,18 +416,29 @@ def test_batch_keeps_the_switch_probability_exact():
 
 
 def _record_chunks(monkeypatch):
-    """Wrap ``_block_wins`` to log each chunk's (stream, chunk) and the raw
-    words its rounds took, block by block in the order played."""
-    drawn = []
-    real = simulate._block_wins
+    """Wrap the kernel to log each chunk's (stream, chunk) in ``pulled``, in
+    the order its block was played, and the raw words each chunk took in
+    ``words``: its first round's from ``_block_wins`` or, once its drain has
+    played its redraws in ``_redraw``, every word it drew but has not taken."""
+    pulled, words = [], {}
+    real_block_wins, real_redraw = simulate._block_wins, simulate._redraw
 
-    def recording(run, bits, work, block):
-        played = real(run, bits, work, block)
-        drawn.extend(((row, chunk), words) for (row, chunk, _), (_, words) in zip(block, played))
+    def block_wins(run, work, block):
+        played = real_block_wins(run, work, block)
+        for (row, chunk, _), (_, taken) in zip(block, played):
+            pulled.append((row, chunk))
+            words[row, chunk] = taken
         return played
 
-    monkeypatch.setattr(simulate, "_block_wins", recording)
-    return drawn
+    def redraw(run, work, wins):
+        short = list(work.pending)
+        real_redraw(run, work, wins)
+        for entry in short:
+            words[entry.row, entry.chunk] = entry.drawn - len(entry.words)
+
+    monkeypatch.setattr(simulate, "_block_wins", block_wins)
+    monkeypatch.setattr(simulate, "_redraw", redraw)
+    return pulled, words
 
 
 def test_open_one_chunk_draws_three_16_bit_columns_and_its_redraws(monkeypatch, capsys):
@@ -436,14 +447,16 @@ def test_open_one_chunk_draws_three_16_bit_columns_and_its_redraws(monkeypatch, 
     # (p passed on as a float) would take 3 * 2**14 words more.  The sweep
     # draws p = 7/20 on stream 7, the simulate command on stream 0.
     config = SimulationConfig(OPEN_ONE, 15, 2**16, master_seed=12)
-    drawn = _record_chunks(monkeypatch)
+    _, drawn = _record_chunks(monkeypatch)
     sweep(config, F(1, 20))
+    swept = dict(drawn)
+    drawn.clear()
     assert cli.main([
         "simulate", "--variant", "open-one", "--doors", "15", "--switch-prob",
         "7/20", "--trials", str(2**16), "--seed", "12",
     ]) == cli.EXIT_OK
     capsys.readouterr()
-    drawn = dict(drawn)  # the simulate command's stream 0 replaces the sweep's
+    drawn = {**swept, **drawn}  # the simulate command's stream 0 replaces the sweep's
     for stream in (7, 0):
         ((_, rounds, words),) = _v4_chunks(config, F(7, 20), stream)
         assert rounds[0] == 2**16 and len(rounds) > 1
@@ -458,9 +471,10 @@ def test_certain_columns_draw_nothing(monkeypatch, p):
     config = SimulationConfig(LEAVE_TWO, 10, 2**16, master_seed=13)
     ((_, rounds, words),) = _v4_chunks(config, p)
     assert words == sum(-(-size // 4) for size in rounds)
-    drawn = _record_chunks(monkeypatch)
+    pulled, drawn = _record_chunks(monkeypatch)
     run_batch(config, [p])
-    assert drawn == [((0, 0), words)]
+    assert pulled == [(0, 0)]
+    assert drawn == {(0, 0): words}
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
@@ -530,6 +544,58 @@ def test_block_shapes_match_the_recount(monkeypatch, variant, n, ps, trials, chu
     assert [result.wins for result in results] == [
         _v4_wins(config, p, stream) for stream, p in enumerate(ps)
     ]
+
+
+def test_pending_redraws_stay_bounded_over_thousands_of_short_chunks(monkeypatch):
+    # At p = 1/(2**63 + 1) about half the 64-bit switch lanes are rejected,
+    # so nearly all of 2,000 sixteen-game chunks are short after their first
+    # round.  A drain redraws its short chunks once 16 wait, so the words
+    # they keep stay a few kilobytes however many chunks the row has.
+    config = SimulationConfig(OPEN_ONE, 2**63 - 1, 2000 * 16, master_seed=41, chunk_size=16)
+    p = F(1, 2**63 + 1)
+    passes = []
+    real = simulate._redraw
+
+    def redraw(run, work, wins):
+        passes.append(len(work.pending))
+        real(run, work, wins)
+
+    monkeypatch.setattr(simulate, "_redraw", redraw)
+    run_batch(SimulationConfig(OPEN_ONE, 2**63 - 1, 64, chunk_size=16), [p])  # warm-up
+    passes.clear()
+    tracemalloc.start()
+    try:
+        (result,) = run_batch(config, [p])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(passes) > 1950 and max(passes) < 2 * simulate._BLOCK_CHUNKS
+    assert peak < 2**18
+    assert result.trials == config.trials
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_redraw_pass_larger_than_a_block_matches_the_recount(monkeypatch, workers):
+    # Blocks of one 64-game chunk, and about half the switch lanes rejected:
+    # the waiting chunks soon hold more games than a block, so their pass
+    # first grows the workspace.
+    monkeypatch.setattr(simulate, "DEFAULT_CHUNK_SIZE", 64)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    grown = []
+    real = simulate._Workspace.shaped
+
+    def shaped(work, *shape):
+        before = work.games.shape[1]
+        games = real(work, *shape)
+        grown.append(work.games.shape[1] > before)
+        return games
+
+    monkeypatch.setattr(simulate._Workspace, "shaped", shaped)
+    config = SimulationConfig(OPEN_ONE, 2**63 - 1, 20 * 64 + 7, master_seed=43, chunk_size=64)
+    p = F(1, 2**63 + 1)
+    (result,) = run_batch(config, [p], workers=workers)
+    assert any(grown)
+    assert result.wins == _v4_wins(config, p)
 
 
 def test_kept_games_fall_in_the_eight_cells_as_the_partition_says(monkeypatch):
@@ -810,20 +876,20 @@ def test_threads_pull_each_chunk_exactly_once(monkeypatch):
     sweep_config = SimulationConfig(OPEN_ONE, 5, 40 * 64 + 5, master_seed=3, chunk_size=64)
     reference = run_batch(config, [0.5])
     reference_rows = sweep(sweep_config, F(1, 4))
-    pulled = _record_chunks(monkeypatch)
+    pulled, _ = _record_chunks(monkeypatch)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threaded = run_batch(config, [0.5], workers=8)
-        batch_pulls = sorted(key for key, _ in pulled)
+        batch_pulls = sorted(pulled)
         pulled.clear()
         threaded_rows = sweep(sweep_config, F(1, 4), workers=8)
     finally:
         sys.setswitchinterval(interval)
     assert batch_pulls == [(0, chunk) for chunk in range(201)]
     assert threaded == reference
-    assert sorted(key for key, _ in pulled) == [
+    assert sorted(pulled) == [
         (stream, chunk) for stream in range(5) for chunk in range(41)
     ]
     assert threaded_rows == reference_rows
@@ -835,11 +901,11 @@ def _failing_block_wins(monkeypatch, calls, fail_at, wins=None):
     its real count."""
     real = simulate._block_wins
 
-    def block_wins(run, bits, work, block):
+    def block_wins(run, work, block):
         calls.append(len(block))
         if len(calls) == fail_at:
             raise RuntimeError("block failed")
-        return real(run, bits, work, block) if wins is None else [(wins, 0)] * len(block)
+        return real(run, work, block) if wins is None else [(wins, 0)] * len(block)
 
     monkeypatch.setattr(simulate, "_block_wins", block_wins)
 
