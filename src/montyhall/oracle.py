@@ -225,12 +225,13 @@ def random_car_distribution(n: int, rng) -> CarDistribution:
     """Draw a random rational car distribution on ``n`` doors.
 
     ``rng`` is a ``numpy.random.Generator`` (or anything with a compatible
-    ``integers`` method).  Integer weights in [0, 100] are normalized exactly,
-    so individual doors may get probability zero.
+    ``integers(low, high, size=n)`` method).  Integer weights in [0, 100],
+    drawn in one call, are normalized exactly, so individual doors may get
+    probability zero.
     """
     _require_doors(n)
     while True:
-        weights = [int(rng.integers(0, 101)) for _ in range(n)]
+        weights = rng.integers(0, 101, size=n).tolist()
         total = sum(weights)
         if total:
             return CarDistribution(tuple(Fraction(w, total) for w in weights))

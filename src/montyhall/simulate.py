@@ -34,10 +34,11 @@ consecutive chunks of at most ``DEFAULT_CHUNK_SIZE`` games in all, so a
 chunk of that size or more is a block of one, and a block of small chunks
 may span rows.  Each drain sums its chunks' wins by grid index; the caller
 adds those sums row by row.  The base state is derived once per call.  Each
-drain owns one PCG64DXSM bit generator, which it moves to a chunk's words
-before drawing them, and one workspace that every block overwrites: boolean
-game arrays for a block, the raw words of a block of several chunks, and the
-short chunks that wait for its next redraw pass.  Drains
+drain owns one PCG64DXSM bit generator, which it sets to the base state
+once and then advances from where it stands to the first word of each
+read, and one workspace that every block overwrites: boolean game arrays
+for a block, the raw words of a block of several chunks, and the short
+chunks that wait for its next redraw pass.  Drains
 share no draw state, and since a chunk's draws are fixed by
 ``(master_seed, i, j)``, the number of workers, the blocks and the order in
 which they run never change a result.  Once a block fails, or the caller is
@@ -74,17 +75,18 @@ kernel; :func:`trace_trial` plays single games with the full door-by-door
 mechanics and is what trajectory-level tests should sample.
 
 The kernel plays a block as follows; none of it changes which words a
-chunk reads.  Each chunk's first round and a few spare words come from one
-``random_raw`` call.  Chunks of the block that share a size and a switch
-lane type are compared as one ``(chunks, games)`` array per column, with the
-switch thresholds as a per-chunk column, and counted per chunk.  A block of
-one is read as drawn; a block of several is first copied into the
-workspace.  A chunk left short waits in its drain with a copy of its spare
-words.  The drain redraws all its waiting chunks in one pass once 16 wait
-or they hold more games than a block, and at its end unless stopped: each
-round one flat array of their games per column, each chunk's lanes read
-from its own words (after its spare, from its next word), and one
-``np.add.reduceat`` for each chunk's wins and kept games.
+chunk reads.  Each chunk's first round, exactly its three columns' words,
+comes from one ``random_raw`` call.  Chunks of the block that share a size
+and a switch lane type are compared as one ``(chunks, games)`` array per
+column, with the switch thresholds as a per-chunk column, and counted per
+chunk.  A block of one is read as drawn; a block of several is first copied
+into the workspace.  A chunk left short waits in its drain as its row, its
+index, the games it lacks and its next word.  The drain redraws all its
+waiting chunks in one pass once 16 wait or they hold more games than a
+block, and at its end unless stopped: each round one flat array of their
+games per column, each chunk's lanes read by one ``random_raw`` call from
+its next word, and one ``np.add.reduceat`` for each chunk's wins and kept
+games.
 """
 
 from __future__ import annotations
@@ -210,13 +212,6 @@ class SweepRow(NamedTuple):
     chebyshev_halfwidth: float
 
 
-def _position(bits: np.random.PCG64DXSM, base: dict, stream: int, chunk: int, word=0) -> None:
-    """Move ``bits`` to word ``word`` of chunk ``chunk`` of stream ``stream``:
-    output ``stream * 2**96 + chunk * 2**64 + word`` of ``base``."""
-    bits.state = base
-    bits.advance(stream * 2**96 + chunk * 2**64 + word)
-
-
 def substream(master_seed: int, stream: int, chunk: int) -> np.random.Generator:
     """A new generator for chunk ``chunk`` of stream ``stream``, positioned
     at its first word under ``master_seed``'s base state.
@@ -228,7 +223,7 @@ def substream(master_seed: int, stream: int, chunk: int) -> np.random.Generator:
     _require_int("stream", stream, 0, _INDEX_LIMIT)
     _require_int("chunk", chunk, 0, _INDEX_LIMIT)
     bits = np.random.PCG64DXSM(np.random.SeedSequence(master_seed))
-    _position(bits, bits.state, stream, chunk)
+    bits.advance(stream * 2**96 + chunk * 2**64)
     return np.random.Generator(bits)
 
 
@@ -280,9 +275,6 @@ _LANES = {width: np.dtype(f"<u{width // 8}") for width in (16, 32, 64)}
 #: A drain pulls up to this many consecutive chunks of the queue at once, of
 #: at most ``DEFAULT_CHUNK_SIZE`` games in all; a larger chunk is a block of one.
 _BLOCK_CHUNKS = 16
-
-#: Words each chunk draws past its first round, for its redraws.
-_SPARE_WORDS = 16
 
 
 class _Column(NamedTuple):
@@ -393,25 +385,18 @@ def _round(columns, lanes, work) -> tuple[np.ndarray, np.ndarray | None]:
 
 class _Short:
     """A chunk short of games after its first round: ``left`` games to draw
-    again, from ``words``, its own copy of the drawn words it has not taken,
-    and then from its word ``drawn`` on."""
+    again, from its word ``word`` on."""
 
-    __slots__ = ("row", "chunk", "left", "words", "drawn")
+    __slots__ = ("row", "chunk", "left", "word")
 
-    def __init__(self, row, chunk, left, words, drawn):
-        self.row, self.chunk = row, chunk
-        self.left, self.words, self.drawn = left, words, drawn
+    def __init__(self, row, chunk, left, word):
+        self.row, self.chunk, self.left, self.word = row, chunk, left, word
 
     def take(self, count: int, work: "_Workspace") -> np.ndarray:
         """The chunk's next ``count`` words."""
-        if count > len(self.words):
-            # The spare ran out: the rest come from the chunk's next words.
-            more = count - len(self.words) + _SPARE_WORDS
-            fresh = work.raw(self.row, self.chunk, self.drawn, more).astype("<u8", copy=False)
-            self.words = np.concatenate((self.words, fresh))
-            self.drawn += more
-        taken, self.words = self.words[:count], self.words[count:]
-        return taken
+        words = work.raw(self.row, self.chunk, self.word, count)
+        self.word += count
+        return words
 
 
 class _Run(NamedTuple):
@@ -426,20 +411,27 @@ class _Run(NamedTuple):
 
 class _Workspace:
     """A drain's draw state and buffers, reused by every block it plays: its
-    PCG64DXSM bit generator, five boolean game arrays, the words of a block
-    of several chunks, and the short chunks that wait for a redraw pass."""
+    PCG64DXSM bit generator and the output it reads next, five boolean game
+    arrays, the words of a block of several chunks, and the short chunks
+    that wait for a redraw pass."""
 
     def __init__(self, base: dict, games: int) -> None:
-        self.base = base
         self.bits = np.random.PCG64DXSM(0)
+        self.bits.state = base
+        self.at = 0
         self.games = np.empty((5, games), dtype=bool)
-        self.words = np.empty(0, dtype=np.uint64)
+        self.words = np.empty(0, dtype=_LANES[64])
         self.pending: list[_Short] = []
 
     def raw(self, row: int, chunk: int, word: int, count: int) -> np.ndarray:
-        """Words ``word`` to ``word + count - 1`` of chunk ``chunk`` of row ``row``."""
-        _position(self.bits, self.base, row, chunk, word)
-        return self.bits.random_raw(count)
+        """Words ``word`` to ``word + count - 1`` of chunk ``chunk`` of row
+        ``row``, as little-endian words: output ``row * 2**96 + chunk * 2**64
+        + word`` of the base state on, reached from where the generator stands."""
+        target = row * 2**96 + chunk * 2**64 + word
+        self.bits.advance((target - self.at) % 2**128)
+        self.at = target + count
+        # Little-endian words split into lanes least significant first on any host.
+        return self.bits.random_raw(count).astype(_LANES[64], copy=False)
 
     def shaped(self, *shape: int) -> np.ndarray:
         """The five game arrays, cut to ``shape`` (grown for a large redraw pass)."""
@@ -450,21 +442,21 @@ class _Workspace:
 
 
 def _block_wins(
-    run: _Run, work: _Workspace, block: Sequence[tuple[int, int, int]]
-) -> list[tuple[int, int]]:
-    """The wins and the raw words of the first round of each ``(row, chunk
-    index, size)`` chunk of ``block``; a chunk left short joins
+    run: _Run, work: _Workspace, block: Sequence[tuple[int, int, int]], wins: list[int]
+) -> None:
+    """Play the first round of each ``(row, chunk index, size)`` chunk of
+    ``block`` and add its wins to ``wins`` by row; a chunk left short joins
     ``work.pending`` (see "Batch draw order" in the module docstring)."""
     hit, slot0, switches = run.hit, run.slot0, run.switches
     groups: dict[tuple, list[int]] = {}
     for index, (row, _, size) in enumerate(block):
         groups.setdefault((size, switches[row].dtype), []).append(index)
-    # One random_raw call per chunk: its first round and its spare words.
+    # One random_raw call per chunk: the three columns of its first round.
     raws, plans = [], []
     for (size, dtype), members in groups.items():
         switch = _stack([switches[block[index][0]] for index in members], dtype)
         counts = (_words(hit, size), _words(switch, size), _words(slot0, size))
-        stride = sum(counts) + _SPARE_WORDS
+        stride = sum(counts)
         for index in members:
             row, chunk, _ = block[index]
             raws.append(work.raw(row, chunk, 0, stride))
@@ -474,14 +466,11 @@ def _block_wins(
     else:
         total = sum(map(len, raws))
         if len(work.words) < total:
-            work.words = np.empty(total, dtype=np.uint64)
+            work.words = np.empty(total, dtype=_LANES[64])
         words = np.concatenate(raws, out=work.words[:total])
-    # Little-endian words split into lanes least significant first on any host.
-    words = words.astype("<u8", copy=False)
 
     # The first round of each group of chunks that share a size and a
     # switch lane type, as one (chunks, games) array per column.
-    wins, taken = [0] * len(block), [0] * len(block)
     start = 0
     for size, members, columns, counts, stride in plans:
         grid = words[start : start + len(members) * stride].reshape(len(members), stride)
@@ -493,14 +482,11 @@ def _block_wins(
             at += count
         won, kept = _round(columns, lanes, work.shaped(len(members), size))
         for member, index in enumerate(members):
-            wins[index] = int(np.count_nonzero(won[member]))
-            taken[index] = at
+            row, chunk, _ = block[index]
+            wins[row] += int(np.count_nonzero(won[member]))
             left = 0 if kept is None else size - int(np.count_nonzero(kept[member]))
             if left:
-                # A copy: the next block may overwrite the block's words.
-                row, chunk, _ = block[index]
-                work.pending.append(_Short(row, chunk, left, grid[member, at:].copy(), stride))
-    return list(zip(wins, taken))
+                work.pending.append(_Short(row, chunk, left, stride))
 
 
 def _redraw(run: _Run, work: _Workspace, wins: list[int]) -> None:
@@ -586,9 +572,7 @@ def run_batch(
                 for index in range(start, min(start + per_block, total)):
                     row, chunk = divmod(index, chunks)
                     block.append((row, chunk, min(size, trials - chunk * size)))
-                played = _block_wins(run, work, block)
-                for (row, _, _), (chunk_wins, _) in zip(block, played):
-                    wins[row] += chunk_wins
+                _block_wins(run, work, block, wins)
                 pending = work.pending
                 if len(pending) >= _BLOCK_CHUNKS or sum(e.left for e in pending) > capacity:
                     _redraw(run, work, wins)

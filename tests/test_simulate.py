@@ -417,27 +417,21 @@ def test_batch_keeps_the_switch_probability_exact():
 
 def _record_chunks(monkeypatch):
     """Wrap the kernel to log each chunk's (stream, chunk) in ``pulled``, in
-    the order its block was played, and the raw words each chunk took in
-    ``words``: its first round's from ``_block_wins`` or, once its drain has
-    played its redraws in ``_redraw``, every word it drew but has not taken."""
+    the order its block was played, and in ``words`` the raw words each
+    chunk read through ``_Workspace.raw``, the kernel's one positioned read."""
     pulled, words = [], {}
-    real_block_wins, real_redraw = simulate._block_wins, simulate._redraw
+    real_block_wins, real_raw = simulate._block_wins, simulate._Workspace.raw
 
-    def block_wins(run, work, block):
-        played = real_block_wins(run, work, block)
-        for (row, chunk, _), (_, taken) in zip(block, played):
-            pulled.append((row, chunk))
-            words[row, chunk] = taken
-        return played
+    def block_wins(run, work, block, wins):
+        pulled.extend((row, chunk) for row, chunk, _ in block)
+        return real_block_wins(run, work, block, wins)
 
-    def redraw(run, work, wins):
-        short = list(work.pending)
-        real_redraw(run, work, wins)
-        for entry in short:
-            words[entry.row, entry.chunk] = entry.drawn - len(entry.words)
+    def raw(work, row, chunk, word, count):
+        words[row, chunk] = words.get((row, chunk), 0) + count
+        return real_raw(work, row, chunk, word, count)
 
     monkeypatch.setattr(simulate, "_block_wins", block_wins)
-    monkeypatch.setattr(simulate, "_redraw", redraw)
+    monkeypatch.setattr(simulate._Workspace, "raw", raw)
     return pulled, words
 
 
@@ -491,6 +485,7 @@ def test_rejection_path_end_to_end_at_the_largest_door_count(variant):
             assert sum(len(rounds) for _, rounds, _ in chunks) > 6 * 5
         results = [run_batch(config, [p], workers=workers)[0] for workers in (1, 2)]
         assert results[0] == results[1]
+        assert all(type(result.wins) is int for result in results)
         assert results[0].trials == config.trials
         assert results[0].wins == _v4_wins(config, p)
         if not p:
@@ -520,30 +515,63 @@ def test_reused_workspace_leaks_nothing_between_chunks(
         assert row.result.wins == _v4_wins(config, row.p, stream)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize(
-    "variant, n, ps, trials, chunk_size",
-    [
-        # One block of ten chunks whose switch columns are certain (p = 0, 1),
-        # 16-bit (1/2, 1/3) and 32-bit (1/1000); each row's second chunk is short.
-        (OPEN_ONE, 15, [F(0), F(1, 2), F(1, 1000), F(1, 3), F(1)], 100, 64),
-        # Twenty chunks a row: the second block holds row 0's last four
-        # chunks and row 1's first twelve.
-        (LEAVE_TWO, 10, [F(1, 5), F(2, 7), F(3, 8)], 20 * 64, 64),
-        # Rows whose last chunk is short, in blocks of a few 4,096-game chunks.
-        (OPEN_ONE, 7, [F(3, 10), F(1, 250)], 3 * 4096 + 17, 4096),
-        # The 16-bit p = 1/241 lane rejects 225 lanes in 2**16, so the chunk's
-        # redraws take about 170 words, more than a few spare ones.
-        (OPEN_ONE, 15, [F(1, 241)], 2**16, 2**16),
-    ],
-)
-def test_block_shapes_match_the_recount(monkeypatch, variant, n, ps, trials, chunk_size, workers):
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+#: (variant, n, ps, trials, chunk_size) of the block shapes recounted below.
+_BLOCK_SHAPES = [
+    # One block of ten chunks whose switch columns are certain (p = 0, 1),
+    # 16-bit (1/2, 1/3) and 32-bit (1/1000); each row's second chunk is short.
+    (OPEN_ONE, 15, [F(0), F(1, 2), F(1, 1000), F(1, 3), F(1)], 100, 64),
+    # Twenty chunks a row: the second block holds row 0's last four
+    # chunks and row 1's first twelve.
+    (LEAVE_TWO, 10, [F(1, 5), F(2, 7), F(3, 8)], 20 * 64, 64),
+    # Rows whose last chunk is short, in blocks of a few 4,096-game chunks.
+    (OPEN_ONE, 7, [F(3, 10), F(1, 250)], 3 * 4096 + 17, 4096),
+    # The 16-bit p = 1/241 lane rejects 225 lanes in 2**16, so the chunk
+    # takes several redraw rounds of about 170 words in all.
+    (OPEN_ONE, 15, [F(1, 241)], 2**16, 2**16),
+]
+
+
+def _block_shape_wins(variant, n, ps, trials, chunk_size, workers):
+    """Each row's wins from ``run_batch`` at a block shape, and its recount."""
     config = SimulationConfig(variant, n, trials, 31, chunk_size)
     results = run_batch(config, ps, workers=workers)
-    assert [result.wins for result in results] == [
-        _v4_wins(config, p, stream) for stream, p in enumerate(ps)
-    ]
+    return results, [_v4_wins(config, p, stream) for stream, p in enumerate(ps)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("variant, n, ps, trials, chunk_size", _BLOCK_SHAPES)
+def test_block_shapes_match_the_recount(monkeypatch, variant, n, ps, trials, chunk_size, workers):
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    results, recount = _block_shape_wins(variant, n, ps, trials, chunk_size, workers)
+    assert [result.wins for result in results] == recount
+    assert all(type(result.wins) is int for result in results)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        # A redraw round that starts one word past the chunk's next word.
+        lambda word: word + 1 if word else word,
+        # A first round read one word late.
+        lambda word: word or 1,
+    ],
+    ids=["redraw-one-word-late", "first-round-one-word-late"],
+)
+def test_block_recount_tells_a_word_shift(monkeypatch, mutant):
+    # A one-word shift relabels games, so a row's count moves only where a
+    # game's outcome flips at a column's edge: the recount of the block
+    # shapes above must tell each mutant apart in at least one shape.
+    real = simulate._Workspace.raw
+
+    def shifted(work, row, chunk, word, count):
+        return real(work, row, chunk, mutant(word), count)
+
+    monkeypatch.setattr(simulate._Workspace, "raw", shifted)
+    told = 0
+    for shape in _BLOCK_SHAPES:
+        results, recount = _block_shape_wins(*shape, workers=1)
+        told += [result.wins for result in results] != recount
+    assert told >= 1
 
 
 def test_pending_redraws_stay_bounded_over_thousands_of_short_chunks(monkeypatch):
@@ -895,17 +923,18 @@ def test_threads_pull_each_chunk_exactly_once(monkeypatch):
     assert threaded_rows == reference_rows
 
 
-def _failing_block_wins(monkeypatch, calls, fail_at, wins=None):
+def _failing_block_wins(monkeypatch, calls, fail_at, play=True):
     """Patch ``_block_wins`` to record each call's chunk count in ``calls``
-    and raise on call ``fail_at``; other calls give each chunk ``wins`` or
-    its real count."""
+    and raise on call ``fail_at``; other calls play their block, or, if not
+    ``play``, add no wins."""
     real = simulate._block_wins
 
-    def block_wins(run, work, block):
+    def block_wins(run, work, block, wins):
         calls.append(len(block))
         if len(calls) == fail_at:
             raise RuntimeError("block failed")
-        return real(run, work, block) if wins is None else [(wins, 0)] * len(block)
+        if play:
+            real(run, work, block, wins)
 
     monkeypatch.setattr(simulate, "_block_wins", block_wins)
 
@@ -960,7 +989,7 @@ def test_sweep_queue_is_never_materialised(monkeypatch, workers):
     # 3 rows of 2**32 - 1 one-game chunks, pulled in blocks of 16: a list of
     # the chunks would not fit in memory.
     calls = []
-    _failing_block_wins(monkeypatch, calls, fail_at=5, wins=0)
+    _failing_block_wins(monkeypatch, calls, fail_at=5, play=False)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     raised = []
 
