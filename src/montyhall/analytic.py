@@ -26,11 +26,12 @@ rational equalities.  Convert to ``float`` only at the output boundary.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Union
 
 __all__ = [
     "GameVariant",
@@ -72,9 +73,13 @@ def _require_int(name: str, value: int, low: int, high: float = math.inf) -> Non
         raise ValueError(f"{name} must be {bound} and an integer, got {value!r}")
 
 
+#: The real numbers a validator accepts: ints, binary floats and Fractions.
+_REAL = (int, float, Fraction)
+
+
 def _require_unit(name: str, value: float, *, open_interval: bool = False) -> None:
     """A real number in ``[0, 1]``, or in ``(0, 1)`` when ``open_interval``."""
-    real = isinstance(value, (int, float, Fraction))
+    real = isinstance(value, _REAL)
     if not (real and (0 < value < 1 if open_interval else 0 <= value <= 1)):
         bounds = "(0, 1)" if open_interval else "[0, 1]"
         raise ValueError(f"{name} must be in {bounds}, got {value!r}")
@@ -149,6 +154,7 @@ class PartitionProbabilities:
     cells: Mapping[Cell, Fraction]
 
     def __post_init__(self) -> None:
+        _require_member(Mapping, self.cells)
         if set(self.cells) != set(CELL_ORDER):
             raise ValueError("partition needs exactly the eight (e, c, w) cells")
         for key, value in self.cells.items():

@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +81,7 @@ class CarDistribution:
     alpha: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        _require_member(Iterable, self.alpha)
         alpha = tuple(as_probability(a, "car placement probability") for a in self.alpha)
         _require_doors(len(alpha))
         if sum(alpha) != 1:
@@ -97,6 +99,7 @@ class CarDistribution:
     @classmethod
     def from_weights(cls, weights: Sequence[RationalLike]) -> "CarDistribution":
         """Normalize non-negative rational weights into a distribution."""
+        _require_member(Iterable, weights)
         ws = [_as_rational(w, "car weight") for w in weights]
         total = sum(ws)
         if total <= 0:

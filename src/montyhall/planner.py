@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import _require_int, _require_member, _require_unit
+from .analytic import _REAL, _require_int, _require_member, _require_unit
 
 __all__ = [
     "PlanMethod",
@@ -52,12 +52,13 @@ class SampleSizePlan:
     z_x: Optional[float] = None
 
 
-#: Standard normal quantile: the z with Phi(z) = x, for x in (0, 1).  The
-#: stdlib implements Wichura's algorithm AS241 ("The Percentage Points of the
-#: Normal Distribution", Applied Statistics, 1988), accurate to about one
-#: part in 1e16.  An argument outside (0, 1) raises
-#: ``statistics.StatisticsError``, a ``ValueError``.
-normal_quantile = NormalDist().inv_cdf
+def normal_quantile(x: float) -> float:
+    """The standard normal quantile: the z with Phi(z) = x, for a real ``x``
+    in (0, 1).  The stdlib implements Wichura's algorithm AS241 ("The
+    Percentage Points of the Normal Distribution", Applied Statistics, 1988),
+    accurate to about one part in 1e16."""
+    _require_unit("x", x, open_interval=True)
+    return NormalDist().inv_cdf(x)
 
 
 def _clt_quantile(delta: float) -> float:
@@ -79,7 +80,7 @@ def sample_size(
     """
     _require_member(PlanMethod, method)
     _require_unit("p_win", p_win)
-    if not 0 < epsilon < math.inf:
+    if not (isinstance(epsilon, _REAL) and 0 < epsilon < math.inf):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     _require_unit("delta", delta, open_interval=True)
     variance = Fraction(p_win) * (1 - Fraction(p_win))

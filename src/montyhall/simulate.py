@@ -33,13 +33,13 @@ row), none at ``workers == 1``.  A drain pulls a block at a time: up to 16
 consecutive chunks of at most ``DEFAULT_CHUNK_SIZE`` games in all, so a
 chunk of that size or more is a block of one, and a block of small chunks
 may span rows.  Each drain sums its chunks' wins by grid index; the caller
-adds those sums row by row.  The base state is derived once per call.  Each
-drain owns one PCG64DXSM bit generator, which it sets to the base state
-once and then advances from where it stands to the first word of each
-read, and one workspace that every block overwrites: boolean game arrays
-for a block, the raw words of a block of several chunks, and the short
-chunks that wait for its next redraw pass.  Drains
-share no draw state, and since a chunk's draws are fixed by
+adds those sums row by row.  Each drain starts from
+``substream(master_seed, 0, 0)``: it takes that generator's PCG64DXSM bit
+generator, at the base state's first word, and advances it from where it
+stands to the first word of each read.  It owns one workspace that every
+block overwrites: boolean game arrays for a block, the raw words of a group
+of several chunks, and the short chunks that wait for its next redraw pass.
+Drains share no draw state, and since a chunk's draws are fixed by
 ``(master_seed, i, j)``, the number of workers, the blocks and the order in
 which they run never change a result.  Once a block fails, or the caller is
 interrupted, no thread starts another block.
@@ -75,12 +75,13 @@ kernel; :func:`trace_trial` plays single games with the full door-by-door
 mechanics and is what trajectory-level tests should sample.
 
 The kernel plays a block as follows; none of it changes which words a
-chunk reads.  Each chunk's first round, exactly its three columns' words,
-comes from one ``random_raw`` call.  Chunks of the block that share a size
-and a switch lane type are compared as one ``(chunks, games)`` array per
-column, with the switch thresholds as a per-chunk column, and counted per
-chunk.  A block of one is read as drawn; a block of several is first copied
-into the workspace.  A chunk left short waits in its drain as its row, its
+chunk reads.  The chunks of the block are grouped by size and switch lane
+type, and each group is read and played in one pass.  Each chunk's first
+round, exactly its three columns' words, comes from one ``random_raw``
+call.  A group is compared as one ``(chunks, games)`` array per column,
+with the switch thresholds as a per-chunk column, and counted per chunk.
+A lone chunk is read as drawn; a group of several is first copied into the
+workspace.  A chunk left short waits in its drain as its row, its
 index, the games it lacks and its next word.  The drain redraws all its
 waiting chunks in one pass once 16 wait or they hold more games than a
 block, and at its end unless stopped: each round one flat array of their
@@ -94,10 +95,11 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,8 +191,7 @@ class SimulationResult:
 
     def __post_init__(self) -> None:
         _require_int("trials", self.trials, 1)
-        if not 0 <= self.wins <= self.trials:
-            raise ValueError(f"wins {self.wins} outside [0, {self.trials}]")
+        _require_int("wins", self.wins, 0, self.trials + 1)
 
     @property
     def empirical(self) -> float:
@@ -392,32 +393,24 @@ class _Short:
     def __init__(self, row, chunk, left, word):
         self.row, self.chunk, self.left, self.word = row, chunk, left, word
 
-    def take(self, count: int, work: "_Workspace") -> np.ndarray:
-        """The chunk's next ``count`` words."""
-        words = work.raw(self.row, self.chunk, self.word, count)
-        self.word += count
-        return words
-
 
 class _Run(NamedTuple):
-    """What every drain of one :func:`run_batch` call reads: the base state,
-    the hit and slot-0 columns, and each row's switch column."""
+    """What every drain of one :func:`run_batch` call reads: the hit and
+    slot-0 columns, and each row's switch column."""
 
-    base: dict
     hit: _Column
     slot0: _Column
     switches: list[_Column]
 
 
 class _Workspace:
-    """A drain's draw state and buffers, reused by every block it plays: its
-    PCG64DXSM bit generator and the output it reads next, five boolean game
-    arrays, the words of a block of several chunks, and the short chunks
-    that wait for a redraw pass."""
+    """A drain's draw state and buffers, reused by every block it plays: the
+    bit generator of ``substream(master_seed, 0, 0)`` and the output it
+    reads next, five boolean game arrays, the words of a group of several
+    chunks, and the short chunks that wait for a redraw pass."""
 
-    def __init__(self, base: dict, games: int) -> None:
-        self.bits = np.random.PCG64DXSM(0)
-        self.bits.state = base
+    def __init__(self, master_seed: int, games: int) -> None:
+        self.bits = substream(master_seed, 0, 0).bit_generator
         self.at = 0
         self.games = np.empty((5, games), dtype=bool)
         self.words = np.empty(0, dtype=_LANES[64])
@@ -448,41 +441,31 @@ def _block_wins(
     ``block`` and add its wins to ``wins`` by row; a chunk left short joins
     ``work.pending`` (see "Batch draw order" in the module docstring)."""
     hit, slot0, switches = run.hit, run.slot0, run.switches
-    groups: dict[tuple, list[int]] = {}
-    for index, (row, _, size) in enumerate(block):
-        groups.setdefault((size, switches[row].dtype), []).append(index)
-    # One random_raw call per chunk: the three columns of its first round.
-    raws, plans = [], []
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    for row, chunk, size in block:
+        groups.setdefault((size, switches[row].dtype), []).append((row, chunk))
+    # Each group of chunks that share a size and a switch lane type plays
+    # its first round as one (chunks, games) array per column.
     for (size, dtype), members in groups.items():
-        switch = _stack([switches[block[index][0]] for index in members], dtype)
-        counts = (_words(hit, size), _words(switch, size), _words(slot0, size))
+        switch = _stack([switches[row] for row, _ in members], dtype)
+        columns = (hit, switch, slot0)
+        counts = [_words(column, size) for column in columns]
         stride = sum(counts)
-        for index in members:
-            row, chunk, _ = block[index]
-            raws.append(work.raw(row, chunk, 0, stride))
-        plans.append((size, members, (hit, switch, slot0), counts, stride))
-    if len(raws) == 1:
-        words = raws[0]  # a block of one is read as drawn
-    else:
-        total = sum(map(len, raws))
-        if len(work.words) < total:
-            work.words = np.empty(total, dtype=_LANES[64])
-        words = np.concatenate(raws, out=work.words[:total])
-
-    # The first round of each group of chunks that share a size and a
-    # switch lane type, as one (chunks, games) array per column.
-    start = 0
-    for size, members, columns, counts, stride in plans:
-        grid = words[start : start + len(members) * stride].reshape(len(members), stride)
-        start += len(members) * stride
+        # One random_raw call per chunk: the three columns of its first round.
+        raws = [work.raw(row, chunk, 0, stride) for row, chunk in members]
+        if len(raws) == 1:
+            grid = raws[0][None]  # a lone chunk is read as drawn
+        else:
+            total = len(raws) * stride
+            if len(work.words) < total:
+                work.words = np.empty(total, dtype=_LANES[64])
+            grid = np.concatenate(raws, out=work.words[:total]).reshape(len(raws), stride)
         lanes, at = [], 0
         for column, count in zip(columns, counts):
-            drawn = column.dtype is not None
-            lanes.append(_lanes(grid[:, at : at + count], column.dtype, size) if drawn else None)
+            lanes.append(_lanes(grid[:, at : at + count], column.dtype, size) if count else None)
             at += count
         won, kept = _round(columns, lanes, work.shaped(len(members), size))
-        for member, index in enumerate(members):
-            row, chunk, _ = block[index]
+        for member, (row, chunk) in enumerate(members):
             wins[row] += int(np.count_nonzero(won[member]))
             left = 0 if kept is None else size - int(np.count_nonzero(kept[member]))
             if left:
@@ -503,7 +486,8 @@ def _redraw(run: _Run, work: _Workspace, wins: list[int]) -> None:
         for entry, column in zip(short, own):
             left = entry.left
             h, w, s = _words(hit, left), _words(column, left), _words(slot0, left)
-            chunk_words = entry.take(h + w + s, work)
+            chunk_words = work.raw(entry.row, entry.chunk, entry.word, h + w + s)
+            entry.word += h + w + s
             hits.append(_lanes(chunk_words[:h], hit.dtype, left))
             if column.dtype is not None:
                 switched.append(_lanes(chunk_words[h : h + w], column.dtype, left))
@@ -540,12 +524,13 @@ def run_batch(
     starts no thread; the queue takes no memory per chunk.  ``workers`` only
     controls execution, never the result.
     """
+    _require_member(SimulationConfig, config)
+    _require_member(Iterable, ps)
     switches = [as_probability(p, "switch probability") for p in ps]
     _require_int("workers", workers, 1)
     n, trials = config.n, config.trials
     size = min(config.chunk_size, trials)
     run = _Run(
-        np.random.PCG64DXSM(np.random.SeedSequence(config.master_seed)).state,
         _column(1, n),
         _column(1, n - 1 - _host_opens(config.variant, n)),
         [_column(p.numerator, p.denominator) for p in switches],
@@ -561,7 +546,7 @@ def run_batch(
     def drain() -> list[int]:
         try:
             # Reused by every block this drain pulls; no other drain sees it.
-            work = _Workspace(run.base, capacity)
+            work = _Workspace(config.master_seed, capacity)
             wins = [0] * len(switches)
             while not stopped.is_set():
                 with lock:

@@ -173,6 +173,8 @@ def test_partition_type_rejects_bad_cells():
         PartitionProbabilities(cells)
     with pytest.raises(ValueError):
         PartitionProbabilities({CELL_ORDER[0]: Fraction(1)})
+    with pytest.raises(ValueError, match=r"^expected a Mapping, got None"):
+        PartitionProbabilities(None)  # once a TypeError
 
 
 @given(variant=variants, n=door_counts, p=probabilities)

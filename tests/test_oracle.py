@@ -191,6 +191,11 @@ def test_input_validation():
         CarDistribution.from_weights([float("inf"), 1, 1])
     with pytest.raises(ValueError):
         CarDistribution.from_weights([-1, 2, 2])
+    # Each once raised TypeError.
+    with pytest.raises(ValueError, match=r"^expected a Iterable, got 3$"):
+        CarDistribution(3)
+    with pytest.raises(ValueError, match=r"^expected a Iterable, got None$"):
+        CarDistribution.from_weights(None)
 
 
 @pytest.mark.parametrize("n", [2.5, 2, "4", True])

@@ -43,7 +43,8 @@ def test_quantile_table_values(x, expected):
     assert normal_quantile(x) == pytest.approx(expected, abs=1e-7)
 
 
-@pytest.mark.parametrize("x", [0.0, 1.0, -0.2, 1.4])
+# A string, None or a complex number once raised TypeError.
+@pytest.mark.parametrize("x", [0.0, 1.0, -0.2, 1.4, "abc", None, "0.5", 0.5j])
 def test_quantile_rejects_out_of_range(x):
     with pytest.raises(ValueError):
         normal_quantile(x)
@@ -141,6 +142,10 @@ def test_degenerate_variance_clamps_to_one(p_win, method):
         dict(p_win=1.5, epsilon=0.01, delta=0.01),
         dict(p_win=0.5, epsilon=float("inf"), delta=0.01),
         dict(p_win=0.5, epsilon=0.01, delta=0.01, method="clt"),
+        # Each once raised TypeError, or OverflowError for the numpy integer.
+        dict(p_win=0.5, epsilon="0.01", delta=0.01),
+        dict(p_win=0.5, epsilon=0.01j, delta=0.01),
+        dict(p_win=0.5, epsilon=np.int64(5), delta=0.01),
     ],
 )
 def test_invalid_plan_requests_rejected(kwargs):

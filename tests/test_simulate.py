@@ -626,12 +626,12 @@ def test_a_redraw_pass_larger_than_a_block_matches_the_recount(monkeypatch, work
     assert result.wins == _v4_wins(config, p)
 
 
-def test_kept_games_fall_in_the_eight_cells_as_the_partition_says(monkeypatch):
-    # test_09b pools P(win) alone, so a kernel bias that moves the cells but
-    # keeps P(win) exact passes it.  Here each kept game of every round is
-    # tallied by its (hit, switched, won) cell, and each cell's pooled z
-    # over the panel must stay within 5; a cell that the partition leaves
-    # empty must stay empty.
+def cell_gate_z(monkeypatch):
+    """The cell gate's statistic: each (hit, switched, won) cell's pooled |z|
+    over the gate's panel, in the order 4 * hit + 2 * switched + won.  Each
+    kept game of every round is tallied by its cell, as ``simulate._round``
+    leaves it when this is called.  A cell that the partition leaves empty
+    reads 0 while it stays empty and infinity once it is not."""
     real = simulate._round
     tally = np.zeros(8, dtype=np.int64)  # indexed by 4 * hit + 2 * switched + won
 
@@ -656,11 +656,19 @@ def test_kept_games_fall_in_the_eight_cells_as_the_partition_says(monkeypatch):
                     pi = float(cells[bool(index & 4), bool(index & 2), bool(index & 1)])
                     excess[index] += tally[index] - config.trials * pi
                     variance[index] += config.trials * pi * (1 - pi)
-    for index in range(8):
-        if variance[index] == 0:
-            assert excess[index] == 0, index
-        else:
-            assert abs(excess[index]) / variance[index] ** 0.5 <= 5.0, index
+    return [
+        abs(e) / v**0.5 if v else 0.0 if e == 0 else math.inf
+        for e, v in zip(excess, variance)
+    ]
+
+
+def test_kept_games_fall_in_the_eight_cells_as_the_partition_says(monkeypatch):
+    # test_09b pools P(win) alone, so a kernel bias that moves the cells but
+    # keeps P(win) exact passes it.  Here each cell's pooled z over the panel
+    # must stay within 5; a cell that the partition leaves empty must stay
+    # empty.  tests/test_gates.py shows that a bias crosses this bound.
+    for index, z in enumerate(cell_gate_z(monkeypatch)):
+        assert z <= 5.0, index
 
 
 def _list_trace_trial(variant, n, p, rng):
@@ -780,6 +788,20 @@ def test_result_fields_and_validation():
     assert result.std_error == pytest.approx(math.sqrt(0.35 * 0.65 / 2000))
     with pytest.raises(ValueError):
         SimulationResult(10, 11)
+    # 2.5 was once accepted, and None raised TypeError.
+    for wins in (2.5, None, "3", -1):
+        with pytest.raises(ValueError, match=r"^wins must be in \[0, 11\) and an integer"):
+            SimulationResult(10, wins)
+
+
+def test_batch_and_sweep_reject_a_config_or_rows_of_the_wrong_type():
+    # Each once raised AttributeError or TypeError.
+    for call in (lambda: run_batch({"n": 5}, [0.5]), lambda: sweep({"n": 5})):
+        with pytest.raises(ValueError, match=r"^expected a SimulationConfig, got \{'n': 5\}"):
+            call()
+    for ps in (0.5, None):
+        with pytest.raises(ValueError, match=r"^expected a Iterable, got "):
+            run_batch(SimulationConfig(OPEN_ONE, 5, 100), ps)
 
 
 @pytest.mark.parametrize("trials", [0, -1, 2.5, True, "10"])
@@ -893,6 +915,27 @@ def test_thread_count_is_capped_by_chunks_and_cpus(monkeypatch):
     # The caller is a drain, so at workers=1 it draws every block itself.
     assert all(on_caller for cap, on_caller in drawn if cap == 1)
     assert sum(cap == 1 for cap, _ in drawn) == 2 + 10 + 3 + 2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_drain_starts_from_one_substream_call(monkeypatch, workers):
+    # A traced run times simulate.substream by name, so each drain's one
+    # call is what it counts.  Four blocks of one chunk: two drains at two
+    # workers.
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    config = SimulationConfig(OPEN_ONE, 15, 2 * 65536, master_seed=5)
+    ps = [F(1, 3), F(7, 20)]
+    unwrapped = run_batch(config, ps, workers=workers)
+    calls = []
+    real = simulate.substream
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "substream", counted)
+    assert run_batch(config, ps, workers=workers) == unwrapped
+    assert calls == [(5, 0, 0)] * workers
 
 
 def test_threads_pull_each_chunk_exactly_once(monkeypatch):
