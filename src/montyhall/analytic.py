@@ -43,7 +43,6 @@ __all__ = [
     "win_given_switch",
     "win_given_stay",
     "win_marginal",
-    "linear_coefficients",
     "partition_probabilities",
 ]
 
@@ -189,12 +188,6 @@ def win_given_stay(variant: GameVariant, n: int) -> Fraction:
     _require_doors(n)
     _require_member(GameVariant, variant)
     return Fraction(1, n)  # staying wins iff the uniform initial pick was correct
-
-
-def linear_coefficients(variant: GameVariant, n: int) -> tuple[Fraction, Fraction]:
-    """Intercept and slope of the marginal win probability as a function of p."""
-    stay = win_given_stay(variant, n)
-    return stay, win_given_switch(variant, n) - stay
 
 
 def win_marginal(variant: GameVariant, n: int, p: RationalLike) -> Fraction:

@@ -129,15 +129,16 @@ def _write_sweep_table(
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     variant, n = VARIANTS[args.variant], args.doors
-    intercept, slope = analytic.linear_coefficients(variant, n)
+    switch = analytic.win_given_switch(variant, n)
+    stay = analytic.win_given_stay(variant, n)
     p = as_probability(args.switch_prob)
     partition = analytic.partition_probabilities(variant, n, p)
     rows = [
-        ("P(win | switch)", analytic.win_given_switch(variant, n)),
-        ("P(win | stay)", analytic.win_given_stay(variant, n)),
+        ("P(win | switch)", switch),
+        ("P(win | stay)", stay),
         ("P(win)", analytic.win_marginal(variant, n, p)),
-        ("intercept", intercept),
-        ("slope", slope),
+        ("intercept", stay),
+        ("slope", switch - stay),
     ] + [(_cell_label(cell), value) for cell, value in partition.cells.items()]
     if args.format == "csv":
         print("quantity,exact,decimal")

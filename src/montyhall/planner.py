@@ -33,7 +33,6 @@ from .analytic import _REAL, _require_int, _require_member, _require_unit
 __all__ = [
     "PlanMethod",
     "SampleSizePlan",
-    "normal_quantile",
     "sample_size",
     "band_halfwidth",
 ]
@@ -52,21 +51,15 @@ class SampleSizePlan:
     z_x: Optional[float] = None
 
 
-def normal_quantile(x: float) -> float:
-    """The standard normal quantile: the z with Phi(z) = x, for a real ``x``
-    in (0, 1).  The stdlib implements Wichura's algorithm AS241 ("The
-    Percentage Points of the Normal Distribution", Applied Statistics, 1988),
-    accurate to about one part in 1e16."""
-    _require_unit("x", x, open_interval=True)
-    return NormalDist().inv_cdf(x)
-
-
 def _clt_quantile(delta: float) -> float:
     """The z with Phi(z) = 1 - delta/2, as -Phi^-1(delta/2): 1 - delta/2
-    would drop digits of a small ``delta``, and a zero delta/2 has no z."""
+    would drop digits of a small ``delta``, and a zero delta/2 has no z.
+    The stdlib's ``inv_cdf`` implements Wichura's algorithm AS241 ("The
+    Percentage Points of the Normal Distribution", Applied Statistics, 1988),
+    accurate to about one part in 1e16."""
     if delta / 2.0 == 0:
         raise ValueError(f"delta must be at least 1e-323 for the CLT, got {delta}")
-    return -normal_quantile(delta / 2.0)
+    return -NormalDist().inv_cdf(delta / 2.0)
 
 
 def sample_size(

@@ -11,7 +11,6 @@ import pytest
 
 from montyhall.analytic import (
     GameVariant,
-    linear_coefficients,
     partition_probabilities,
     switch_probability_grid,
     win_given_stay,
@@ -25,7 +24,7 @@ from montyhall.oracle import (
     exact_win_probability,
     random_car_distribution,
 )
-from montyhall.planner import PlanMethod, normal_quantile, sample_size
+from montyhall.planner import PlanMethod, sample_size
 from montyhall.simulate import SimulationConfig, sweep
 
 LEAVE_TWO = GameVariant.LEAVE_TWO_CLOSED
@@ -79,7 +78,6 @@ def test_04_variants_coincide_at_three_doors():
     with criterion("variant coincidence at n = 3 across the grid"):
         assert win_given_switch(LEAVE_TWO, 3) == win_given_switch(OPEN_ONE, 3)
         assert win_given_stay(LEAVE_TWO, 3) == win_given_stay(OPEN_ONE, 3)
-        assert linear_coefficients(LEAVE_TWO, 3) == linear_coefficients(OPEN_ONE, 3)
         for p in GRID:
             assert win_marginal(LEAVE_TWO, 3, p) == win_marginal(OPEN_ONE, 3, p)
             assert partition_probabilities(LEAVE_TWO, 3, p) == (
@@ -122,7 +120,7 @@ def test_08_planner_numbers():
         assert cheb.l0 == 250000
         clt = sample_size(0.5, 0.01, 0.01, PlanMethod.CLT)
         assert abs(clt.l0 - 16588) <= 1
-        assert abs(normal_quantile(0.995) - 2.5758293) <= 1e-6
+        assert abs(clt.z_x - 2.5758293) <= 1e-6
 
 
 @pytest.mark.parametrize(
@@ -163,20 +161,27 @@ def test_09_empirical_sweeps_track_exact_values(variant, door_counts):
 def test_09b_pooled_z_over_the_sweep_panel(variant, doors):
     # test_09 bounds each cell's error; a small bias passes every cell but
     # not the pooled z of the 420 cells (105M games) at these fixed seeds.
+    # tests/test_gates.py shows a switch bias crossing this bound.
     with criterion(f"pooled |z| <= 5 over 420 sweep cells ({variant.value})"):
-        excess = F(0)
-        variance = F(0)
-        cells = 0
-        for seed in range(20):
-            config = SimulationConfig(variant, doors, 250000, master_seed=seed, chunk_size=65536)
-            for row in sweep(config, F(1, 20)):
-                trials, pi = row.result.trials, row.analytic
-                excess += row.result.wins - trials * pi
-                variance += trials * pi * (1 - pi)
-                cells += 1
-        z = float(excess) / float(variance) ** 0.5
-        assert cells == 420
+        z = pooled_sweep_z(variant, doors)
         assert abs(z) <= 5.0, f"pooled z = {z:.2f}"
+
+
+def pooled_sweep_z(variant, doors):
+    """test_09b's statistic: the pooled z of the wins over the 420 cells of
+    20 seeded 250,000-trial sweeps of one (variant, doors) game."""
+    excess = F(0)
+    variance = F(0)
+    cells = 0
+    for seed in range(20):
+        config = SimulationConfig(variant, doors, 250000, master_seed=seed, chunk_size=65536)
+        for row in sweep(config, F(1, 20)):
+            trials, pi = row.result.trials, row.analytic
+            excess += row.result.wins - trials * pi
+            variance += trials * pi * (1 - pi)
+            cells += 1
+    assert cells == 420
+    return float(excess) / float(variance) ** 0.5
 
 
 def test_10_sweep_csv_determinism(tmp_path):

@@ -11,7 +11,6 @@ from montyhall.analytic import (
     GameVariant,
     PartitionProbabilities,
     as_probability,
-    linear_coefficients,
     partition_probabilities,
     win_given_stay,
     win_given_switch,
@@ -79,7 +78,13 @@ def test_win_marginal_at_one_equals_switch_conditional():
     ],
 )
 def test_linear_coefficients_values(variant, n, expected):
-    assert linear_coefficients(variant, n) == expected
+    # P(win) = intercept + slope * p, read from the conditionals and from
+    # the marginal at p = 0 and p = 1.
+    intercept, slope = expected
+    stay, switch = win_given_stay(variant, n), win_given_switch(variant, n)
+    assert (stay, switch - stay) == expected
+    assert win_marginal(variant, n, 0) == intercept
+    assert win_marginal(variant, n, 1) - win_marginal(variant, n, 0) == slope
 
 
 def test_partition_classic_half():
@@ -108,9 +113,7 @@ def test_partition_open_one_switch_win_cell():
     assert part[(False, True, True)] == Fraction(4, 5) * Fraction(1, 3)
 
 
-@pytest.mark.parametrize(
-    "op", [win_given_switch, win_given_stay, linear_coefficients]
-)
+@pytest.mark.parametrize("op", [win_given_switch, win_given_stay])
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
 @pytest.mark.parametrize("n", [-1, 0, 2])
 def test_small_door_counts_rejected(op, variant, n):
@@ -211,7 +214,8 @@ def test_marginal_is_affine_in_switch_probability(variant, n, ps):
 
 @given(variant=variants, n=door_counts, p=probabilities)
 def test_profile_identities(variant, n, p):
-    intercept, slope = linear_coefficients(variant, n)
+    intercept = win_marginal(variant, n, 0)
+    slope = win_marginal(variant, n, 1) - intercept
     assert win_marginal(variant, n, p) == intercept + slope * p
 
 

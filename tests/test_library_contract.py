@@ -41,7 +41,6 @@ CALLS = {
     "win_given_switch": ((OPEN_ONE, 5), {}),
     "win_given_stay": ((OPEN_ONE, 5), {}),
     "win_marginal": ((OPEN_ONE, 5, "1/3"), {}),
-    "linear_coefficients": ((OPEN_ONE, 5), {}),
     "partition_probabilities": ((OPEN_ONE, 5, "1/3"), {}),
     "CarDistribution": (((F(1, 2), F(1, 4), F(1, 4)),), {}),
     "CarDistribution.uniform": ((4,), {}),
@@ -55,7 +54,6 @@ CALLS = {
     "verify_closed_forms": ((4, 3, 7), {}),
     "PlanMethod": (("clt",), {}),
     "SampleSizePlan": ((100, 2.5), {}),
-    "normal_quantile": ((0.975,), {}),
     "sample_size": ((0.5, 0.05, 0.01, PlanMethod.CLT), {}),
     "band_halfwidth": ((0.5, 100, 0.01, PlanMethod.CLT), {}),
     "SimulationConfig": ((OPEN_ONE, 5, 64, 7, 16), {}),

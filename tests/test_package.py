@@ -25,7 +25,8 @@ def test_all_is_the_union_of_the_layers():
 
 def test_removed_wrappers_are_gone():
     removed = {"run_trial": simulate, "TrialOutcome": simulate,
-               "GameParams": analytic, "PlanRequest": planner}
+               "GameParams": analytic, "PlanRequest": planner,
+               "linear_coefficients": analytic, "normal_quantile": planner}
     for name, layer in removed.items():
         assert not hasattr(montyhall, name)
         assert not hasattr(layer, name)

@@ -9,12 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from montyhall.planner import (
-    PlanMethod,
-    band_halfwidth,
-    normal_quantile,
-    sample_size,
-)
+from montyhall.planner import PlanMethod, _clt_quantile, band_halfwidth, sample_size
 
 mpmath.mp.dps = 40
 
@@ -28,8 +23,12 @@ def reference_cdf(z) -> mpmath.mpf:
     return mpmath.ncdf(mpmath.mpf(z))
 
 
+# The z of the CLT is _clt_quantile(delta) = -Phi^-1(delta/2), so
+# _clt_quantile(2 * x) is -Phi^-1(x); doubling and halving a float is exact.
+
+
 def test_quantile_median_is_zero():
-    assert normal_quantile(0.5) == 0.0
+    assert _clt_quantile(1.0) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -40,20 +39,21 @@ def test_quantile_median_is_zero():
     ],
 )
 def test_quantile_table_values(x, expected):
-    assert normal_quantile(x) == pytest.approx(expected, abs=1e-7)
+    assert _clt_quantile(2 * x) == pytest.approx(-expected, abs=1e-7)
 
 
-# A string, None or a complex number once raised TypeError.
+# On the public route to z, the quantile's argument is delta.  A string,
+# None or a complex number once raised TypeError.
 @pytest.mark.parametrize("x", [0.0, 1.0, -0.2, 1.4, "abc", None, "0.5", 0.5j])
 def test_quantile_rejects_out_of_range(x):
     with pytest.raises(ValueError):
-        normal_quantile(x)
+        sample_size(0.5, 0.01, x, PlanMethod.CLT)
 
 
 def test_quantile_dense_grid_roundtrip():
     for i in range(1, 1000):
         x = i / 1000.0
-        z = normal_quantile(x)
+        z = -_clt_quantile(2 * x)
         assert abs(float(reference_cdf(z)) - x) <= 1e-8
 
 
@@ -61,19 +61,19 @@ def test_quantile_dense_grid_roundtrip():
     "x", [1e-9, 1e-6, 1e-3, 0.02425, 0.3, 0.7, 1 - 0.02425, 1 - 1e-3, 1 - 1e-6, 1 - 1e-9]
 )
 def test_quantile_absolute_error(x):
-    assert abs(normal_quantile(x) - reference_quantile(x)) <= 1e-8
+    assert abs(_clt_quantile(2 * x) + reference_quantile(x)) <= 1e-8
 
 
 @given(x=st.floats(min_value=0.001, max_value=0.999))
 def test_quantile_roundtrip_property(x):
-    assert abs(float(reference_cdf(normal_quantile(x))) - x) <= 1e-8
+    assert abs(float(reference_cdf(-_clt_quantile(2 * x))) - x) <= 1e-8
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-310, 1e-200])
 def test_quantile_survives_extreme_tails(x):
-    z = normal_quantile(x)
-    assert math.isfinite(z) and z < -20
-    assert normal_quantile(1.0 - 2**-53) > 8
+    z = _clt_quantile(2 * x)
+    assert math.isfinite(z) and z > 20
+    assert _clt_quantile(2 * (1.0 - 2**-53)) < -8
 
 
 def exact_coverage(l, p_win, epsilon) -> mpmath.mpf:
