@@ -10,7 +10,8 @@ Subcommands::
     verify     exhaustive oracle-vs-closed-form equality checks
 
 Each command reads only the layers' public names; ``verify`` prints what
-``oracle.verify_closed_forms`` returns.
+``oracle.verify_closed_forms`` returns.  ``main`` reads ``$MONTY_SEED`` on
+every call and reuses one ``build_parser()`` parser per value of it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 Bad input exits 2 with one ``error:`` line before any simulation.  Seeds
@@ -24,6 +25,7 @@ from 10**12 up, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -355,8 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=8)
+def _parser(monty_seed: Optional[str]) -> argparse.ArgumentParser:
+    """The parser that ``build_parser`` makes while ``$MONTY_SEED`` is
+    ``monty_seed``, which sets ``--seed``'s default; parsing leaves it as
+    it was, so ``main`` reuses it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser(os.environ.get("MONTY_SEED"))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -22,7 +22,12 @@ forms' own ``_weigh_switch``.  Nothing is kept between calls.
 uniform tree per (variant, ``n``) and compares it with the closed-form table
 once, free of ``p``; at each ``p`` it checks the tree's P(win) against the
 closed form, cross-multiplied in integers, and builds a ``Fraction`` only for
-a failure line.  It compares each randomly placed tree with the table too.
+a failure line.  It compares each randomly placed leave-two tree with the
+table too.  The walk weighs each car door's subtree by that door's
+probability, so a placed tree is the placement-weighted sum of the ``n``
+one-car trees, each with all car mass on one door: a call walks those once
+per door count and checks every placement as an integer sum over one common
+denominator.
 
 The walk visits car x pick x host subset x candidate final door.  The
 leave-two host (``k = n - 2``) has at most ``n - 1`` subsets, so that walk
@@ -34,6 +39,7 @@ That is fine for desk-scale n.  Only car placements are random:
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -224,6 +230,15 @@ def exact_initial_correct(cars: CarDistribution) -> Fraction:
     return cells[True, False, True] + cells[True, False, False]
 
 
+def _car_weights(n: int, rng) -> list[int]:
+    """``n`` integer weights in [0, 100] drawn in one call, redrawn while
+    they sum to zero."""
+    while True:
+        weights = rng.integers(0, 101, size=n).tolist()
+        if sum(weights):
+            return weights
+
+
 def random_car_distribution(n: int, rng) -> CarDistribution:
     """Draw a random rational car distribution on ``n`` doors.
 
@@ -233,11 +248,26 @@ def random_car_distribution(n: int, rng) -> CarDistribution:
     probability zero.
     """
     _require_doors(n)
-    while True:
-        weights = rng.integers(0, 101, size=n).tolist()
-        total = sum(weights)
-        if total:
-            return CarDistribution(tuple(Fraction(w, total) for w in weights))
+    weights = _car_weights(n, rng)
+    total = sum(weights)
+    return CarDistribution(tuple(Fraction(w, total) for w in weights))
+
+
+def _one_car_numerators(n: int, table: dict[Cell, Fraction]) -> list[list[int]]:
+    """Per cell, the numerators of the leave-two ``n``-door trees with the car
+    behind door 1, ..., door ``n``, then of ``table``, all over one common
+    denominator.  Each of the ``n`` walks covers one car door's subtree."""
+    k = _host_opens(GameVariant.LEAVE_TWO_CLOSED, n)
+    trees = [
+        _conditional_cells(k, CarDistribution(tuple(Fraction(int(c == door)) for c in range(n))))
+        for door in range(n)
+    ]
+    trees.append(table)
+    common = math.lcm(*(value.denominator for tree in trees for value in tree.values()))
+    return [
+        [tree[cell].numerator * (common // tree[cell].denominator) for tree in trees]
+        for cell in CELL_ORDER
+    ]
 
 
 def verify_closed_forms(
@@ -250,7 +280,9 @@ def verify_closed_forms(
     cells, two checks.  Both trees are free of ``p``, so they are weighed
     at each ``p`` only when they differ.  Then ``placement_checks`` leave-two
     trees, on car placements drawn from ``default_rng(seed)``, meet the
-    p-free table.
+    p-free table.  Each placed tree is the weighted sum of the one-car trees,
+    walked once per door count the placements use; a ``CarDistribution`` is
+    built only for a failure line.  Nothing is kept from one call to the next.
     """
     _require_int("doors-max", doors_max, 3)
     _require_int("placement-checks", placement_checks, 0)
@@ -291,13 +323,23 @@ def verify_closed_forms(
 
     # The pick is uniform, so no car placement moves any cell of the partition.
     # Both trees are p-free, so they agree at p = 1/2 iff they agree at every p.
+    # With T_c the tree with the car behind door c, the tree on weights w is
+    # sum_c w_c * T_c / sum_c w_c: it meets the table iff, in every cell,
+    # sum_c w_c * T_c == sum_c w_c * table.
     variant = GameVariant.LEAVE_TWO_CLOSED
     rng = np.random.default_rng(seed)
+    one_car: dict[int, list[list[int]]] = {}
     for index in range(placement_checks):
         n = 3 + index % (doors_max - 2)
-        cars = random_car_distribution(n, rng)
-        tree = _conditional_cells(_host_opens(variant, n), cars)
-        if tree != tables[variant, n]:
+        weights = _car_weights(n, rng)
+        if n not in one_car:
+            one_car[n] = _one_car_numerators(n, tables[variant, n])
+        total = sum(weights)
+        if any(
+            sum(map(operator.mul, weights, per_door)) != total * want
+            for *per_door, want in one_car[n]
+        ):
+            cars = CarDistribution.from_weights(weights)
             failures.append(
                 f"placement partition mismatch at ({variant.value}, n={n}, "
                 f"p=1/2), cars={cars.alpha}"

@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, CSV contract, reproducibility."""
 
+import os
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import montyhall.analytic
+import montyhall.cli
 import montyhall.oracle
 import montyhall.simulate
 from montyhall.cli import (
@@ -419,6 +421,46 @@ def test_invalid_seed_env_exits_2(monkeypatch, capsys):
     capsys.readouterr()
 
 
+BANANA_SEED_STDERR = """\
+usage: montyhall sweep [-h] [--variant {leave-two,open-one}] [--doors N]
+                       [--seed S]
+                       [--trials TRIALS | --plan-trials {clt,chebyshev}]
+                       [--grid-step STEP] [--epsilon EPSILON] [--delta DELTA]
+                       [--chunk-size CHUNK_SIZE] [--workers WORKERS]
+                       [--out PATH] [--format {table,csv}]
+montyhall sweep: error: argument --seed: invalid int value: 'banana'
+"""
+
+
+def test_main_builds_one_parser_per_seed_env_value(monkeypatch, capsys):
+    # --seed's default comes from $MONTY_SEED, which main reads on every call.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    real = montyhall.cli.build_parser
+    built = []
+
+    def counted():
+        built.append(os.environ.get("MONTY_SEED"))
+        return real()
+
+    monkeypatch.setattr(montyhall.cli, "build_parser", counted)
+    montyhall.cli._parser.cache_clear()
+    argv = ("sweep", "--doors", "3", "--trials", "1000", "--grid-step", "1/2")
+    for env in ("7", None, "banana", "7", None, "banana"):
+        if env is None:
+            monkeypatch.delenv("MONTY_SEED")
+        else:
+            monkeypatch.setenv("MONTY_SEED", env)
+        code = run_cli(*argv)
+        out, err = capsys.readouterr()
+        if env == "banana":
+            assert (code, out, err) == (EXIT_USAGE, "", BANANA_SEED_STDERR)
+        else:
+            assert (code, err) == (EXIT_OK, "")
+            assert out.splitlines()[0] == f"# seed={env or 0}"
+    assert built == ["7", None, "banana"]
+    montyhall.cli._parser.cache_clear()
+
+
 def test_verify_passes(capsys):
     assert run_cli("verify", "--doors-max", "5", "--seed", "3") == EXIT_OK
     out = capsys.readouterr().out
@@ -442,8 +484,9 @@ def test_verify_walks_each_tree_once(monkeypatch, capsys):
         argv = ("verify", "--doors-max", "5", "--placement-checks", "3")
         assert run_cli(*argv) == EXIT_OK
         outputs.append(capsys.readouterr().out)
-        # one walk per (variant, n) tree, whatever p; one per placement check
-        assert len(walks) == 2 * 3 + 3
+        # one walk per (variant, n) tree, whatever p; one per car door of
+        # each door count that the placement checks use, whatever they draw
+        assert len(walks) == 2 * 3 + (3 + 4 + 5)
     assert "252 analytic checks passed, 3 placement checks passed" in outputs[0]
     assert outputs[1] == outputs[0]
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from montyhall import oracle
 from montyhall.analytic import (
     GameVariant,
+    _host_opens,
     partition_probabilities,
     win_marginal,
 )
@@ -312,6 +313,28 @@ def test_integer_cell_sums_equal_the_fraction_sums_on_random_placements():
             cars = random_car_distribution(n, rng)
             for k in range(1, n - 1):
                 assert oracle._conditional_cells(k, cars) == _fraction_sum_cells(k, cars)
+
+
+@pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_a_placed_tree_is_the_placement_weighted_sum_of_one_car_trees(variant, n):
+    # verify checks its placements through this identity and walks no placed
+    # tree, so the walker is exercised on mixed placements here.
+    k = _host_opens(variant, n)
+    one_car = [
+        oracle._conditional_cells(k, CarDistribution(tuple(F(int(c == door)) for c in range(n))))
+        for door in range(n)
+    ]
+    rng = np.random.default_rng(20261020 + n)
+    for zeros in range(n):
+        weights = rng.integers(1, 101, size=n).tolist()
+        for door in rng.permutation(n)[:zeros]:
+            weights[door] = 0
+        cars = CarDistribution.from_weights(weights)
+        assert oracle._conditional_cells(k, cars) == {
+            cell: sum(a * tree[cell] for a, tree in zip(cars.alpha, one_car))
+            for cell in oracle.CELL_ORDER
+        }
 
 
 def test_verify_closed_forms_reports_its_checks():
