@@ -15,25 +15,22 @@ uniformly.
 
 The switch decision is independent of the car, the pick and the host, so the
 switch probability ``p`` only weights the two branches under each host action.
-The walk weights each trajectory given its switch decision, so one walk per
-(``k``, car distribution) serves every ``p``, which enters through the closed
-forms' own ``_weigh_switch``.  Nothing is kept between calls.
-:func:`verify_closed_forms`, which ``montyhall verify`` prints, walks one
-uniform tree per (variant, ``n``) and compares it with the closed-form table
-once, free of ``p``; at each ``p`` it checks the tree's P(win) against the
-closed form, cross-multiplied in integers, and builds a ``Fraction`` only for
-a failure line.  It compares each randomly placed leave-two tree with the
-table too.  The walk weighs each car door's subtree by that door's
-probability, so a placed tree is the placement-weighted sum of the ``n``
-one-car trees, each with all car mass on one door: a call walks those once
-per door count and checks every placement as an integer sum over one common
-denominator.
+The one walker, ``_raw_trajectories``, walks a one-car tree: the car behind
+one door, every pick, host subset and final door, each trajectory weighted
+given the car and its switch decision.  A tree on any car placement is the
+placement-weighted sum of the ``n`` one-car trees, so each (``k``, ``n``)
+is walked once per car door and serves every placement and every ``p``,
+which enters through the closed forms' own ``_weigh_switch``.  Nothing is
+kept between calls.  :func:`verify_closed_forms`, which ``montyhall verify``
+prints, reads each variant's uniform tree and its random placements as
+integer sums of the same one-car trees.
 
-The walk visits car x pick x host subset x candidate final door.  The
-leave-two host (``k = n - 2``) has at most ``n - 1`` subsets, so that walk
-is O(n^3); only the open-one host (``k = 1``, ``n - 2`` subsets) is O(n^4).
-That is fine for desk-scale n.  Only car placements are random:
-:func:`verify_closed_forms` draws them from ``default_rng(seed)``.
+A one-car tree visits pick x host subset x candidate final door.  The
+leave-two host (``k = n - 2``) leaves at most ``n - 1`` subsets, so its tree
+is O(n^2) per car door; the open-one host (``k = 1``, ``n - 2`` subsets) is
+O(n^3) per car door.  That is fine for desk-scale n.  Only car placements
+are random: :func:`verify_closed_forms` draws them from
+``default_rng(seed)``.
 """
 
 from __future__ import annotations
@@ -125,57 +122,67 @@ class Trajectory(NamedTuple):
 
 
 def _raw_trajectories(
-    k: int, cars: CarDistribution
-) -> Iterator[tuple[int, int, tuple[int, ...], bool, int, tuple[int, int]]]:
-    """Yield (car, pick, opened, switched, final, weight) tuples for a host
-    who opens ``k`` doors.
+    k: int, n: int, car: int
+) -> Iterator[tuple[int, tuple[int, ...], bool, int, int]]:
+    """Yield (pick, opened, switched, final, den) tuples of the ``n``-door
+    game with the car behind door ``car``, for a host who opens ``k`` doors.
 
     ``opened`` is the host's ``k``-subset of the goat doors other than the
-    pick, as a sorted tuple.  ``weight`` is the exact probability of the
-    trajectory given its switch decision, as a ``(numerator, denominator)``
-    pair of ints, cheap to build, hash and tally.  The stay and the
-    switch branches each sum to 1, so one walk serves every switch
-    probability ``p``: the caller multiplies by ``1 - p`` or ``p``.  Both
-    branches are always yielded; cars of probability zero are skipped, so
-    every weight is positive.
+    pick, as a sorted tuple.  ``1 / den`` is the exact probability of the
+    trajectory given the car and the switch decision.  The stay and the
+    switch branches each sum to 1, so one walk serves every car placement
+    and every switch probability ``p``: the caller multiplies by the car
+    door's probability and by ``1 - p`` or ``p``.
     """
-    n = len(cars)
     doors = range(1, n + 1)
-    for car in doors:
-        num, den = cars.alpha[car - 1].as_integer_ratio()
-        if num == 0:
-            continue
-        for pick in doors:
-            goats = [y for y in doors if y != pick and y != car]
-            hosts = list(combinations(goats, k))
-            stay_w = num, den * n * len(hosts)
-            switch_w = num, stay_w[1] * (n - 1 - k)
-            for opened in hosts:
-                yield car, pick, opened, False, pick, stay_w
-                for final in doors:
-                    if final != pick and final not in opened:
-                        yield car, pick, opened, True, final, switch_w
+    for pick in doors:
+        goats = [y for y in doors if y != pick and y != car]
+        hosts = list(combinations(goats, k))
+        stay_den = n * len(hosts)
+        switch_den = stay_den * (n - 1 - k)
+        for opened in hosts:
+            yield pick, opened, False, pick, stay_den
+            for final in doors:
+                if final != pick and final not in opened:
+                    yield pick, opened, True, final, switch_den
+
+
+def _one_car_rows(k: int, n: int) -> tuple[int, dict[Cell, list[int]]]:
+    """The ``n`` one-car trees of a host who opens ``k`` doors: a common
+    denominator and, per cell in ``CELL_ORDER``, the numerators of the trees
+    with the car behind door 1, ..., door ``n`` over it.
+
+    Trajectories share only a handful of distinct weights, so each walk
+    counts (cell, den) pairs and the cells are added in integers.
+    """
+    tallies = [
+        Counter(
+            ((pick == car, switched, final == car), den)
+            for pick, _opened, switched, final, den in _raw_trajectories(k, n, car)
+        )
+        for car in range(1, n + 1)
+    ]
+    common = math.lcm(*(den for tally in tallies for _, den in tally))
+    rows = {cell: [0] * n for cell in CELL_ORDER}
+    for door, tally in enumerate(tallies):
+        for (cell, den), count in tally.items():
+            rows[cell][door] += count * (common // den)
+    return common, rows
 
 
 def _conditional_cells(k: int, cars: CarDistribution) -> dict[Cell, Fraction]:
     """Weight in each (correct, switched, won) cell given the switch decision,
     for a host who opens ``k`` doors.
 
-    The stay cells sum to 1 and so do the switch cells.  Trajectories share
-    only a handful of distinct weights, so the walk counts (cell, weight)
-    pairs and adds each cell's numerators over one common denominator in
-    integers.  Each call walks the tree anew; the result is free of ``p``,
-    so a caller may keep it.
+    The stay cells sum to 1 and so do the switch cells.  Each is the
+    ``cars.alpha``-weighted sum of the one-car trees' cells.  Each call
+    walks the trees anew; the result is free of ``p``, so a caller may keep
+    it.
     """
-    tally = Counter(
-        (pick == car, switched, final == car, weight)
-        for car, pick, _opened, switched, final, weight in _raw_trajectories(k, cars)
-    )
-    common = math.lcm(*(den for *_, (_, den) in tally))
-    numerators = dict.fromkeys(CELL_ORDER, 0)
-    for (correct, switched, won, (num, den)), count in tally.items():
-        numerators[correct, switched, won] += num * count * (common // den)
-    return {cell: Fraction(num, common) for cell, num in numerators.items()}
+    common, rows = _one_car_rows(k, len(cars))
+    return {
+        cell: sum(map(operator.mul, cars.alpha, row)) / common for cell, row in rows.items()
+    }
 
 
 def enumerate_trajectories(
@@ -185,13 +192,13 @@ def enumerate_trajectories(
     The game has ``len(cars)`` doors."""
     p = as_probability(p)
     _require_member(CarDistribution, cars)
-    k = _host_opens(variant, len(cars))
-    # The chance of each trajectory's switch decision, looked up by its cell.
-    decision = _weigh_switch(dict.fromkeys(CELL_ORDER, Fraction(1)), p)
-    for car, pick, opened, switched, final, (num, den) in _raw_trajectories(k, cars):
-        weight = Fraction(num, den) * decision[pick == car, switched, final == car]
-        if weight:
-            yield Trajectory(car, pick, frozenset(opened), switched, final, weight)
+    n = len(cars)
+    k = _host_opens(variant, n)
+    for car, alpha in enumerate(cars.alpha, 1):
+        for pick, opened, switched, final, den in _raw_trajectories(k, n, car):
+            weight = alpha / den * (p if switched else 1 - p)
+            if weight:
+                yield Trajectory(car, pick, frozenset(opened), switched, final, weight)
 
 
 def exact_win_probability(
@@ -248,26 +255,21 @@ def random_car_distribution(n: int, rng) -> CarDistribution:
     probability zero.
     """
     _require_doors(n)
-    weights = _car_weights(n, rng)
-    total = sum(weights)
-    return CarDistribution(tuple(Fraction(w, total) for w in weights))
+    return CarDistribution.from_weights(_car_weights(n, rng))
 
 
-def _one_car_numerators(n: int, table: dict[Cell, Fraction]) -> list[list[int]]:
-    """Per cell, the numerators of the leave-two ``n``-door trees with the car
-    behind door 1, ..., door ``n``, then of ``table``, all over one common
-    denominator.  Each of the ``n`` walks covers one car door's subtree."""
-    k = _host_opens(GameVariant.LEAVE_TWO_CLOSED, n)
-    trees = [
-        _conditional_cells(k, CarDistribution(tuple(Fraction(int(c == door)) for c in range(n))))
-        for door in range(n)
-    ]
-    trees.append(table)
-    common = math.lcm(*(value.denominator for tree in trees for value in tree.values()))
-    return [
-        [tree[cell].numerator * (common // tree[cell].denominator) for tree in trees]
-        for cell in CELL_ORDER
-    ]
+def _meets_table(
+    weights: Sequence[int], common: int, rows: dict[Cell, list[int]], table: dict[Cell, Fraction]
+) -> bool:
+    """Whether the tree on integer car weights w equals ``table``: with T_c
+    the one-car trees, numerators over ``common`` in ``rows``, it is
+    sum_c w_c * T_c / sum_c w_c, so in every cell sum_c w_c * T_c must equal
+    sum_c w_c * table, cross-multiplied in integers."""
+    total = sum(weights) * common
+    return all(
+        sum(map(operator.mul, weights, rows[cell])) * want.denominator == total * want.numerator
+        for cell, want in table.items()
+    )
 
 
 def verify_closed_forms(
@@ -275,35 +277,40 @@ def verify_closed_forms(
 ) -> tuple[int, list[str]]:
     """The analytic check count and the failure lines of ``montyhall verify``.
 
-    For ``n`` from 3 to ``doors_max``, each variant's walked tree meets the
-    closed forms at every point of the default grid: P(win) and the eight
-    cells, two checks.  Both trees are free of ``p``, so they are weighed
-    at each ``p`` only when they differ.  Then ``placement_checks`` leave-two
-    trees, on car placements drawn from ``default_rng(seed)``, meet the
-    p-free table.  Each placed tree is the weighted sum of the one-car trees,
-    walked once per door count the placements use; a ``CarDistribution`` is
-    built only for a failure line.  Nothing is kept from one call to the next.
+    For ``n`` from 3 to ``doors_max``, each variant's one-car trees are
+    walked once.  Their sum, the uniform tree, meets the closed forms at
+    every point of the default grid: P(win) and the eight cells, two
+    checks.  The tree and the table are free of ``p``, so they are weighed
+    at each ``p`` only when they differ.  Then ``placement_checks`` trees
+    on car placements drawn from ``default_rng(seed)``, alternating
+    leave-two and open-one, meet the p-free table, each as a weighted sum
+    of the same one-car trees.  ``Fraction``s are built only for a failure
+    line or for trees that differ from their table.  Nothing is kept from
+    one call to the next.
     """
     _require_int("doors-max", doors_max, 3)
     _require_int("placement-checks", placement_checks, 0)
     _require_seed(seed)
     grid = switch_probability_grid()
+    variants = (GameVariant.LEAVE_TWO_CLOSED, GameVariant.OPEN_ONE)
     failures: list[str] = []
 
     analytic_checks = 0
-    tables = {}
-    for variant in (GameVariant.LEAVE_TWO_CLOSED, GameVariant.OPEN_ONE):
+    trees = {}
+    for variant in variants:
         for n in range(3, doors_max + 1):
-            tree = _conditional_cells(_host_opens(variant, n), CarDistribution.uniform(n))
-            table = tables[variant, n] = _cells_given_switch(variant, n)
-            same = tree == table
-            stay = tree[True, False, True] + tree[False, False, True]
-            move = tree[True, True, True] + tree[False, True, True]
-            # P(win) at p = a/b is (stay * (b - a) + move * a) / b; its
-            # numerator is stay_num * (b - a) + move_num * a over den * b.
-            stay_num = stay.numerator * move.denominator
-            move_num = move.numerator * stay.denominator
-            den = stay.denominator * move.denominator
+            common, rows = _one_car_rows(_host_opens(variant, n), n)
+            table = _cells_given_switch(variant, n)
+            trees[variant, n] = common, rows, table
+            # The uniform tree is sum_c T_c / n: the placement with all weights 1.
+            den = n * common
+            tree = None
+            if not _meets_table([1] * n, common, rows, table):
+                tree = {cell: Fraction(sum(row), den) for cell, row in rows.items()}
+            # P(win) at p = a/b is (stay * (b - a) + move * a) / b; over
+            # den * b, its numerator is stay_num * (b - a) + move_num * a.
+            stay_num = sum(rows[True, False, True]) + sum(rows[False, False, True])
+            move_num = sum(rows[True, True, True]) + sum(rows[False, True, True])
             for p in grid:
                 a, b = p.numerator, p.denominator
                 got = stay_num * (b - a) + move_num * a
@@ -316,29 +323,19 @@ def verify_closed_forms(
                         f"p={p}): enumeration {Fraction(got, den * b)} vs closed form {want}"
                     )
                 # Unequal p-free trees can still agree at p = 0 or 1.
-                if not same and _weigh_switch(tree, p) != _weigh_switch(table, p):
+                if tree is not None and _weigh_switch(tree, p) != _weigh_switch(table, p):
                     failures.append(
                         f"partition mismatch at ({variant.value}, n={n}, p={p})"
                     )
 
     # The pick is uniform, so no car placement moves any cell of the partition.
     # Both trees are p-free, so they agree at p = 1/2 iff they agree at every p.
-    # With T_c the tree with the car behind door c, the tree on weights w is
-    # sum_c w_c * T_c / sum_c w_c: it meets the table iff, in every cell,
-    # sum_c w_c * T_c == sum_c w_c * table.
-    variant = GameVariant.LEAVE_TWO_CLOSED
     rng = np.random.default_rng(seed)
-    one_car: dict[int, list[list[int]]] = {}
     for index in range(placement_checks):
         n = 3 + index % (doors_max - 2)
+        variant = variants[index // (doors_max - 2) % 2]
         weights = _car_weights(n, rng)
-        if n not in one_car:
-            one_car[n] = _one_car_numerators(n, tables[variant, n])
-        total = sum(weights)
-        if any(
-            sum(map(operator.mul, weights, per_door)) != total * want
-            for *per_door, want in one_car[n]
-        ):
+        if not _meets_table(weights, *trees[variant, n]):
             cars = CarDistribution.from_weights(weights)
             failures.append(
                 f"placement partition mismatch at ({variant.value}, n={n}, "

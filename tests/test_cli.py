@@ -484,9 +484,9 @@ def test_verify_walks_each_tree_once(monkeypatch, capsys):
         argv = ("verify", "--doors-max", "5", "--placement-checks", "3")
         assert run_cli(*argv) == EXIT_OK
         outputs.append(capsys.readouterr().out)
-        # one walk per (variant, n) tree, whatever p; one per car door of
-        # each door count that the placement checks use, whatever they draw
-        assert len(walks) == 2 * 3 + (3 + 4 + 5)
+        # one walk per car door of each (variant, n), whatever p and
+        # whatever the placement checks draw
+        assert len(walks) == 2 * (3 + 4 + 5)
     assert "252 analytic checks passed, 3 placement checks passed" in outputs[0]
     assert outputs[1] == outputs[0]
 
@@ -804,41 +804,46 @@ def test_outputs_are_pinned_across_versions(capsys, argv, lines):
 
 
 def test_verify_placement_checks_compare_the_whole_partition(monkeypatch, capsys):
-    walk = montyhall.oracle._conditional_cells
+    rows_of = montyhall.oracle._one_car_rows
 
-    def skewed(k, cars):
-        # Move mass between two cells with the same "initial pick correct"
-        # flag, which leaves P(initial pick correct) at 1/n.
-        cells = walk(k, cars)
-        if cars == montyhall.oracle.CarDistribution.uniform(len(cars)):
-            return cells
-        cells = dict(cells)
-        cells[False, True, True] -= F(1, 100)
-        cells[False, True, False] += F(1, 100)
-        return cells
+    def skewed(k, n):
+        # In every one-car tree, move 1/100 of a switch cell's mass onto car
+        # door 1 and off car door 2: the uniform sum stays exact, so only a
+        # placement with unequal weights on doors 1 and 2 can see it.
+        common, rows = rows_of(k, n)
+        rows = {cell: [100 * num for num in row] for cell, row in rows.items()}
+        rows[False, True, True][0] += common
+        rows[False, True, True][1] -= common
+        return 100 * common, rows
 
-    monkeypatch.setattr(montyhall.oracle, "_conditional_cells", skewed)
-    assert run_cli("verify", "--doors-max", "4", "--placement-checks", "2") == (
+    monkeypatch.setattr(montyhall.oracle, "_one_car_rows", skewed)
+    assert run_cli("verify", "--doors-max", "4", "--placement-checks", "8") == (
         EXIT_VERIFY_FAILED
     )
-    out = capsys.readouterr().out
-    assert out.startswith("2 of 170 checks FAILED:")
-    assert out.count("placement") == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "8 of 176 checks FAILED:"
+    assert all(line.startswith("  placement partition mismatch at (") for line in lines[1:])
+    for variant in ("leave-two", "open-one"):
+        for n in (3, 4):
+            assert sum(f"({variant}, n={n}," in line for line in lines) == 2
 
 
 def _fault_the_four_door_open_one_tree(monkeypatch):
-    walk = montyhall.oracle._conditional_cells
+    rows_of = montyhall.oracle._one_car_rows
 
-    def faulty(k, cars):
-        # Move mass between two switch cells of the 4-door k = 1 tree only;
-        # both are lose cells, so P(win) stays exact at every p.
-        cells = dict(walk(k, cars))
-        if k == 1 and len(cars) == 4:
-            cells[True, True, False] -= F(1, 100)
-            cells[False, True, False] += F(1, 100)
-        return cells
+    def faulty(k, n):
+        # Move 1/100 between two switch cells of every 4-door k = 1 one-car
+        # tree; both are lose cells, so P(win) stays exact at every p.
+        common, rows = rows_of(k, n)
+        if k == 1 and n == 4:
+            rows = {cell: [100 * num for num in row] for cell, row in rows.items()}
+            for door in range(n):
+                rows[True, True, False][door] -= common
+                rows[False, True, False][door] += common
+            common *= 100
+        return common, rows
 
-    monkeypatch.setattr(montyhall.oracle, "_conditional_cells", faulty)
+    monkeypatch.setattr(montyhall.oracle, "_one_car_rows", faulty)
 
 
 def test_verify_catches_a_fault_in_the_walked_tree(monkeypatch, capsys):
@@ -869,7 +874,14 @@ def test_verify_weighs_the_tables_only_when_they_differ(monkeypatch, capsys):
     _fault_the_four_door_open_one_tree(monkeypatch)
     assert run_cli("verify", "--doors-max", "5") == EXIT_VERIFY_FAILED
     assert len(weighed) == 2 * 21  # both tables of the faulted tree, at every p
-    assert capsys.readouterr().out.startswith("20 of ")
+    # 20 interior grid points, and the 8 open-one 4-door trees of the 50
+    # placement checks, which meet the table, not the faulted uniform tree
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "28 of 302 checks FAILED:"
+    assert sum(line.startswith("  partition mismatch at (open-one, n=4,") for line in lines) == 20
+    assert sum(
+        line.startswith("  placement partition mismatch at (open-one, n=4,") for line in lines
+    ) == 8
 
 
 def test_verify_reports_a_closed_form_off_by_10_to_minus_12(monkeypatch, capsys):

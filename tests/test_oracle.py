@@ -298,11 +298,14 @@ def test_every_host_door_count_matches_the_chain_rule(n, uniform):
 
 
 def _fraction_sum_cells(k, cars):
-    """``_conditional_cells`` as it summed before: one ``Fraction`` per
-    (cell, weight) pair of the walk."""
+    """``_conditional_cells`` summed one ``Fraction`` per trajectory of the
+    walk, each weighted by its car door's probability, without the integer
+    rows."""
+    n = len(cars)
     cells = dict.fromkeys(oracle.CELL_ORDER, F(0))
-    for car, pick, _, switched, final, (num, den) in oracle._raw_trajectories(k, cars):
-        cells[pick == car, switched, final == car] += F(num, den)
+    for car, alpha in enumerate(cars.alpha, 1):
+        for pick, _, switched, final, den in oracle._raw_trajectories(k, n, car):
+            cells[pick == car, switched, final == car] += alpha / den
     return cells
 
 
@@ -318,23 +321,16 @@ def test_integer_cell_sums_equal_the_fraction_sums_on_random_placements():
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_a_placed_tree_is_the_placement_weighted_sum_of_one_car_trees(variant, n):
-    # verify checks its placements through this identity and walks no placed
-    # tree, so the walker is exercised on mixed placements here.
+    # verify checks its placements as integer sums of the one-car rows, so
+    # the rows are checked on mixed placements against a Fraction reference.
     k = _host_opens(variant, n)
-    one_car = [
-        oracle._conditional_cells(k, CarDistribution(tuple(F(int(c == door)) for c in range(n))))
-        for door in range(n)
-    ]
     rng = np.random.default_rng(20261020 + n)
     for zeros in range(n):
         weights = rng.integers(1, 101, size=n).tolist()
         for door in rng.permutation(n)[:zeros]:
             weights[door] = 0
         cars = CarDistribution.from_weights(weights)
-        assert oracle._conditional_cells(k, cars) == {
-            cell: sum(a * tree[cell] for a, tree in zip(cars.alpha, one_car))
-            for cell in oracle.CELL_ORDER
-        }
+        assert oracle._conditional_cells(k, cars) == _fraction_sum_cells(k, cars)
 
 
 def test_verify_closed_forms_reports_its_checks():
