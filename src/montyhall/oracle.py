@@ -147,10 +147,13 @@ def _raw_trajectories(
                     yield pick, opened, True, final, switch_den
 
 
-def _one_car_rows(k: int, n: int) -> tuple[int, dict[Cell, list[int]]]:
-    """The ``n`` one-car trees of a host who opens ``k`` doors: a common
-    denominator and, per cell in ``CELL_ORDER``, the numerators of the trees
-    with the car behind door 1, ..., door ``n`` over it.
+def _one_car_rows(
+    k: int, n: int, cars: Iterable[int] | None = None
+) -> tuple[int, dict[Cell, list[int]]]:
+    """The one-car trees of a host who opens ``k`` doors, with the car
+    behind each door of ``cars`` (default: door 1, ..., door ``n``): a common
+    denominator and, per cell in ``CELL_ORDER``, the trees' numerators over
+    it, in the order of ``cars``.
 
     Trajectories share only a handful of distinct weights, so each walk
     counts (cell, den) pairs and the cells are added in integers.
@@ -160,10 +163,10 @@ def _one_car_rows(k: int, n: int) -> tuple[int, dict[Cell, list[int]]]:
             ((pick == car, switched, final == car), den)
             for pick, _opened, switched, final, den in _raw_trajectories(k, n, car)
         )
-        for car in range(1, n + 1)
+        for car in (range(1, n + 1) if cars is None else cars)
     ]
     common = math.lcm(*(den for tally in tallies for _, den in tally))
-    rows = {cell: [0] * n for cell in CELL_ORDER}
+    rows = {cell: [0] * len(tallies) for cell in CELL_ORDER}
     for door, tally in enumerate(tallies):
         for (cell, den), count in tally.items():
             rows[cell][door] += count * (common // den)
@@ -175,13 +178,18 @@ def _conditional_cells(k: int, cars: CarDistribution) -> dict[Cell, Fraction]:
     for a host who opens ``k`` doors.
 
     The stay cells sum to 1 and so do the switch cells.  Each is the
-    ``cars.alpha``-weighted sum of the one-car trees' cells.  Each call
-    walks the trees anew; the result is free of ``p``, so a caller may keep
-    it.
+    ``cars.alpha``-weighted sum of the one-car trees' cells, taken in
+    integers: ``alpha`` over its common denominator weighs the trees of the
+    doors that may hide the car, the only ones walked.  Each call walks the
+    trees anew; the result is free of ``p``, so a caller may keep it.
     """
-    common, rows = _one_car_rows(k, len(cars))
+    scale = math.lcm(*(alpha.denominator for alpha in cars.alpha))
+    weights = {car: int(alpha * scale) for car, alpha in enumerate(cars.alpha, 1) if alpha}
+    common, rows = _one_car_rows(k, len(cars), weights)
+    den = scale * common
     return {
-        cell: sum(map(operator.mul, cars.alpha, row)) / common for cell, row in rows.items()
+        cell: Fraction(sum(map(operator.mul, weights.values(), row)), den)
+        for cell, row in rows.items()
     }
 
 

@@ -4,7 +4,7 @@ Both variants are one game in which the host opens ``k`` goat doors (see
 :mod:`montyhall.analytic`); the batch kernel and :func:`trace_trial` only
 read ``k``.
 
-Reproducibility contract (stream v4)
+Reproducibility contract (stream v5)
 ------------------------------------
 All randomness flows from numpy's PCG64DXSM generator (O'Neill, "PCG: A
 Family of Simple Fast Space-Efficient Statistically Good Algorithms for
@@ -19,8 +19,9 @@ below 2**32: :class:`SimulationConfig` rejects 2**32 chunks or more, and a
 grid has at most 10**6 + 1 rows.  Results are bit-for-bit reproducible for
 a fixed configuration regardless of how many workers execute the chunks.
 Changing ``chunk_size`` changes the layout and therefore the draws, so it is
-part of :class:`SimulationConfig`.  Stream v3 drew the same columns from Philox at
-counter ``(0, 0, i, j)``, so v4 output differs from v3 output.
+part of :class:`SimulationConfig`.  Stream v4 read the same words but drew
+each chunk's shortfall again in rounds of exactly the games it lacked, so
+v5 output differs from v4 output.
 
 Fan-out
 -------
@@ -32,62 +33,66 @@ from the index.  The caller drains it together with the threads of one
 row), none at ``workers == 1``.  A drain pulls a block at a time: up to 16
 consecutive chunks of at most ``DEFAULT_CHUNK_SIZE`` games in all, so a
 chunk of that size or more is a block of one, and a block of small chunks
-may span rows.  Each drain sums its chunks' wins by grid index; the caller
-adds those sums row by row.  Each drain starts from
+may span rows.  A drain plays every chunk of a block to its end before it
+pulls the next, and sums its chunks' wins by grid index; the caller adds
+those sums row by row.  Each drain starts from
 ``substream(master_seed, 0, 0)``: it takes that generator's PCG64DXSM bit
 generator, at the base state's first word, and advances it from where it
 stands to the first word of each read.  It owns one workspace that every
-block overwrites: boolean game arrays for a block, the raw words of a group
-of several chunks, and the short chunks that wait for its next redraw pass.
-Drains share no draw state, and since a chunk's draws are fixed by
-``(master_seed, i, j)``, the number of workers, the blocks and the order in
-which they run never change a result.  Once a block fails, or the caller is
-interrupted, no thread starts another block.
+round overwrites: boolean game arrays for one round of a block, and the raw
+words of a group of several chunks.  Drains share no draw state, and since
+a chunk's draws are fixed by ``(master_seed, i, j)``, the number of workers,
+the blocks and the order in which they run never change a result.  Once a
+block fails, or the caller is interrupted, no thread starts another block.
 
 Batch draw order
 ----------------
 A win depends on three Bernoulli events per game: the pick hit the car
 (``1/n``), the player switched (``p``), and a switcher took slot 0, the car's
 place among the ``n - 1 - k`` other closed doors (``1/(n - 1 - k)``).
-Within a chunk the kernel draws them as whole columns in that order, each
-by one exact threshold rule on raw 64-bit words; a round's three columns
-take consecutive words.  For a column of
-probability ``num/den``:
+A chunk plays rounds until it has counted all its games.  A round that
+still needs ``need`` games counts ``g = min(need, DEFAULT_CHUNK_SIZE)`` of
+them: it draws the three columns, in that order and from the chunk's next
+word, for ``g + g // 128 + 32`` games, each column by one exact threshold
+rule on raw 64-bit words.  For a column of probability ``num/den``:
 
 * its width ``w`` is the narrowest of 16, 32 and 64 with
   ``den <= 2**(w - 8)``, else 64, so that the rejected tail is under 1/256
   of the words wherever it fits;
-* it takes ``ceil(size * w / 64)`` raw words, each split into ``w``-bit
+* it takes ``ceil(games * w / 64)`` raw words, each split into ``w``-bit
   lanes, least significant first, one lane per game;
 * with ``per = 2**w // den``, a game succeeds when its lane is below
   ``num * per`` and is accepted when it is below ``den * per``;
 * a column with one outcome (``den == 1``: leave-two's slot, and ``p`` of 0
   or 1) draws nothing.
 
-A game rejected in any column is dropped, and the chunk's shortfall is drawn
-again by the same rule, all three columns, from the chunk's next word.  The
-accepted region is a product set, so the columns stay exact and
-independent.  ``p`` is kept as an exact ``Fraction``; one whose
-denominator exceeds 2**64 (among binary floats, only some below 2**-12) is
-rounded up to a multiple of 2**-64.  Host bookkeeping that cannot change a
-win -- which goat doors the host touches -- is collapsed out of the batch
-kernel; :func:`trace_trial` plays single games with the full door-by-door
-mechanics and is what trajectory-level tests should sample.
+A game rejected in any column is dropped, and the first ``g`` games kept
+count; the games past them are discarded.  The margin of ``g // 128 + 32``
+games covers the rejected tail, so a chunk nearly always ends in one round;
+a chunk left short plays its next round from its next word.  The accepted
+region is a product set, and which kept games count depends only on which
+were accepted, so the columns stay exact and independent.  ``p`` is kept
+as an exact ``Fraction``; one whose denominator exceeds 2**64 (among binary
+floats, only some below 2**-12) is rounded up to a multiple of 2**-64.
+Host bookkeeping that cannot change a win -- which goat doors the host
+touches -- is collapsed out of the batch kernel; :func:`trace_trial` plays
+single games with the full door-by-door mechanics and is what
+trajectory-level tests should sample.
 
 The kernel plays a block as follows; none of it changes which words a
-chunk reads.  The chunks of the block are grouped by size and switch lane
-type, and each group is read and played in one pass.  Each chunk's first
+chunk reads.  Each chunk enters as its row, its index, the games it needs
+and its next word.  The chunks are grouped by round size and switch lane
+type, and each group's round is read and played in one pass.  Each chunk's
 round, exactly its three columns' words, comes from one ``random_raw``
-call.  A group is compared as one ``(chunks, games)`` array per column,
-with the switch thresholds as a per-chunk column, and counted per chunk.
-A lone chunk is read as drawn; a group of several is first copied into the
-workspace.  A chunk left short waits in its drain as its row, its
-index, the games it lacks and its next word.  The drain redraws all its
-waiting chunks in one pass once 16 wait or they hold more games than a
-block, and at its end unless stopped: each round one flat array of their
-games per column, each chunk's lanes read by one ``random_raw`` call from
-its next word, and one ``np.add.reduceat`` for each chunk's wins and kept
-games.
+call.  A group is compared as one ``(chunks, drawn games)`` array per
+column, with the switch thresholds as a per-chunk column.  Each chunk's
+cut, the lane of its ``g``-th kept game, is found from its kept games
+before the margin and the kept lanes of the margin alone; the kept lanes
+past it are cleared, and its wins and kept games are counted.  A lone
+chunk is read as drawn; a group of several is first copied into the
+workspace.  The chunks left short form the block's next groups, until none
+is left, so a drain's game arrays hold one round of a block at most:
+``DEFAULT_CHUNK_SIZE`` games and their margins, whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -131,18 +136,19 @@ __all__ = [
     "sweep",
 ]
 
+DEFAULT_CHUNK_SIZE = 65536
+
 #: The ``rng`` text of ``simulate`` and the sweep's ``# rng=`` line: the
-#: generator, the numpy version and the stream v4 rule described above.  A
+#: generator, the numpy version and the stream v5 rule described above.  A
 #: change to the stream bumps the version here.
 RNG_ALGORITHM = (
-    f"PCG64DXSM (numpy.random.PCG64DXSM); numpy {np.__version__}; stream=v4; "
+    f"PCG64DXSM (numpy.random.PCG64DXSM); numpy {np.__version__}; stream=v5; "
     "base=PCG64DXSM(SeedSequence(seed)); "
     "word w of (grid_index, chunk_index)=output grid_index*2^96+chunk_index*2^64+w; "
     "columns=hit,switch,slot0 as exact thresholds on 16/32/64-bit lanes "
-    "of raw words, rejected games redrawn"
+    f"of raw words, in rounds of g=min(need,{DEFAULT_CHUNK_SIZE}) games "
+    "drawn for g+g//128+32 games, the first g kept counted"
 )
-
-DEFAULT_CHUNK_SIZE = 65536
 
 #: Rows and chunks per row stay below this, so that chunks' words are disjoint.
 _INDEX_LIMIT = 2**32
@@ -291,7 +297,7 @@ class _Column(NamedTuple):
 
 
 def _column(num: int, den: int) -> _Column:
-    """The stream v4 column for the reduced fraction ``num/den`` (see the
+    """The stream v5 column for the reduced fraction ``num/den`` (see the
     module docstring)."""
     if den > 2**64:
         rounded = Fraction(-(-num * 2**64 // den), 2**64)  # up to k * 2**-64
@@ -309,19 +315,22 @@ def _words(column: _Column, size: int) -> int:
     return 0 if column.dtype is None else -(-size * column.dtype.itemsize // 8)
 
 
+def _drawn(games: int) -> int:
+    """The games a round draws to count ``games``: a margin for rejected lanes."""
+    return games + games // 128 + 32
+
+
 def _lanes(words: np.ndarray, dtype: np.dtype, games: int) -> np.ndarray:
     """The first ``games`` lanes of type ``dtype`` along the last axis of the
     little-endian ``words``, least significant first."""
     return words.view(dtype)[..., :games]
 
 
-def _stack(columns: Sequence[_Column], dtype, sizes: Sequence[int] | None = None) -> _Column:
+def _stack(columns: Sequence[_Column], dtype) -> _Column:
     """One column for several chunks whose columns compare lanes of type
     ``dtype``: each chunk's thresholds fill its row of a ``(chunks, 1)``
-    array, or, given each chunk's game count in ``sizes``, its games' run of
-    a flat array.  A column with one outcome joins as lanes of 0 under a
-    threshold of 0 or 1, and a column that accepts every lane with a ``last``
-    of the largest lane.  Chunks of one row share its column as it is."""
+    array.  A column that accepts every lane joins with a ``last`` of the
+    largest lane.  Chunks of one row share its column as it is."""
     if all(column is columns[0] for column in columns):
         return columns[0]
     success = np.array([int(column.success) for column in columns], dtype=dtype or bool)
@@ -329,11 +338,7 @@ def _stack(columns: Sequence[_Column], dtype, sizes: Sequence[int] | None = None
     if any(column.last is not None for column in columns):
         full = 2 ** (8 * dtype.itemsize) - 1
         last = np.array([full if c.last is None else c.last for c in columns], dtype=dtype)
-    if sizes is None:
-        return _Column(dtype, success[:, None], None if last is None else last[:, None])
-    return _Column(
-        dtype, np.repeat(success, sizes), None if last is None else np.repeat(last, sizes)
-    )
+    return _Column(dtype, success[:, None], None if last is None else last[:, None])
 
 
 def _draw(column: _Column, lanes: np.ndarray, success: np.ndarray, accepted: np.ndarray) -> bool:
@@ -361,12 +366,14 @@ def _win_mask(hit, switch, slot0, out: np.ndarray) -> np.ndarray:
     return np.bitwise_xor(out, hit, out=out)
 
 
-def _round(columns, lanes, work) -> tuple[np.ndarray, np.ndarray | None]:
-    """One round of games: ``lanes`` holds the lanes of each of the hit,
-    switch and slot-0 ``columns``, shaped like the games (``None`` for a
-    column with one outcome), and ``work`` five boolean arrays of that shape,
-    overwritten here.  Return the games won and, if a lane can be rejected,
-    the games kept; a dropped game never wins."""
+def _round(columns, lanes, work, games: int) -> tuple[list[int], list[int]]:
+    """One round of a group of chunks: ``lanes`` holds the lanes of each of
+    the hit, switch and slot-0 ``columns`` as a ``(chunks, drawn)`` array
+    (``None`` for a column with one outcome), and ``work`` five boolean
+    arrays of that shape, overwritten here: the three outcomes, the games
+    kept and the games won.  Each chunk keeps its first ``games`` accepted
+    games; the lanes past its cut are cleared in the kept and won arrays.
+    Return each chunk's wins and kept games."""
     *outcomes, kept, won = work
     masked = False
     for column, lane, success in zip(columns, lanes, outcomes):
@@ -378,20 +385,20 @@ def _round(columns, lanes, work) -> tuple[np.ndarray, np.ndarray | None]:
             if masked:
                 np.bitwise_and(kept, won, out=kept)
             masked = True
-    _win_mask(*outcomes, won)
     if not masked:
-        return won, None
-    return np.bitwise_and(won, kept, out=won), kept
-
-
-class _Short:
-    """A chunk short of games after its first round: ``left`` games to draw
-    again, from its word ``word`` on."""
-
-    __slots__ = ("row", "chunk", "left", "word")
-
-    def __init__(self, row, chunk, left, word):
-        self.row, self.chunk, self.left, self.word = row, chunk, left, word
+        kept.fill(True)
+    # Each chunk's cut: the kept games that its first ``games`` lanes lack
+    # come from its margin, whose kept lanes past them are cleared.
+    counted = []
+    for row in kept:
+        head = int(np.count_nonzero(row[:games]))
+        extra = np.flatnonzero(row[games:])  # the margin's kept lanes
+        if games - head < len(extra):
+            row[games + extra[games - head] :] = False
+        counted.append(min(games, head + len(extra)))
+    _win_mask(*outcomes, won)
+    np.bitwise_and(won, kept, out=won)
+    return [int(np.count_nonzero(row)) for row in won], counted
 
 
 class _Run(NamedTuple):
@@ -404,17 +411,16 @@ class _Run(NamedTuple):
 
 
 class _Workspace:
-    """A drain's draw state and buffers, reused by every block it plays: the
+    """A drain's draw state and buffers, reused by every round it plays: the
     bit generator of ``substream(master_seed, 0, 0)`` and the output it
-    reads next, five boolean game arrays, the words of a group of several
-    chunks, and the short chunks that wait for a redraw pass."""
+    reads next, five boolean game arrays for the largest round of a block,
+    and the words of a group of several chunks."""
 
     def __init__(self, master_seed: int, games: int) -> None:
         self.bits = substream(master_seed, 0, 0).bit_generator
         self.at = 0
         self.games = np.empty((5, games), dtype=bool)
         self.words = np.empty(0, dtype=_LANES[64])
-        self.pending: list[_Short] = []
 
     def raw(self, row: int, chunk: int, word: int, count: int) -> np.ndarray:
         """Words ``word`` to ``word + count - 1`` of chunk ``chunk`` of row
@@ -427,89 +433,51 @@ class _Workspace:
         return self.bits.random_raw(count).astype(_LANES[64], copy=False)
 
     def shaped(self, *shape: int) -> np.ndarray:
-        """The five game arrays, cut to ``shape`` (grown for a large redraw pass)."""
-        size = math.prod(shape)
-        if size > self.games.shape[1]:
-            self.games = np.empty((5, size), dtype=bool)
-        return self.games[:, :size].reshape(5, *shape)
+        """The five game arrays, cut to ``shape``."""
+        return self.games[:, : math.prod(shape)].reshape(5, *shape)
 
 
 def _block_wins(
-    run: _Run, work: _Workspace, block: Sequence[tuple[int, int, int]], wins: list[int]
+    run: _Run, work: _Workspace, block: Sequence[tuple[int, int, int, int]], wins: list[int]
 ) -> None:
-    """Play the first round of each ``(row, chunk index, size)`` chunk of
-    ``block`` and add its wins to ``wins`` by row; a chunk left short joins
-    ``work.pending`` (see "Batch draw order" in the module docstring)."""
+    """Play each ``(row, chunk index, games needed, next word)`` chunk of
+    ``block`` to its end and add its wins to ``wins`` by row (see "Batch
+    draw order" in the module docstring)."""
     hit, slot0, switches = run.hit, run.slot0, run.switches
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    for row, chunk, size in block:
-        groups.setdefault((size, switches[row].dtype), []).append((row, chunk))
-    # Each group of chunks that share a size and a switch lane type plays
-    # its first round as one (chunks, games) array per column.
-    for (size, dtype), members in groups.items():
-        switch = _stack([switches[row] for row, _ in members], dtype)
-        columns = (hit, switch, slot0)
-        counts = [_words(column, size) for column in columns]
-        stride = sum(counts)
-        # One random_raw call per chunk: the three columns of its first round.
-        raws = [work.raw(row, chunk, 0, stride) for row, chunk in members]
-        if len(raws) == 1:
-            grid = raws[0][None]  # a lone chunk is read as drawn
-        else:
-            total = len(raws) * stride
-            if len(work.words) < total:
-                work.words = np.empty(total, dtype=_LANES[64])
-            grid = np.concatenate(raws, out=work.words[:total]).reshape(len(raws), stride)
-        lanes, at = [], 0
-        for column, count in zip(columns, counts):
-            lanes.append(_lanes(grid[:, at : at + count], column.dtype, size) if count else None)
-            at += count
-        won, kept = _round(columns, lanes, work.shaped(len(members), size))
-        for member, (row, chunk) in enumerate(members):
-            wins[row] += int(np.count_nonzero(won[member]))
-            left = 0 if kept is None else size - int(np.count_nonzero(kept[member]))
-            if left:
-                work.pending.append(_Short(row, chunk, left, stride))
-
-
-def _redraw(run: _Run, work: _Workspace, wins: list[int]) -> None:
-    """Play every chunk of ``work.pending`` to the end and add its wins to
-    ``wins`` by row.  Each round plays the games of all of them as one flat
-    array per column, each chunk's lanes read from its own words."""
-    hit, slot0, switches = run.hit, run.slot0, run.switches
-    short, work.pending = work.pending, []
-    while short:
-        lefts = [entry.left for entry in short]
-        own = [switches[entry.row] for entry in short]
-        switch = _stack(own, _LANES[64], lefts)
-        hits, switched, slots = [], [], []
-        for entry, column in zip(short, own):
-            left = entry.left
-            h, w, s = _words(hit, left), _words(column, left), _words(slot0, left)
-            chunk_words = work.raw(entry.row, entry.chunk, entry.word, h + w + s)
-            entry.word += h + w + s
-            hits.append(_lanes(chunk_words[:h], hit.dtype, left))
-            if column.dtype is not None:
-                switched.append(_lanes(chunk_words[h : h + w], column.dtype, left))
-            elif switch.dtype is not None:  # one outcome among drawn columns
-                switched.append(np.zeros(left, dtype=np.uint8))
-            if s:
-                slots.append(_lanes(chunk_words[h + w :], slot0.dtype, left))
-        columns = (hit, switch, slot0)
-        lanes = [
-            None if not part else part[0] if len(part) == 1 else np.concatenate(part)
-            for part in (hits, switched, slots)
-        ]
-        games = work.shaped(sum(lefts))
-        _round(columns, lanes, games)
-        # A short chunk has a column that can reject, so _round wrote the
-        # kept games (row 3) as well as the games won (row 4).
-        starts = np.cumsum([0, *lefts[:-1]])
-        kept, won = np.add.reduceat(games[3:], starts, axis=1, dtype=np.intp).tolist()
-        for entry, entry_kept, entry_won in zip(short, kept, won):
-            entry.left -= entry_kept
-            wins[entry.row] += entry_won
-        short = [entry for entry in short if entry.left]
+    while block:
+        groups: dict[tuple, list[tuple[int, int, int, int]]] = {}
+        for entry in block:
+            row, _, need, _ = entry
+            key = (min(need, DEFAULT_CHUNK_SIZE), switches[row].dtype)
+            groups.setdefault(key, []).append(entry)
+        block = []
+        # Each group of chunks that share a round size and a switch lane
+        # type plays its round as one (chunks, drawn) array per column.
+        for (games, dtype), members in groups.items():
+            switch = _stack([switches[row] for row, *_ in members], dtype)
+            columns = (hit, switch, slot0)
+            drawn = _drawn(games)
+            counts = [_words(column, drawn) for column in columns]
+            stride = sum(counts)
+            # One random_raw call per chunk: the three columns of its round.
+            raws = [work.raw(row, chunk, word, stride) for row, chunk, _, word in members]
+            if len(raws) == 1:
+                grid = raws[0][None]  # a lone chunk is read as drawn
+            else:
+                total = len(raws) * stride
+                if len(work.words) < total:
+                    work.words = np.empty(total, dtype=_LANES[64])
+                grid = np.concatenate(raws, out=work.words[:total]).reshape(len(raws), stride)
+            lanes, at = [], 0
+            for column, count in zip(columns, counts):
+                part = grid[:, at : at + count]
+                lanes.append(_lanes(part, column.dtype, drawn) if count else None)
+                at += count
+            played = _round(columns, lanes, work.shaped(len(members), drawn), games)
+            for (row, chunk, need, word), won, kept in zip(members, *played):
+                wins[row] += won
+                if need > kept:
+                    block.append((row, chunk, need - kept, word + stride))
 
 
 def run_batch(
@@ -538,7 +506,7 @@ def run_batch(
     chunks = -(-trials // size)
     total = len(switches) * chunks
     per_block = max(1, min(_BLOCK_CHUNKS, DEFAULT_CHUNK_SIZE // size))
-    capacity = per_block * size  # the games of a drain's largest block
+    capacity = per_block * _drawn(min(size, DEFAULT_CHUNK_SIZE))  # a block's largest round
     starts = iter(range(0, total, per_block))
     lock = threading.Lock()
     stopped = threading.Event()
@@ -556,13 +524,8 @@ def run_batch(
                 block = []
                 for index in range(start, min(start + per_block, total)):
                     row, chunk = divmod(index, chunks)
-                    block.append((row, chunk, min(size, trials - chunk * size)))
+                    block.append((row, chunk, min(size, trials - chunk * size), 0))
                 _block_wins(run, work, block, wins)
-                pending = work.pending
-                if len(pending) >= _BLOCK_CHUNKS or sum(e.left for e in pending) > capacity:
-                    _redraw(run, work, wins)
-            if not stopped.is_set():
-                _redraw(run, work, wins)
             return wins
         except BaseException:
             stopped.set()

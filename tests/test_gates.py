@@ -26,12 +26,12 @@ def _relabel_losing_switchers(share):
     real = simulate._round
     rng = np.random.default_rng(0)
 
-    def biased(columns, lanes, work):
-        won, kept = real(columns, lanes, work)
-        hit, switched = work[0], work[1]
+    def biased(columns, lanes, work, games):
+        counts = real(columns, lanes, work, games)
+        hit, switched, _, _, won = work
         moved = switched & ~hit & ~won & (rng.random(won.shape) < share)
         np.bitwise_xor(switched, moved, out=switched)
-        return won, kept
+        return counts
 
     return biased
 

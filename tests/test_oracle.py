@@ -333,6 +333,27 @@ def test_a_placed_tree_is_the_placement_weighted_sum_of_one_car_trees(variant, n
         assert oracle._conditional_cells(k, cars) == _fraction_sum_cells(k, cars)
 
 
+@pytest.mark.parametrize(
+    "weights, walked",
+    [([1, 0, 0, 0, 0, 0, 0, 0], [1]), ([0, 3, 0, 0, 1, 0, 0, 0], [2, 5])],
+)
+def test_only_doors_that_may_hide_the_car_are_walked(monkeypatch, weights, walked):
+    # A door with car probability 0 adds nothing to any cell, so its
+    # one-car tree is never walked.
+    walk = oracle._raw_trajectories
+    cars_walked = []
+
+    def counted(k, n, car):
+        cars_walked.append(car)
+        return walk(k, n, car)
+
+    cars = CarDistribution.from_weights(weights)
+    monkeypatch.setattr(oracle, "_raw_trajectories", counted)
+    partition = exact_partition(OPEN_ONE, F(1, 2), cars)
+    assert cars_walked == walked
+    assert partition == partition_probabilities(OPEN_ONE, 8, F(1, 2))
+
+
 def test_verify_closed_forms_reports_its_checks():
     # 2 variants x 3 door counts x 21 grid points x 2 checks; no failure.
     assert verify_closed_forms(5, 3, 0) == (252, [])

@@ -191,8 +191,8 @@ def test_batch_depends_on_seed_and_stream():
     assert rows[3] != rows[0]
 
 
-def _v4_generator(master_seed, stream, chunk):
-    """Chunk ``chunk`` of stream ``stream`` as stream v4 lays it out, built
+def _v5_generator(master_seed, stream, chunk):
+    """Chunk ``chunk`` of stream ``stream`` as stream v5 lays it out, built
     without the package: the outputs of one PCG64DXSM sequence, seeded from
     ``SeedSequence(master_seed)``, from output ``stream * 2**96 + chunk * 2**64`` on."""
     bits = np.random.PCG64DXSM(np.random.SeedSequence(master_seed))
@@ -200,8 +200,8 @@ def _v4_generator(master_seed, stream, chunk):
     return np.random.Generator(bits)
 
 
-def _v4_draw(rng, prob, size):
-    """One stream v4 column of ``size`` games at ``prob``, written out apart
+def _v5_draw(rng, prob, size):
+    """One stream v5 column of ``size`` games at ``prob``, written out apart
     from the package: (successes, accepted) as boolean arrays, and the raw
     words it took."""
     num, den = prob.numerator, prob.denominator
@@ -220,40 +220,48 @@ def _v4_draw(rng, prob, size):
     )
 
 
-def _v4_chunks(config, p, stream=0):
+#: Stream v5 counts at most this many games of a chunk per round.
+_ROUND_CAP = 65536
+
+
+def _v5_chunks(config, p, stream=0):
     """Each chunk of ``config`` at switch probability ``p`` recounted from the
-    v4 layout: the accepted games' (hit, switch, slot 0) columns, the size of
-    every round of draws, and the raw words the chunk took."""
+    v5 layout, one round at a time: the counted games' (hit, switch, slot 0)
+    columns, the games each round counts at most, and the raw words the
+    chunk took.  A round for ``g`` games draws ``g + g // 128 + 32`` and
+    counts the first ``g`` kept."""
     k = _host_opens(config.variant, config.n)
     probs = (F(1, config.n), F(p), F(1, config.n - 1 - k))
     full, rest = divmod(config.trials, config.chunk_size)
     sizes = [config.chunk_size] * full + ([rest] if rest else [])
-    for index, size in enumerate(sizes):
-        rng = _v4_generator(config.master_seed, stream, index)
+    for index, need in enumerate(sizes):
+        rng = _v5_generator(config.master_seed, stream, index)
         kept = [[], [], []]
         rounds = []
         drawn = 0
-        while size:
-            rounds.append(size)
-            draws = [_v4_draw(rng, prob, size) for prob in probs]
+        while need:
+            games = min(need, _ROUND_CAP)
+            rounds.append(games)
+            draws = [_v5_draw(rng, prob, games + games // 128 + 32) for prob in probs]
             accepted = draws[0][1] & draws[1][1] & draws[2][1]
+            counted = np.flatnonzero(accepted)[:games]
             for column, (success, _, words) in zip(kept, draws):
-                column.append(success[accepted])
+                column.append(success[counted])
                 drawn += words
-            size -= int(np.count_nonzero(accepted))
+            need -= len(counted)
         yield [np.concatenate(column) for column in kept], rounds, drawn
 
 
 def _pick_hits(config, p):
-    """Recount initial picks of door 1 straight from the v4 layout, without
+    """Recount initial picks of door 1 straight from the v5 layout, without
     the games a rejected word dropped."""
-    return sum(int(hit.sum()) for (hit, _, _), _, _ in _v4_chunks(config, p))
+    return sum(int(hit.sum()) for (hit, _, _), _, _ in _v5_chunks(config, p))
 
 
-def _v4_wins(config, p, stream=0):
-    """Recount the wins straight from the v4 layout."""
+def _v5_wins(config, p, stream=0):
+    """Recount the wins straight from the v5 layout."""
     wins = 0
-    for (hit, switch, slot0), _, _ in _v4_chunks(config, p, stream):
+    for (hit, switch, slot0), _, _ in _v5_chunks(config, p, stream):
         wins += int(np.count_nonzero((hit & ~switch) | (~hit & switch & slot0)))
     return wins
 
@@ -265,7 +273,7 @@ def test_substream_matches_the_layout_after_reuse():
     first = substream(*a).random(8)
     substream(*b).random(3)
     again = substream(*a).random(8)
-    expected = _v4_generator(*a).random(8)
+    expected = _v5_generator(*a).random(8)
     assert np.array_equal(first, expected)
     assert np.array_equal(again, expected)
 
@@ -423,7 +431,7 @@ def _record_chunks(monkeypatch):
     real_block_wins, real_raw = simulate._block_wins, simulate._Workspace.raw
 
     def block_wins(run, work, block, wins):
-        pulled.extend((row, chunk) for row, chunk, _ in block)
+        pulled.extend((row, chunk) for row, chunk, *_ in block)
         return real_block_wins(run, work, block, wins)
 
     def raw(work, row, chunk, word, count):
@@ -436,10 +444,11 @@ def _record_chunks(monkeypatch):
 
 
 def test_open_one_chunk_draws_three_16_bit_columns_and_its_redraws(monkeypatch, capsys):
-    # A 65,536-game chunk at p = 7/20 takes 3 * 2**14 words, then 3 columns
-    # of ceil(shortfall / 4) words per redraw round.  A 64-bit switch column
-    # (p passed on as a float) would take 3 * 2**14 words more.  The sweep
-    # draws p = 7/20 on stream 7, the simulate command on stream 0.
+    # A 65,536-game chunk at p = 7/20 draws 3 columns of 66,080 16-bit lanes,
+    # 3 * 16,520 words, and the margin of 544 games covers its rejected lanes:
+    # one round, no redraw.  A 64-bit switch column (p passed on as a float)
+    # would take 49,560 words more.  The sweep draws p = 7/20 on stream 7,
+    # the simulate command on stream 0.
     config = SimulationConfig(OPEN_ONE, 15, 2**16, master_seed=12)
     _, drawn = _record_chunks(monkeypatch)
     sweep(config, F(1, 20))
@@ -452,9 +461,9 @@ def test_open_one_chunk_draws_three_16_bit_columns_and_its_redraws(monkeypatch, 
     capsys.readouterr()
     drawn = {**swept, **drawn}  # the simulate command's stream 0 replaces the sweep's
     for stream in (7, 0):
-        ((_, rounds, words),) = _v4_chunks(config, F(7, 20), stream)
-        assert rounds[0] == 2**16 and len(rounds) > 1
-        assert words == sum(3 * -(-size // 4) for size in rounds) < 3 * 2**14 + 300
+        ((_, rounds, words),) = _v5_chunks(config, F(7, 20), stream)
+        assert rounds == [2**16]
+        assert words == 3 * 16520
         assert drawn[stream, 0] == words
 
 
@@ -463,8 +472,8 @@ def test_certain_columns_draw_nothing(monkeypatch, p):
     # Leave-two's slot column and a switch column at p = 0 or 1 are certain:
     # the chunk takes the hit column's words alone.
     config = SimulationConfig(LEAVE_TWO, 10, 2**16, master_seed=13)
-    ((_, rounds, words),) = _v4_chunks(config, p)
-    assert words == sum(-(-size // 4) for size in rounds)
+    ((_, rounds, words),) = _v5_chunks(config, p)
+    assert words == sum(-(-(size + size // 128 + 32) // 4) for size in rounds)
     pulled, drawn = _record_chunks(monkeypatch)
     run_batch(config, [p])
     assert pulled == [(0, 0)]
@@ -475,19 +484,19 @@ def test_certain_columns_draw_nothing(monkeypatch, p):
 def test_rejection_path_end_to_end_at_the_largest_door_count(variant):
     # n = 2**63 - 1 takes 64-bit hit (and open-one slot) columns.  At p = 0
     # the wins are the recounted hits; at p = 1/(2**63 + 1) about half the
-    # switch words are rejected, so most games are redrawn, some many times.
+    # switch words are rejected, so every chunk plays several rounds.
     n = 2**63 - 1
     for p in (F(0), F(1, 2**63 + 1)):
         config = SimulationConfig(variant, n, 5 * 997 + 13, master_seed=21, chunk_size=997)
-        chunks = list(_v4_chunks(config, p))
+        chunks = list(_v5_chunks(config, p))
         assert [len(hit) for (hit, _, _), _, _ in chunks] == [997] * 5 + [13]
         if p:
-            assert sum(len(rounds) for _, rounds, _ in chunks) > 6 * 5
+            assert all(len(rounds) >= 4 for _, rounds, _ in chunks[:5])
         results = [run_batch(config, [p], workers=workers)[0] for workers in (1, 2)]
         assert results[0] == results[1]
         assert all(type(result.wins) is int for result in results)
         assert results[0].trials == config.trials
-        assert results[0].wins == _v4_wins(config, p)
+        assert results[0].wins == _v5_wins(config, p)
         if not p:
             assert results[0].wins == _pick_hits(config, p)
 
@@ -512,7 +521,7 @@ def test_reused_workspace_leaks_nothing_between_chunks(
     config = SimulationConfig(variant, n, trials, 17, chunk_size)
     rows = sweep(config, step, workers=workers)
     for stream, row in enumerate(rows):
-        assert row.result.wins == _v4_wins(config, row.p, stream)
+        assert row.result.wins == _v5_wins(config, row.p, stream)
 
 
 #: (variant, n, ps, trials, chunk_size) of the block shapes recounted below.
@@ -525,9 +534,13 @@ _BLOCK_SHAPES = [
     (LEAVE_TWO, 10, [F(1, 5), F(2, 7), F(3, 8)], 20 * 64, 64),
     # Rows whose last chunk is short, in blocks of a few 4,096-game chunks.
     (OPEN_ONE, 7, [F(3, 10), F(1, 250)], 3 * 4096 + 17, 4096),
-    # The 16-bit p = 1/241 lane rejects 225 lanes in 2**16, so the chunk
-    # takes several redraw rounds of about 170 words in all.
+    # The 16-bit p = 1/241 lane rejects 225 lanes in 2**16, well within
+    # the chunk's margin of 544 games.
     (OPEN_ONE, 15, [F(1, 241)], 2**16, 2**16),
+    # About half the 64-bit p = 1/(2**63 + 1) lanes are rejected, so each
+    # 64-game chunk of that row plays a second round, in blocks that mix
+    # them with the one-round chunks of the 16-bit p = 1/3 row.
+    (OPEN_ONE, 15, [F(1, 2**63 + 1), F(1, 3)], 10 * 64 + 9, 64),
 ]
 
 
@@ -535,7 +548,7 @@ def _block_shape_wins(variant, n, ps, trials, chunk_size, workers):
     """Each row's wins from ``run_batch`` at a block shape, and its recount."""
     config = SimulationConfig(variant, n, trials, 31, chunk_size)
     results = run_batch(config, ps, workers=workers)
-    return results, [_v4_wins(config, p, stream) for stream, p in enumerate(ps)]
+    return results, [_v5_wins(config, p, stream) for stream, p in enumerate(ps)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -550,7 +563,7 @@ def test_block_shapes_match_the_recount(monkeypatch, variant, n, ps, trials, chu
 @pytest.mark.parametrize(
     "mutant",
     [
-        # A redraw round that starts one word past the chunk's next word.
+        # A later round that starts one word past the chunk's next word.
         lambda word: word + 1 if word else word,
         # A first round read one word late.
         lambda word: word or 1,
@@ -574,73 +587,46 @@ def test_block_recount_tells_a_word_shift(monkeypatch, mutant):
     assert told >= 1
 
 
-def test_pending_redraws_stay_bounded_over_thousands_of_short_chunks(monkeypatch):
-    # At p = 1/(2**63 + 1) about half the 64-bit switch lanes are rejected,
-    # so nearly all of 2,000 sixteen-game chunks are short after their first
-    # round.  A drain redraws its short chunks once 16 wait, so the words
-    # they keep stay a few kilobytes however many chunks the row has.
-    config = SimulationConfig(OPEN_ONE, 2**63 - 1, 2000 * 16, master_seed=41, chunk_size=16)
-    p = F(1, 2**63 + 1)
-    passes = []
-    real = simulate._redraw
-
-    def redraw(run, work, wins):
-        passes.append(len(work.pending))
-        real(run, work, wins)
-
-    monkeypatch.setattr(simulate, "_redraw", redraw)
-    run_batch(SimulationConfig(OPEN_ONE, 2**63 - 1, 64, chunk_size=16), [p])  # warm-up
-    passes.clear()
-    tracemalloc.start()
-    try:
-        (result,) = run_batch(config, [p])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(passes) > 1950 and max(passes) < 2 * simulate._BLOCK_CHUNKS
-    assert peak < 2**18
-    assert result.trials == config.trials
-
-
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_redraw_pass_larger_than_a_block_matches_the_recount(monkeypatch, workers):
-    # Blocks of one 64-game chunk, and about half the switch lanes rejected:
-    # the waiting chunks soon hold more games than a block, so their pass
-    # first grows the workspace.
-    monkeypatch.setattr(simulate, "DEFAULT_CHUNK_SIZE", 64)
+def test_a_chunk_larger_than_the_round_cap_matches_the_recount(monkeypatch, workers):
+    # A chunk of 3 * 65,536 + 1,000 games plays rounds of at most 65,536
+    # counted games, so its drain's game arrays hold one round, not the
+    # chunk.  At p = 1/(2**63 + 1) about half the switch lanes are rejected,
+    # so the chunk also takes rounds shorter than the cap.
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    grown = []
+    sizes = []
     real = simulate._Workspace.shaped
 
     def shaped(work, *shape):
-        before = work.games.shape[1]
-        games = real(work, *shape)
-        grown.append(work.games.shape[1] > before)
-        return games
+        sizes.append(work.games.shape[1])
+        return real(work, *shape)
 
     monkeypatch.setattr(simulate._Workspace, "shaped", shaped)
-    config = SimulationConfig(OPEN_ONE, 2**63 - 1, 20 * 64 + 7, master_seed=43, chunk_size=64)
-    p = F(1, 2**63 + 1)
-    (result,) = run_batch(config, [p], workers=workers)
-    assert any(grown)
-    assert result.wins == _v4_wins(config, p)
+    config = SimulationConfig(OPEN_ONE, 2**63 - 1, 3 * 2**16 + 1000, 43, chunk_size=2**20)
+    ps = [F(7, 20), F(1, 2**63 + 1)]
+    results = run_batch(config, ps, workers=workers)
+    for row, p in enumerate(ps):
+        ((_, rounds, _),) = _v5_chunks(config, p, row)
+        assert rounds[:3] == [2**16] * 3 and len(rounds) > 3 + 3 * row
+        assert results[row].wins == _v5_wins(config, p, row)
+    assert max(sizes) == 2**16 + 2**16 // 128 + 32
 
 
 def cell_gate_z(monkeypatch):
     """The cell gate's statistic: each (hit, switched, won) cell's pooled |z|
     over the gate's panel, in the order 4 * hit + 2 * switched + won.  Each
-    kept game of every round is tallied by its cell, as ``simulate._round``
-    leaves it when this is called.  A cell that the partition leaves empty
-    reads 0 while it stays empty and infinity once it is not."""
+    counted game of every round is tallied by its cell, as ``simulate._round``
+    leaves its game arrays when this is called.  A cell that the partition
+    leaves empty reads 0 while it stays empty and infinity once it is not."""
     real = simulate._round
     tally = np.zeros(8, dtype=np.int64)  # indexed by 4 * hit + 2 * switched + won
 
-    def counting(columns, lanes, work):
-        won, kept = real(columns, lanes, work)
-        hit, switched = work[0], work[1]
+    def counting(columns, lanes, work, games):
+        counts = real(columns, lanes, work, games)
+        hit, switched, _, kept, won = work
         cell = (hit.astype(np.uint8) << 2) | (switched.astype(np.uint8) << 1) | won
-        tally[:] += np.bincount((cell if kept is None else cell[kept]).ravel(), minlength=8)
-        return won, kept
+        tally[:] += np.bincount(cell[kept], minlength=8)
+        return counts
 
     monkeypatch.setattr(simulate, "_round", counting)
     excess, variance = np.zeros(8), np.zeros(8)
@@ -821,7 +807,7 @@ def test_result_rejects_a_trial_count_below_one_or_not_an_int(trials):
         ((0, 0, -1), "chunk"),
         ((0, 0, 2**64), "chunk"),
         ((0, 0, True), "chunk"),
-        # Stream v4's blocks are disjoint for streams and chunks below 2**32.
+        # Stream v5's blocks are disjoint for streams and chunks below 2**32.
         ((0, 2**32, 0), "stream"),
         ((0, 0, 2**32), "chunk"),
     ],
@@ -830,7 +816,7 @@ def test_substream_names_its_bad_argument(args, name):
     with pytest.raises(ValueError, match=rf"^{name} must be in \[0, \d+\) and an integer"):
         substream(*args)
     last = (2**64 - 1, 2**32 - 1, 2**32 - 1)
-    assert np.array_equal(substream(*last).random(4), _v4_generator(*last).random(4))
+    assert np.array_equal(substream(*last).random(4), _v5_generator(*last).random(4))
 
 
 def test_config_validation(monkeypatch):
@@ -864,7 +850,7 @@ def test_config_validation(monkeypatch):
         run_batch(SimulationConfig(LEAVE_TWO, 3, 100), [0.5], workers=1.5)
     with pytest.raises(ValueError):
         SimulationConfig(LEAVE_TWO, 2**63, 100)
-    # Stream v4 gives each chunk of a row its own 2**64 words, fewer than 2**32 chunks a row.
+    # Stream v5 gives each chunk of a row its own 2**64 words, fewer than 2**32 chunks a row.
     for trials, chunk_size in ((2**32, 1), (2**62, 2**30), (2**48, 2**16)):
         with pytest.raises(ValueError, match=r"^trials / chunk_size must give < 2\*\*32 chunks"):
             SimulationConfig(LEAVE_TWO, 3, trials, chunk_size=chunk_size)
