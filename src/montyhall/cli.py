@@ -16,7 +16,9 @@ every call and reuses one ``build_parser()`` parser per value of it.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 Bad input exits 2 with one ``error:`` line before any simulation.  Seeds
 (``--seed``, else ``$MONTY_SEED``, else 0) lie in [0, 2**64), trials and
-simulated door counts below 2**63, and the grid step is 1/k with k <= 10**6;
+simulated door counts below 2**63, a simulated game's doors times its other
+closed doors at most 2**64 (open-one stops at 2**32 + 1 doors), and the
+grid step is 1/k with k <= 10**6;
 every accepted flag is checked, even where a path leaves it unread.
 Decimals are rendered to 12 significant digits (half-even), in exponent form
 from 10**12 up, so identical invocations produce byte-identical output.

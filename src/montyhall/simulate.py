@@ -4,7 +4,7 @@ Both variants are one game in which the host opens ``k`` goat doors (see
 :mod:`montyhall.analytic`); the batch kernel and :func:`trace_trial` only
 read ``k``.
 
-Reproducibility contract (stream v5)
+Reproducibility contract (stream v6)
 ------------------------------------
 All randomness flows from numpy's PCG64DXSM generator (O'Neill, "PCG: A
 Family of Simple Fast Space-Efficient Statistically Good Algorithms for
@@ -19,80 +19,71 @@ below 2**32: :class:`SimulationConfig` rejects 2**32 chunks or more, and a
 grid has at most 10**6 + 1 rows.  Results are bit-for-bit reproducible for
 a fixed configuration regardless of how many workers execute the chunks.
 Changing ``chunk_size`` changes the layout and therefore the draws, so it is
-part of :class:`SimulationConfig`.  Stream v4 read the same words but drew
-each chunk's shortfall again in rounds of exactly the games it lacked, so
-v5 output differs from v4 output.
+part of :class:`SimulationConfig`.  Stream v5 drew the pick and the
+switcher's slot as two columns, so v6 output differs from v5 output where
+the slot has more than one door: open-one only.
 
 Fan-out
 -------
 :func:`run_batch` plays one row per switch probability, and :func:`sweep`
 makes one :func:`run_batch` call for its whole grid.  The chunks of every
-row form one pull queue in (row, chunk index) order, computed lazily
-from the index.  The caller drains it together with the threads of one
-``ThreadPoolExecutor``, started once per call (once per sweep, not once per
-row), none at ``workers == 1``.  A drain pulls a block at a time: up to 16
-consecutive chunks of at most ``DEFAULT_CHUNK_SIZE`` games in all, so a
-chunk of that size or more is a block of one, and a block of small chunks
-may span rows.  A drain plays every chunk of a block to its end before it
-pulls the next, and sums its chunks' wins by grid index; the caller adds
-those sums row by row.  Each drain starts from
-``substream(master_seed, 0, 0)``: it takes that generator's PCG64DXSM bit
-generator, at the base state's first word, and advances it from where it
-stands to the first word of each read.  It owns one workspace that every
-round overwrites: boolean game arrays for one round of a block, and the raw
-words of a group of several chunks.  Drains share no draw state, and since
-a chunk's draws are fixed by ``(master_seed, i, j)``, the number of workers,
-the blocks and the order in which they run never change a result.  Once a
-block fails, or the caller is interrupted, no thread starts another block.
+row form one pull queue in (row, chunk index) order, computed lazily from
+the index.  The caller drains it together with the threads of one
+``ThreadPoolExecutor``, started once per call, none at ``workers == 1``.  A
+drain pulls a block at a time: up to 16 consecutive chunks of at most
+``DEFAULT_CHUNK_SIZE`` games in all, so a chunk of that size or more is a
+block of one, and a block of small chunks may span rows.  A drain plays
+every chunk of a block to its end before it pulls the next, and sums its
+chunks' wins by grid index; the caller adds those sums row by row.  Each
+drain starts from ``substream(master_seed, 0, 0)``'s bit generator, at the
+base state's first word, and advances it from where it stands to the first
+word of each read, into a workspace of its own.  Drains share no draw
+state, and a chunk's draws are fixed by ``(master_seed, i, j)``, so the
+number of workers, the blocks and their order never change a result.  Once
+a block fails, or the caller is interrupted, no thread starts another block.
 
 Batch draw order
 ----------------
-A win depends on three Bernoulli events per game: the pick hit the car
-(``1/n``), the player switched (``p``), and a switcher took slot 0, the car's
-place among the ``n - 1 - k`` other closed doors (``1/(n - 1 - k)``).
-A chunk plays rounds until it has counted all its games.  A round that
-still needs ``need`` games counts ``g = min(need, DEFAULT_CHUNK_SIZE)`` of
-them: it draws the three columns, in that order and from the chunk's next
-word, for ``g + g // 128 + 32`` games, each column by one exact threshold
-rule on raw 64-bit words.  For a column of probability ``num/den``:
+A win depends on the paper's three events per game: the pick hit the car
+(``1/n``), the player switched (``p = num/den``), and a wrong-pick switcher
+reached the car, one of the ``m = n - 1 - k`` other closed doors (``1/m``).
+The first and third share one car column of ``n * m`` classes, a pick times
+a switcher's slot.  A chunk plays rounds until it has counted all its
+games.  A round that still needs ``need`` games counts ``g = min(need,
+DEFAULT_CHUNK_SIZE)`` of them: from the chunk's next word it draws the car
+column, then the switch column, for ``g + g // 128 + 32`` games, each by
+one exact threshold rule on raw 64-bit words.  For ``d`` classes (``n * m``
+or ``den``):
 
 * its width ``w`` is the narrowest of 16, 32 and 64 with
-  ``den <= 2**(w - 8)``, else 64, so that the rejected tail is under 1/256
-  of the words wherever it fits;
+  ``d <= 2**(w - 8)``, else 64, so that the rejected tail is under 1/256 of
+  the words wherever it fits;
 * it takes ``ceil(games * w / 64)`` raw words, each split into ``w``-bit
   lanes, least significant first, one lane per game;
-* with ``per = 2**w // den``, a game succeeds when its lane is below
-  ``num * per`` and is accepted when it is below ``den * per``;
-* a column with one outcome (``den == 1``: leave-two's slot, and ``p`` of 0
-  or 1) draws nothing.
+* with ``per = 2**w // d``, a lane is accepted below ``d * per``.  A game
+  switched below ``num * per``; its pick hit below ``m * per``, and its
+  pick or a switch reaches the car below ``(m + n - 1) * per``.  It wins on
+  ``hit ^ (switched & reach)``;
+* a switch column with one outcome (``p`` of 0 or 1) draws nothing.
 
-A game rejected in any column is dropped, and the first ``g`` games kept
-count; the games past them are discarded.  The margin of ``g // 128 + 32``
-games covers the rejected tail, so a chunk nearly always ends in one round;
-a chunk left short plays its next round from its next word.  The accepted
-region is a product set, and which kept games count depends only on which
-were accepted, so the columns stay exact and independent.  ``p`` is kept
-as an exact ``Fraction``; one whose denominator exceeds 2**64 (among binary
-floats, only some below 2**-12) is rounded up to a multiple of 2**-64.
-Host bookkeeping that cannot change a win -- which goat doors the host
-touches -- is collapsed out of the batch kernel; :func:`trace_trial` plays
-single games with the full door-by-door mechanics and is what
+A game rejected in either column is dropped, the first ``g`` games kept
+count, and the rest are discarded.  The margin covers the rejected tail, so
+a chunk nearly always ends in one round; a chunk left short plays its next
+round from its next word.  The accepted region is a product set, and which
+kept games count depends only on which were accepted, so the columns stay
+exact and independent.  :class:`SimulationConfig` rejects ``n * m >
+2**64``, so that the car column fits a 64-bit lane: open-one stops at
+``n = 2**32 + 1``.  ``p`` is kept exact; a denominator above 2**64 (among
+binary floats, only some below 2**-12) is rounded up to a multiple of
+2**-64.  Host bookkeeping that cannot change a win -- which goat doors the
+host touches -- is collapsed out of the batch kernel; :func:`trace_trial`
+plays single games with the full door-by-door mechanics and is what
 trajectory-level tests should sample.
 
-The kernel plays a block as follows; none of it changes which words a
-chunk reads.  Each chunk enters as its row, its index, the games it needs
-and its next word.  The chunks are grouped by round size and switch lane
-type, and each group's round is read and played in one pass.  Each chunk's
-round, exactly its three columns' words, comes from one ``random_raw``
-call.  A group is compared as one ``(chunks, drawn games)`` array per
-column, with the switch thresholds as a per-chunk column.  Each chunk's
-cut, the lane of its ``g``-th kept game, is found from its kept games
-before the margin and the kept lanes of the margin alone; the kept lanes
-past it are cleared, and its wins and kept games are counted.  A lone
-chunk is read as drawn; a group of several is first copied into the
-workspace.  The chunks left short form the block's next groups, until none
-is left, so a drain's game arrays hold one round of a block at most:
-``DEFAULT_CHUNK_SIZE`` games and their margins, whatever the chunk size.
+The kernel groups a block's chunks by round size and switch lane type and
+plays each group's round in one pass (see :func:`_block_wins`); none of it
+changes which words a chunk reads, and a drain's game arrays hold one round
+of a block at most: ``DEFAULT_CHUNK_SIZE`` games and their margins.
 """
 
 from __future__ import annotations
@@ -139,14 +130,15 @@ __all__ = [
 DEFAULT_CHUNK_SIZE = 65536
 
 #: The ``rng`` text of ``simulate`` and the sweep's ``# rng=`` line: the
-#: generator, the numpy version and the stream v5 rule described above.  A
+#: generator, the numpy version and the stream v6 rule described above.  A
 #: change to the stream bumps the version here.
 RNG_ALGORITHM = (
-    f"PCG64DXSM (numpy.random.PCG64DXSM); numpy {np.__version__}; stream=v5; "
+    f"PCG64DXSM (numpy.random.PCG64DXSM); numpy {np.__version__}; stream=v6; "
     "base=PCG64DXSM(SeedSequence(seed)); "
     "word w of (grid_index, chunk_index)=output grid_index*2^96+chunk_index*2^64+w; "
-    "columns=hit,switch,slot0 as exact thresholds on 16/32/64-bit lanes "
-    f"of raw words, in rounds of g=min(need,{DEFAULT_CHUNK_SIZE}) games "
+    "columns=car,switch as exact thresholds on 16/32/64-bit lanes of raw words; "
+    "car lane of den=n*m classes, m=n-1-k: hit<m*per, reach<(m+n-1)*per, "
+    f"win=hit^(switch&reach); in rounds of g=min(need,{DEFAULT_CHUNK_SIZE}) games "
     "drawn for g+g//128+32 games, the first g kept counted"
 )
 
@@ -173,6 +165,9 @@ class SimulationConfig:
         _require_int("trials", self.trials, 1, 2**63)
         _require_int("chunk_size", self.chunk_size, 1)
         _require_seed(self.master_seed)
+        m = self.n - 1 - _host_opens(self.variant, self.n)  # the switcher's closed doors
+        if self.n * m > 2**64:  # the car column's classes must fit one 64-bit lane
+            raise ValueError(f"doors * other closed doors must be <= 2**64, got {self.n} * {m}")
         chunks = -(-self.trials // min(self.chunk_size, self.trials))
         if chunks >= _INDEX_LIMIT:
             raise ValueError(f"trials / chunk_size must give < 2**32 chunks, got {chunks}")
@@ -296,18 +291,33 @@ class _Column(NamedTuple):
     last: int | None
 
 
+def _lane(den: int) -> tuple[np.dtype, int, int | None]:
+    """A column of ``den <= 2**64`` classes: its lane type, the ``per`` lanes
+    of a class, and its largest accepted lane (``None``: every lane)."""
+    width = 16 if den <= 2**8 else 32 if den <= 2**24 else 64
+    per = 2**width // den
+    return _LANES[width], per, None if den * per == 2**width else den * per - 1
+
+
 def _column(num: int, den: int) -> _Column:
-    """The stream v5 column for the reduced fraction ``num/den`` (see the
-    module docstring)."""
+    """The stream v6 switch column for the reduced fraction ``num/den`` (see
+    the module docstring)."""
     if den > 2**64:
         rounded = Fraction(-(-num * 2**64 // den), 2**64)  # up to k * 2**-64
         num, den = rounded.numerator, rounded.denominator
     if den == 1:
         return _Column(None, bool(num), None)
-    width = 16 if den <= 2**8 else 32 if den <= 2**24 else 64
-    per = 2**width // den
-    last = None if den * per == 2**width else den * per - 1
-    return _Column(_LANES[width], num * per, last)
+    dtype, per, last = _lane(den)
+    return _Column(dtype, num * per, last)
+
+
+def _car(n: int, m: int) -> tuple[_Column, _Column]:
+    """The stream v6 car column of ``n`` doors and ``m`` other closed doors,
+    as hit and reach columns over one lane per game.  Reach leaves rejection
+    to hit; with ``m == 1`` it is every accepted lane, so it reads none."""
+    dtype, per, last = _lane(n * m)
+    reach = _Column(None, True, None) if m == 1 else _Column(dtype, (m + n - 1) * per, None)
+    return _Column(dtype, m * per, last), reach
 
 
 def _words(column: _Column, size: int) -> int:
@@ -352,28 +362,24 @@ def _draw(column: _Column, lanes: np.ndarray, success: np.ndarray, accepted: np.
     return True
 
 
-def _win_mask(hit, switch, slot0, out: np.ndarray) -> np.ndarray:
+def _win_mask(hit, switch, reach, out: np.ndarray) -> np.ndarray:
     """Write to ``out`` which games win among games whose pick hit the car
-    (``hit``) or not, that switched (``switch``) or stayed, and whose
-    switcher took slot 0 (``slot0``); each may be a constant that broadcasts.
-
-    A stayer wins on a hit.  A switcher wins on a miss and slot 0: door 1 is
-    the lowest-numbered closed door a switcher can reach, so slot 0 is the
-    car.  Both at once: ``hit ^ (switch & (hit | slot0))``.
-    """
-    np.bitwise_or(hit, slot0, out=out)
-    np.bitwise_and(out, switch, out=out)
+    (``hit``), that switched (``switch``), and whose pick or switcher's slot
+    reached it (``reach``, which holds every hit); each may be a constant
+    that broadcasts.  A stayer wins on a hit, and a switcher on a reach that
+    is not a hit: ``hit ^ (switch & reach)``."""
+    np.bitwise_and(switch, reach, out=out)
     return np.bitwise_xor(out, hit, out=out)
 
 
 def _round(columns, lanes, work, games: int) -> tuple[list[int], list[int]]:
-    """One round of a group of chunks: ``lanes`` holds the lanes of each of
-    the hit, switch and slot-0 ``columns`` as a ``(chunks, drawn)`` array
-    (``None`` for a column with one outcome), and ``work`` five boolean
-    arrays of that shape, overwritten here: the three outcomes, the games
-    kept and the games won.  Each chunk keeps its first ``games`` accepted
-    games; the lanes past its cut are cleared in the kept and won arrays.
-    Return each chunk's wins and kept games."""
+    """One round of a group of chunks: ``lanes`` holds the ``(chunks, drawn)``
+    lanes of the hit, switch and reach ``columns`` (the car lanes twice;
+    ``None`` for a column with one outcome), and ``work`` five boolean arrays
+    of that shape, overwritten here: the three outcomes, the games kept and
+    the games won.  Each chunk keeps its first ``games`` accepted games; the
+    lanes past its cut are cleared in the kept and won arrays.  Return each
+    chunk's wins and kept games."""
     *outcomes, kept, won = work
     masked = False
     for column, lane, success in zip(columns, lanes, outcomes):
@@ -402,11 +408,11 @@ def _round(columns, lanes, work, games: int) -> tuple[list[int], list[int]]:
 
 
 class _Run(NamedTuple):
-    """What every drain of one :func:`run_batch` call reads: the hit and
-    slot-0 columns, and each row's switch column."""
+    """What every drain of one :func:`run_batch` call reads: the car
+    column's hit and reach columns, and each row's switch column."""
 
     hit: _Column
-    slot0: _Column
+    reach: _Column
     switches: list[_Column]
 
 
@@ -442,8 +448,9 @@ def _block_wins(
 ) -> None:
     """Play each ``(row, chunk index, games needed, next word)`` chunk of
     ``block`` to its end and add its wins to ``wins`` by row (see "Batch
-    draw order" in the module docstring)."""
-    hit, slot0, switches = run.hit, run.slot0, run.switches
+    draw order" in the module docstring).  The chunks left short form the
+    next groups, until none is left."""
+    hit, reach, switches = run
     while block:
         groups: dict[tuple, list[tuple[int, int, int, int]]] = {}
         for entry in block:
@@ -455,25 +462,22 @@ def _block_wins(
         # type plays its round as one (chunks, drawn) array per column.
         for (games, dtype), members in groups.items():
             switch = _stack([switches[row] for row, *_ in members], dtype)
-            columns = (hit, switch, slot0)
             drawn = _drawn(games)
-            counts = [_words(column, drawn) for column in columns]
-            stride = sum(counts)
-            # One random_raw call per chunk: the three columns of its round.
+            car_words = _words(hit, drawn)
+            stride = car_words + _words(switch, drawn)
+            # One random_raw call per chunk: its car words, then its switch words.
             raws = [work.raw(row, chunk, word, stride) for row, chunk, _, word in members]
             if len(raws) == 1:
-                grid = raws[0][None]  # a lone chunk is read as drawn
+                grid = raws[0][None]  # a lone chunk is read as drawn, a group copied
             else:
                 total = len(raws) * stride
                 if len(work.words) < total:
                     work.words = np.empty(total, dtype=_LANES[64])
                 grid = np.concatenate(raws, out=work.words[:total]).reshape(len(raws), stride)
-            lanes, at = [], 0
-            for column, count in zip(columns, counts):
-                part = grid[:, at : at + count]
-                lanes.append(_lanes(part, column.dtype, drawn) if count else None)
-                at += count
-            played = _round(columns, lanes, work.shaped(len(members), drawn), games)
+            car = _lanes(grid[:, :car_words], hit.dtype, drawn)
+            flips = _lanes(grid[:, car_words:], dtype, drawn) if dtype else None
+            lanes = (car, flips, car if reach.dtype else None)
+            played = _round((hit, switch, reach), lanes, work.shaped(len(members), drawn), games)
             for (row, chunk, need, word), won, kept in zip(members, *played):
                 wins[row] += won
                 if need > kept:
@@ -498,11 +502,8 @@ def run_batch(
     _require_int("workers", workers, 1)
     n, trials = config.n, config.trials
     size = min(config.chunk_size, trials)
-    run = _Run(
-        _column(1, n),
-        _column(1, n - 1 - _host_opens(config.variant, n)),
-        [_column(p.numerator, p.denominator) for p in switches],
-    )
+    columns = [_column(p.numerator, p.denominator) for p in switches]
+    run = _Run(*_car(n, n - 1 - _host_opens(config.variant, n)), columns)
     chunks = -(-trials // size)
     total = len(switches) * chunks
     per_block = max(1, min(_BLOCK_CHUNKS, DEFAULT_CHUNK_SIZE // size))
@@ -553,10 +554,9 @@ def sweep(
     each batch on its own substream (the grid index), with the exact
     reference value and CLT/Chebyshev confidence half-widths.
 
-    The whole grid is one :func:`run_batch` call, so the chunks of every row
-    go through one pull queue, drained by the caller and one thread pool
-    for the whole sweep; ``workers`` only controls execution, never the
-    result.
+    The whole grid is one :func:`run_batch` call: one pull queue and one
+    thread pool for every row.  ``workers`` only controls execution, never
+    the result.
     """
     grid = switch_probability_grid(grid_step)
     _require_unit("delta", delta, open_interval=True)

@@ -156,19 +156,40 @@ def test_doors_error_message(capsys):
 
 
 @pytest.mark.parametrize(
+    "variant, last, error",
+    [
+        (
+            "leave-two",
+            2**63 - 1,
+            f"error: doors must be in [3, {2**63}) and an integer, got {2**63}",
+        ),
+        # The car column's n * (n - 2) classes must fit one 64-bit lane.
+        (
+            "open-one",
+            2**32 + 1,
+            f"error: doors * other closed doors must be <= 2**64, got {2**32 + 2} * {2**32}",
+        ),
+    ],
+    ids=["leave-two", "open-one"],
+)
+@pytest.mark.parametrize(
     "argv",
     [("simulate", "--trials", "10"), ("sweep", "--trials", "10", "--grid-step", "1/2")],
+    ids=["simulate", "sweep"],
 )
-def test_simulated_doors_stop_below_2_to_63(argv, monkeypatch, capsys):
-    assert run_cli(*argv, "--doors", str(2**63 - 1)) == EXIT_OK
+def test_simulated_doors_stop_at_the_variants_bound(
+    argv, variant, last, error, monkeypatch, capsys
+):
+    assert run_cli(*argv, "--variant", variant, "--doors", str(last)) == EXIT_OK
     capsys.readouterr()
 
     def no_chunk(*args, **kwargs):
         raise AssertionError("simulated before the inputs were checked")
 
     monkeypatch.setattr(montyhall.simulate, "_block_wins", no_chunk)
-    assert run_cli(*argv, "--doors", str(2**63)) == EXIT_USAGE
-    assert "doors must be" in capsys.readouterr().err
+    assert run_cli(*argv, "--variant", variant, "--doors", str(last + 1)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [error]
 
 
 @pytest.mark.parametrize(
@@ -179,7 +200,7 @@ def test_simulated_doors_stop_below_2_to_63(argv, monkeypatch, capsys):
     ],
 )
 def test_chunks_per_row_stop_below_2_to_32(argv, monkeypatch, capsys):
-    # Stream v5 gives each chunk 2**64 words of a row's 2**96: no more than
+    # Stream v6 gives each chunk 2**64 words of a row's 2**96: no more than
     # 2**32 - 1 chunks fit in a row.  Configs are built, never run.
     def no_chunk(*args, **kwargs):
         raise AssertionError("simulated before the inputs were checked")
@@ -259,11 +280,12 @@ def test_sweep_csv_layout(tmp_path):
     assert meta == [
         "# seed=1",
         "# rng=PCG64DXSM (numpy.random.PCG64DXSM); numpy "
-        f"{np.__version__}; stream=v5; "
+        f"{np.__version__}; stream=v6; "
         "base=PCG64DXSM(SeedSequence(seed)); "
         "word w of (grid_index, chunk_index)=output grid_index*2^96+chunk_index*2^64+w; "
-        "columns=hit,switch,slot0 as exact thresholds on 16/32/64-bit lanes "
-        "of raw words, in rounds of g=min(need,65536) games "
+        "columns=car,switch as exact thresholds on 16/32/64-bit lanes of raw words; "
+        "car lane of den=n*m classes, m=n-1-k: hit<m*per, reach<(m+n-1)*per, "
+        "win=hit^(switch&reach); in rounds of g=min(need,65536) games "
         "drawn for g+g//128+32 games, the first g kept counted",
         "# variant=leave-two",
         "# doors=3",
@@ -511,18 +533,19 @@ def test_verify_walks_each_tree_once(monkeypatch, capsys):
             "5",
             [
                 "0,0.2023,0.2,0.00728554547087,0.0282842712475",
-                "0.25,0.21755,0.216666666667,0.00750363043913,0.0291309304882",
-                "0.5,0.23405,0.233333333333,0.0077036007193,0.0299072640749",
-                "0.75,0.2424,0.25,0.00788683432275,0.0306186217848",
-                "1,0.268,0.266666666667,0.00805447357332,0.0312694383988",
+                "0.25,0.2117,0.216666666667,0.00750363043913,0.0291309304882",
+                "0.5,0.23365,0.233333333333,0.0077036007193,0.0299072640749",
+                "0.75,0.2474,0.25,0.00788683432275,0.0306186217848",
+                "1,0.26525,0.266666666667,0.00805447357332,0.0312694383988",
             ],
         ),
     ],
 )
 def test_sweep_csv_is_pinned_across_versions(capsys, variant, doors, rows):
-    # Stream v5's output, recorded once.  A silent change to the draws (a
-    # lane width, a threshold, the column order or the round rule) moves
-    # the empirical column, which run-to-run comparisons cannot see.
+    # Stream v6's output, recorded once; leave-two's rows are v5's, since
+    # v6 moves only open-one draws.  A silent change to the draws (a lane
+    # width, a threshold, the column order or the round rule) moves the
+    # empirical column, which run-to-run comparisons cannot see.
     # The "# rng=" line carries the numpy version, so it is left out.
     assert run_cli("sweep", "--variant", variant, "--doors", doors,
                    "--grid-step", "1/4", "--trials", "20000",
@@ -683,11 +706,11 @@ _RNG_LINE = montyhall.simulate.RNG_ALGORITHM
                 "seed         11",
                 "chunk_size   1024",
                 f"rng          {_RNG_LINE}",
-                "wins         769",
-                "empirical    0.1538",
-                "std_error    0.00510187338142",
+                "wins         770",
+                "empirical    0.154",
+                "std_error    0.00510458617324",
                 "analytic     107/700 = 0.152857142857",
-                "abs_error    0.000942857142857",
+                "abs_error    0.00114285714286",
             ],
         ),
         (
@@ -736,10 +759,10 @@ _RNG_LINE = montyhall.simulate.RNG_ALGORITHM
                 "# grid_step=1/4",
                 "p,empirical,analytic,clt_halfwidth,chebyshev_halfwidth",
                 "0,0.1945,0.2,0.0230389176847,0.0894427191",
-                "0.25,0.2095,0.216666666667,0.0237285629078,0.0921200907029",
-                "0.5,0.2305,0.233333333333,0.0243609244575,0.0945750730607",
-                "0.75,0.2555,0.25,0.0249403599883,0.0968245836552",
-                "1,0.2755,0.266666666667,0.0254704818453,0.0988826464946",
+                "0.25,0.2125,0.216666666667,0.0237285629078,0.0921200907029",
+                "0.5,0.235,0.233333333333,0.0243609244575,0.0945750730607",
+                "0.75,0.2465,0.25,0.0249403599883,0.0968245836552",
+                "1,0.2645,0.266666666667,0.0254704818453,0.0988826464946",
             ],
         ),
         (

@@ -184,15 +184,16 @@ def test_batch_reproducible_and_worker_independent():
 def test_batch_depends_on_seed_and_stream():
     config = SimulationConfig(OPEN_ONE, 5, 40000, master_seed=1)
     other_seed = SimulationConfig(OPEN_ONE, 5, 40000, master_seed=2)
-    assert run_batch(config, [0.5]) != run_batch(other_seed, [0.5])
+    # Compared over four rows: one row's win counts of two seeds can tie.
+    assert run_batch(config, [0.5] * 4) != run_batch(other_seed, [0.5] * 4)
     # Row i of a batch plays on stream i: same game, same p, other draws.
     rows = run_batch(config, [0.5] * 4)
     assert rows[:1] == run_batch(config, [0.5])
     assert rows[3] != rows[0]
 
 
-def _v5_generator(master_seed, stream, chunk):
-    """Chunk ``chunk`` of stream ``stream`` as stream v5 lays it out, built
+def _v6_generator(master_seed, stream, chunk):
+    """Chunk ``chunk`` of stream ``stream`` as stream v6 lays it out, built
     without the package: the outputs of one PCG64DXSM sequence, seeded from
     ``SeedSequence(master_seed)``, from output ``stream * 2**96 + chunk * 2**64`` on."""
     bits = np.random.PCG64DXSM(np.random.SeedSequence(master_seed))
@@ -200,69 +201,80 @@ def _v5_generator(master_seed, stream, chunk):
     return np.random.Generator(bits)
 
 
-def _v5_draw(rng, prob, size):
-    """One stream v5 column of ``size`` games at ``prob``, written out apart
-    from the package: (successes, accepted) as boolean arrays, and the raw
-    words it took."""
-    num, den = prob.numerator, prob.denominator
-    if den == 1:
-        return np.full(size, bool(num)), np.ones(size, dtype=bool), 0
+def _v6_lanes(rng, den, size):
+    """The ``size`` lanes of one stream v6 column of ``den`` classes, written
+    out apart from the package: the lanes as ints, the ``per`` lanes of a
+    class, and the raw words they took."""
     width = min((w for w in (16, 32, 64) if den <= 2 ** (w - 8)), default=64)
     words = math.ceil(size * width / 64)
     raw = rng.bit_generator.random_raw(words)
     lanes = np.frombuffer(raw.astype("<u8").tobytes(), dtype=f"<u{width // 8}")
-    lanes = [int(lane) for lane in lanes[:size]]
-    per = 2**width // den
-    return (
-        np.array([lane < num * per for lane in lanes], dtype=bool),
-        np.array([lane < den * per for lane in lanes], dtype=bool),
-        words,
-    )
+    return [int(lane) for lane in lanes[:size]], 2**width // den, words
 
 
-#: Stream v5 counts at most this many games of a chunk per round.
+def _v6_draw(rng, n, m, prob, size):
+    """One stream v6 round of ``size`` games of an ``n``-door game with ``m``
+    other closed doors at switch probability ``prob``, written out apart
+    from the package: (hit, switch, reach, accepted) as boolean arrays, and
+    the raw words it took.  The car column comes first; a certain switch
+    column draws nothing."""
+    classes = n * m
+    car, per, drawn = _v6_lanes(rng, classes, size)
+    hit = np.array([lane < m * per for lane in car], dtype=bool)
+    reach = np.array([lane < (m + n - 1) * per for lane in car], dtype=bool)
+    accepted = np.array([lane < classes * per for lane in car], dtype=bool)
+    num, den = prob.numerator, prob.denominator
+    if den == 1:
+        return hit, np.full(size, bool(num)), reach, accepted, drawn
+    flips, per, words = _v6_lanes(rng, den, size)
+    switch = np.array([lane < num * per for lane in flips], dtype=bool)
+    accepted &= np.array([lane < den * per for lane in flips], dtype=bool)
+    return hit, switch, reach, accepted, drawn + words
+
+
+#: Stream v6 counts at most this many games of a chunk per round.
 _ROUND_CAP = 65536
 
 
-def _v5_chunks(config, p, stream=0):
+def _v6_chunks(config, p, stream=0):
     """Each chunk of ``config`` at switch probability ``p`` recounted from the
-    v5 layout, one round at a time: the counted games' (hit, switch, slot 0)
+    v6 layout, one round at a time: the counted games' (hit, switch, reach)
     columns, the games each round counts at most, and the raw words the
     chunk took.  A round for ``g`` games draws ``g + g // 128 + 32`` and
     counts the first ``g`` kept."""
-    k = _host_opens(config.variant, config.n)
-    probs = (F(1, config.n), F(p), F(1, config.n - 1 - k))
+    n = config.n
+    m = n - 1 - _host_opens(config.variant, n)
     full, rest = divmod(config.trials, config.chunk_size)
     sizes = [config.chunk_size] * full + ([rest] if rest else [])
     for index, need in enumerate(sizes):
-        rng = _v5_generator(config.master_seed, stream, index)
+        rng = _v6_generator(config.master_seed, stream, index)
         kept = [[], [], []]
         rounds = []
         drawn = 0
         while need:
             games = min(need, _ROUND_CAP)
             rounds.append(games)
-            draws = [_v5_draw(rng, prob, games + games // 128 + 32) for prob in probs]
-            accepted = draws[0][1] & draws[1][1] & draws[2][1]
+            *columns, accepted, words = _v6_draw(rng, n, m, F(p), games + games // 128 + 32)
             counted = np.flatnonzero(accepted)[:games]
-            for column, (success, _, words) in zip(kept, draws):
+            for column, success in zip(kept, columns):
                 column.append(success[counted])
-                drawn += words
+            drawn += words
             need -= len(counted)
         yield [np.concatenate(column) for column in kept], rounds, drawn
 
 
 def _pick_hits(config, p):
-    """Recount initial picks of door 1 straight from the v5 layout, without
+    """Recount initial picks of door 1 straight from the v6 layout, without
     the games a rejected word dropped."""
-    return sum(int(hit.sum()) for (hit, _, _), _, _ in _v5_chunks(config, p))
+    return sum(int(hit.sum()) for (hit, _, _), _, _ in _v6_chunks(config, p))
 
 
-def _v5_wins(config, p, stream=0):
-    """Recount the wins straight from the v5 layout."""
+def _v6_wins(config, p, stream=0):
+    """Recount the wins straight from the v6 layout: a stayer wins on a hit,
+    a switcher on a reach after a miss."""
     wins = 0
-    for (hit, switch, slot0), _, _ in _v5_chunks(config, p, stream):
-        wins += int(np.count_nonzero((hit & ~switch) | (~hit & switch & slot0)))
+    for (hit, switch, reach), _, _ in _v6_chunks(config, p, stream):
+        wins += int(np.count_nonzero((hit & ~switch) | (~hit & switch & reach)))
     return wins
 
 
@@ -273,24 +285,44 @@ def test_substream_matches_the_layout_after_reuse():
     first = substream(*a).random(8)
     substream(*b).random(3)
     again = substream(*a).random(8)
-    expected = _v5_generator(*a).random(8)
+    expected = _v6_generator(*a).random(8)
     assert np.array_equal(first, expected)
     assert np.array_equal(again, expected)
 
 
 def _kernel_win_probability(n, k, p):
-    """``_win_mask`` over one game per (pick, slot) cell, the two columns
-    the kernel draws uniformly, as an exact probability at switch rate p."""
-    picks, slots = np.meshgrid(
-        np.arange(1, n + 1), np.arange(n - 1 - k), indexing="ij"
-    )
-    hit = picks.ravel() == 1
-    slot0 = slots.ravel() == 0
-    cells = hit.size
-    out = np.empty(cells, dtype=bool)
-    stay = int(np.count_nonzero(_win_mask(hit, np.zeros(cells, dtype=bool), slot0, out)))
-    switch = int(np.count_nonzero(_win_mask(hit, np.ones(cells, dtype=bool), slot0, out)))
-    return F(stay, cells) * (1 - p) + F(switch, cells) * p
+    """``_win_mask`` over the ``n * m`` accepted lane classes of ``simulate``'s
+    car column, as an exact probability at switch rate p.  Each class must be
+    one (pick, slot) cell of a uniform pick times a uniform slot: hit in
+    ``m`` classes, reach without hit in ``n - 1`` (a wrong pick, the car's
+    slot) and neither in ``(n - 1)(m - 1)``."""
+    m = n - 1 - k
+    den = n * m
+    hit, reach = simulate._car(n, m)
+    per = 2 ** (8 * hit.dtype.itemsize) // den
+    assert hit.last == (None if den * per == 2 ** (8 * hit.dtype.itemsize) else den * per - 1)
+    firsts = np.arange(den, dtype=np.uint64) * per
+    outcomes = []
+    # A class's first and last lanes must agree, so each class is one cell.
+    for lanes in (firsts, firsts + (per - 1)):
+        lanes = lanes.astype(hit.dtype)
+        hits, reaches, accepted = (np.ones(den, dtype=bool) for _ in range(3))
+        simulate._draw(hit, lanes, hits, accepted)
+        if reach.dtype is None:
+            reaches[:] = reach.success
+        else:
+            assert not simulate._draw(reach, lanes, reaches, accepted)
+        assert accepted.all()
+        outcomes.append((hits, reaches))
+    (hits, reaches), last = outcomes
+    assert np.array_equal(hits, last[0]) and np.array_equal(reaches, last[1])
+    assert int(np.count_nonzero(hits)) == m
+    assert int(np.count_nonzero(reaches & ~hits)) == n - 1
+    assert int(np.count_nonzero(~reaches)) == (n - 1) * (m - 1)
+    out = np.empty(den, dtype=bool)
+    stay = int(np.count_nonzero(_win_mask(hits, np.zeros(den, dtype=bool), reaches, out)))
+    switch = int(np.count_nonzero(_win_mask(hits, np.ones(den, dtype=bool), reaches, out)))
+    return F(stay, den) * (1 - p) + F(switch, den) * p
 
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
@@ -443,9 +475,10 @@ def _record_chunks(monkeypatch):
     return pulled, words
 
 
-def test_open_one_chunk_draws_three_16_bit_columns_and_its_redraws(monkeypatch, capsys):
-    # A 65,536-game chunk at p = 7/20 draws 3 columns of 66,080 16-bit lanes,
-    # 3 * 16,520 words, and the margin of 544 games covers its rejected lanes:
+def test_open_one_chunk_draws_two_16_bit_columns_and_its_redraws(monkeypatch, capsys):
+    # A 65,536-game chunk at p = 7/20 draws 2 columns of 66,080 16-bit lanes,
+    # the car column of 15 * 13 classes and the switch column, 2 * 16,520
+    # words, and the margin of 544 games covers its rejected lanes:
     # one round, no redraw.  A 64-bit switch column (p passed on as a float)
     # would take 49,560 words more.  The sweep draws p = 7/20 on stream 7,
     # the simulate command on stream 0.
@@ -461,18 +494,18 @@ def test_open_one_chunk_draws_three_16_bit_columns_and_its_redraws(monkeypatch, 
     capsys.readouterr()
     drawn = {**swept, **drawn}  # the simulate command's stream 0 replaces the sweep's
     for stream in (7, 0):
-        ((_, rounds, words),) = _v5_chunks(config, F(7, 20), stream)
+        ((_, rounds, words),) = _v6_chunks(config, F(7, 20), stream)
         assert rounds == [2**16]
-        assert words == 3 * 16520
+        assert words == 2 * 16520
         assert drawn[stream, 0] == words
 
 
 @pytest.mark.parametrize("p", [F(0), F(1)])
 def test_certain_columns_draw_nothing(monkeypatch, p):
-    # Leave-two's slot column and a switch column at p = 0 or 1 are certain:
-    # the chunk takes the hit column's words alone.
+    # A switch column at p = 0 or 1 is certain, and leave-two's car column
+    # is one lane of n classes: the chunk takes the car column's words alone.
     config = SimulationConfig(LEAVE_TWO, 10, 2**16, master_seed=13)
-    ((_, rounds, words),) = _v5_chunks(config, p)
+    ((_, rounds, words),) = _v6_chunks(config, p)
     assert words == sum(-(-(size + size // 128 + 32) // 4) for size in rounds)
     pulled, drawn = _record_chunks(monkeypatch)
     run_batch(config, [p])
@@ -482,13 +515,14 @@ def test_certain_columns_draw_nothing(monkeypatch, p):
 
 @pytest.mark.parametrize("variant", [LEAVE_TWO, OPEN_ONE])
 def test_rejection_path_end_to_end_at_the_largest_door_count(variant):
-    # n = 2**63 - 1 takes 64-bit hit (and open-one slot) columns.  At p = 0
-    # the wins are the recounted hits; at p = 1/(2**63 + 1) about half the
+    # Leave-two n = 2**63 - 1 and open-one n = 2**32 + 1 take 64-bit car
+    # columns, the latter of 2**64 - 1 classes with per = 1.  At p = 0 the
+    # wins are the recounted hits; at p = 1/(2**63 + 1) about half the
     # switch words are rejected, so every chunk plays several rounds.
-    n = 2**63 - 1
+    n = 2**63 - 1 if variant is LEAVE_TWO else 2**32 + 1
     for p in (F(0), F(1, 2**63 + 1)):
         config = SimulationConfig(variant, n, 5 * 997 + 13, master_seed=21, chunk_size=997)
-        chunks = list(_v5_chunks(config, p))
+        chunks = list(_v6_chunks(config, p))
         assert [len(hit) for (hit, _, _), _, _ in chunks] == [997] * 5 + [13]
         if p:
             assert all(len(rounds) >= 4 for _, rounds, _ in chunks[:5])
@@ -496,7 +530,7 @@ def test_rejection_path_end_to_end_at_the_largest_door_count(variant):
         assert results[0] == results[1]
         assert all(type(result.wins) is int for result in results)
         assert results[0].trials == config.trials
-        assert results[0].wins == _v5_wins(config, p)
+        assert results[0].wins == _v6_wins(config, p)
         if not p:
             assert results[0].wins == _pick_hits(config, p)
 
@@ -521,7 +555,7 @@ def test_reused_workspace_leaks_nothing_between_chunks(
     config = SimulationConfig(variant, n, trials, 17, chunk_size)
     rows = sweep(config, step, workers=workers)
     for stream, row in enumerate(rows):
-        assert row.result.wins == _v5_wins(config, row.p, stream)
+        assert row.result.wins == _v6_wins(config, row.p, stream)
 
 
 #: (variant, n, ps, trials, chunk_size) of the block shapes recounted below.
@@ -548,7 +582,7 @@ def _block_shape_wins(variant, n, ps, trials, chunk_size, workers):
     """Each row's wins from ``run_batch`` at a block shape, and its recount."""
     config = SimulationConfig(variant, n, trials, 31, chunk_size)
     results = run_batch(config, ps, workers=workers)
-    return results, [_v5_wins(config, p, stream) for stream, p in enumerate(ps)]
+    return results, [_v6_wins(config, p, stream) for stream, p in enumerate(ps)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -592,7 +626,8 @@ def test_a_chunk_larger_than_the_round_cap_matches_the_recount(monkeypatch, work
     # A chunk of 3 * 65,536 + 1,000 games plays rounds of at most 65,536
     # counted games, so its drain's game arrays hold one round, not the
     # chunk.  At p = 1/(2**63 + 1) about half the switch lanes are rejected,
-    # so the chunk also takes rounds shorter than the cap.
+    # so the chunk also takes rounds shorter than the cap.  Open-one
+    # n = 2**32 + 1 takes the widest car column, of 2**64 - 1 classes.
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     sizes = []
     real = simulate._Workspace.shaped
@@ -602,13 +637,13 @@ def test_a_chunk_larger_than_the_round_cap_matches_the_recount(monkeypatch, work
         return real(work, *shape)
 
     monkeypatch.setattr(simulate._Workspace, "shaped", shaped)
-    config = SimulationConfig(OPEN_ONE, 2**63 - 1, 3 * 2**16 + 1000, 43, chunk_size=2**20)
+    config = SimulationConfig(OPEN_ONE, 2**32 + 1, 3 * 2**16 + 1000, 43, chunk_size=2**20)
     ps = [F(7, 20), F(1, 2**63 + 1)]
     results = run_batch(config, ps, workers=workers)
     for row, p in enumerate(ps):
-        ((_, rounds, _),) = _v5_chunks(config, p, row)
+        ((_, rounds, _),) = _v6_chunks(config, p, row)
         assert rounds[:3] == [2**16] * 3 and len(rounds) > 3 + 3 * row
-        assert results[row].wins == _v5_wins(config, p, row)
+        assert results[row].wins == _v6_wins(config, p, row)
     assert max(sizes) == 2**16 + 2**16 // 128 + 32
 
 
@@ -807,7 +842,7 @@ def test_result_rejects_a_trial_count_below_one_or_not_an_int(trials):
         ((0, 0, -1), "chunk"),
         ((0, 0, 2**64), "chunk"),
         ((0, 0, True), "chunk"),
-        # Stream v5's blocks are disjoint for streams and chunks below 2**32.
+        # Stream v6's blocks are disjoint for streams and chunks below 2**32.
         ((0, 2**32, 0), "stream"),
         ((0, 0, 2**32), "chunk"),
     ],
@@ -816,7 +851,7 @@ def test_substream_names_its_bad_argument(args, name):
     with pytest.raises(ValueError, match=rf"^{name} must be in \[0, \d+\) and an integer"):
         substream(*args)
     last = (2**64 - 1, 2**32 - 1, 2**32 - 1)
-    assert np.array_equal(substream(*last).random(4), _v5_generator(*last).random(4))
+    assert np.array_equal(substream(*last).random(4), _v6_generator(*last).random(4))
 
 
 def test_config_validation(monkeypatch):
@@ -850,7 +885,11 @@ def test_config_validation(monkeypatch):
         run_batch(SimulationConfig(LEAVE_TWO, 3, 100), [0.5], workers=1.5)
     with pytest.raises(ValueError):
         SimulationConfig(LEAVE_TWO, 2**63, 100)
-    # Stream v5 gives each chunk of a row its own 2**64 words, fewer than 2**32 chunks a row.
+    # The car column's n * (n - 1 - k) classes must fit one 64-bit lane.
+    assert SimulationConfig(OPEN_ONE, 2**32 + 1, 100).n == 2**32 + 1
+    with pytest.raises(ValueError, match=r"^doors \* other closed doors must be <= 2\*\*64"):
+        SimulationConfig(OPEN_ONE, 2**32 + 2, 100)
+    # Stream v6 gives each chunk of a row its own 2**64 words, fewer than 2**32 chunks a row.
     for trials, chunk_size in ((2**32, 1), (2**62, 2**30), (2**48, 2**16)):
         with pytest.raises(ValueError, match=r"^trials / chunk_size must give < 2\*\*32 chunks"):
             SimulationConfig(LEAVE_TWO, 3, trials, chunk_size=chunk_size)
