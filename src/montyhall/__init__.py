@@ -1,19 +1,68 @@
 """Exact, simulated, and planned win probabilities for generalized Monty Hall
 games: closed forms over exact rationals, a brute-force enumeration oracle,
-seeded Monte Carlo, and CLT/Chebyshev trial-count planning."""
+seeded Monte Carlo, and CLT/Chebyshev trial-count planning.
 
-from . import analytic, oracle, planner, simulate
-from .analytic import *  # noqa: F401,F403
-from .oracle import *  # noqa: F401,F403
-from .planner import *  # noqa: F401,F403
-from .simulate import *  # noqa: F401,F403
+The top-level namespace re-exports the four layers' public names.  Each
+layer is imported on first use of it or of one of its names (PEP 562), so
+``import montyhall`` loads none of them, and numpy loads with ``simulate``
+or with the first numpy-backed call of ``oracle`` or ``planner``.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *analytic.__all__,
-    *oracle.__all__,
-    *planner.__all__,
-    *simulate.__all__,
-    "__version__",
-]
+#: Each layer's ``__all__``, in the layer's order.
+_EXPORTS = {
+    "analytic": (
+        "GameVariant",
+        "PartitionProbabilities",
+        "CELL_ORDER",
+        "GRID_STEP_DEFAULT",
+        "as_probability",
+        "switch_probability_grid",
+        "win_given_switch",
+        "win_given_stay",
+        "win_marginal",
+        "partition_probabilities",
+    ),
+    "oracle": (
+        "CarDistribution",
+        "Trajectory",
+        "enumerate_trajectories",
+        "exact_win_probability",
+        "exact_partition",
+        "exact_initial_correct",
+        "random_car_distribution",
+        "verify_closed_forms",
+    ),
+    "planner": ("PlanMethod", "SampleSizePlan", "sample_size", "band_halfwidth"),
+    "simulate": (
+        "RNG_ALGORITHM",
+        "DEFAULT_CHUNK_SIZE",
+        "SimulationConfig",
+        "TrialTrace",
+        "SimulationResult",
+        "SweepRow",
+        "substream",
+        "trace_trial",
+        "run_batch",
+        "sweep",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_LAYER_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    layer = name if name in _EXPORTS else _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Importing a layer binds it here, so this runs once per layer name.
+    module = importlib.import_module(f".{layer}", __name__)
+    return module if name == layer else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

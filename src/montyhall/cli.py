@@ -10,8 +10,12 @@ Subcommands::
     verify     exhaustive oracle-vs-closed-form equality checks
 
 Each command reads only the layers' public names; ``verify`` prints what
-``oracle.verify_closed_forms`` returns.  ``main`` reads ``$MONTY_SEED`` on
-every call and reuses one ``build_parser()`` parser per value of it.
+``oracle.verify_closed_forms`` returns.  Each command imports only the
+layers it uses: this module loads ``analytic`` and ``planner``, ``simulate``
+and ``sweep`` import ``simulate`` when they run, and ``verify`` imports
+``oracle``, so ``--help``, ``analytic``, ``plan`` and argument errors never
+load numpy.  ``main`` reads ``$MONTY_SEED`` on every call and reuses one
+``build_parser()`` parser per value of it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 Bad input exits 2 with one ``error:`` line before any simulation.  Seeds
@@ -33,12 +37,14 @@ import os
 import sys
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from typing import IO, Mapping, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Mapping, Optional, Sequence
 
-from . import analytic, oracle, planner, simulate
+from . import analytic, planner
 from .analytic import GameVariant, as_probability
 from .planner import PlanMethod
-from .simulate import RNG_ALGORITHM, SimulationConfig, SweepRow
+
+if TYPE_CHECKING:
+    from .simulate import SimulationConfig, SweepRow
 
 __all__ = ["main", "EXIT_OK", "EXIT_VERIFY_FAILED", "EXIT_USAGE", "EXIT_IO"]
 
@@ -155,20 +161,32 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _config(args: argparse.Namespace, trials: int) -> SimulationConfig:
+    """The game and stream of a ``simulate`` or ``sweep`` run; an unset
+    ``--chunk-size`` is ``simulate.DEFAULT_CHUNK_SIZE``."""
+    from . import simulate
+
+    chunk_size = simulate.DEFAULT_CHUNK_SIZE if args.chunk_size is None else args.chunk_size
+    return simulate.SimulationConfig(
+        VARIANTS[args.variant], args.doors, trials, args.seed, chunk_size
+    )
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    variant = VARIANTS[args.variant]
-    config = SimulationConfig(variant, args.doors, args.trials, args.seed, args.chunk_size)
+    from . import simulate
+
+    config = _config(args, args.trials)
     p = as_probability(args.switch_prob, "switch probability")
     (result,) = simulate.run_batch(config, [p], workers=args.workers)
-    exact = analytic.win_marginal(variant, config.n, p)
+    exact = analytic.win_marginal(config.variant, config.n, p)
     rows = [
         ("variant", args.variant),
         ("doors", args.doors),
         ("switch_prob", p),
         ("trials", result.trials),
         ("seed", args.seed),
-        ("chunk_size", args.chunk_size),
-        ("rng", RNG_ALGORITHM),
+        ("chunk_size", config.chunk_size),
+        ("rng", simulate.RNG_ALGORITHM),
         ("wins", result.wins),
         ("empirical", fmt12(result.empirical)),
         ("std_error", fmt12(result.std_error)),
@@ -186,25 +204,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from . import simulate
+
     grid_step = as_probability(args.grid_step)
     # Plan on both paths, at worst-case variance, to check inputs before simulating.
     method = PlanMethod(args.plan_trials or "clt")
     plan = planner.sample_size(0.5, args.epsilon, args.delta, method)
-    trials = args.trials if args.plan_trials is None else plan.l0
+    config = _config(args, args.trials if args.plan_trials is None else plan.l0)
     meta = {
         "seed": args.seed,
-        "rng": RNG_ALGORITHM,
+        "rng": simulate.RNG_ALGORITHM,
         "variant": args.variant,
         "doors": args.doors,
-        "trials": trials,
+        "trials": config.trials,
         "epsilon": args.epsilon,
         "delta": args.delta,
-        "chunk_size": args.chunk_size,
+        "chunk_size": config.chunk_size,
         "grid_step": grid_step,
     }
-    config = SimulationConfig(
-        VARIANTS[args.variant], args.doors, trials, args.seed, args.chunk_size
-    )
     rows = simulate.sweep(config, grid_step, delta=args.delta, workers=args.workers)
     write = write_sweep_csv if args.format == "csv" else _write_sweep_table
     if args.out is None:
@@ -241,6 +258,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import oracle
+
     analytic_checks, failures = oracle.verify_closed_forms(
         args.doors_max, args.placement_checks, args.seed
     )
@@ -307,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_switch_prob_flag(sub)
     _add_seed_flag(sub)
     sub.add_argument("--trials", type=int, default=100000)
-    sub.add_argument("--chunk-size", type=int, default=simulate.DEFAULT_CHUNK_SIZE)
+    sub.add_argument("--chunk-size", type=int, default=None)
     sub.add_argument("--workers", type=int, default=1)
     _add_format_flag(sub, "table")
     sub.set_defaults(handler=cmd_simulate)
@@ -326,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--grid-step", default=analytic.GRID_STEP_DEFAULT, metavar="STEP")
     sub.add_argument("--epsilon", type=float, default=0.01)
     sub.add_argument("--delta", type=float, default=0.01)
-    sub.add_argument("--chunk-size", type=int, default=simulate.DEFAULT_CHUNK_SIZE)
+    sub.add_argument("--chunk-size", type=int, default=None)
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--out", default=None, metavar="PATH")
     _add_format_flag(sub, "csv")

@@ -44,8 +44,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-import numpy as np
-
 from . import analytic
 from .analytic import (
     CELL_ORDER,
@@ -338,7 +336,10 @@ def verify_closed_forms(
 
     # The pick is uniform, so no car placement moves any cell of the partition.
     # Both trees are p-free, so they agree at p = 1/2 iff they agree at every p.
-    rng = np.random.default_rng(seed)
+    # Imported here, so that importing the oracle never loads numpy.
+    from numpy.random import default_rng
+
+    rng = default_rng(seed)
     for index in range(placement_checks):
         n = 3 + index % (doors_max - 2)
         variant = variants[index // (doors_max - 2) % 2]

@@ -26,8 +26,6 @@ from fractions import Fraction
 from statistics import NormalDist
 from typing import Optional
 
-import numpy as np
-
 from .analytic import _REAL, _require_int, _require_member, _require_unit
 
 __all__ = [
@@ -97,6 +95,8 @@ def band_halfwidth(p_win, l: int, delta: float, method: PlanMethod):
     a half-width of at most the planned epsilon (up to the integer ceiling).
     """
     _require_member(PlanMethod, method)
+    import numpy as np  # here, so that sample_size alone never loads numpy
+
     sqrt = math.sqrt
     if isinstance(p_win, np.ndarray):
         if p_win.ndim != 1:

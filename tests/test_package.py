@@ -1,11 +1,17 @@
-"""Package surface: the top-level namespace re-exports the four layers, the
-README's quick tour runs as written, and no module keeps an unused import."""
+"""Package surface: the top-level namespace re-exports the four layers, a
+cold start loads only the layers that it uses, the README's quick tour runs
+as written, and no module keeps an unused import."""
 
 import ast
+import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import montyhall
 from montyhall import analytic, cli, oracle, planner, simulate
@@ -33,6 +39,75 @@ def test_removed_wrappers_are_gone():
     assert not hasattr(oracle, "_check_inputs")
     assert not hasattr(simulate, "_fan_out")
     assert "p" not in simulate.SimulationConfig.__dataclass_fields__
+
+
+def test_star_import_and_dir_show_each_layers_own_objects():
+    layers = (analytic, oracle, planner, simulate)
+    assert montyhall.__all__ == [*(n for layer in layers for n in layer.__all__), "__version__"]
+    namespace: dict = {}
+    exec("from montyhall import *", namespace)
+    assert namespace["__version__"] == montyhall.__version__ == "0.1.0"
+    for layer in layers:
+        for name in layer.__all__:
+            assert namespace[name] is getattr(montyhall, name) is getattr(layer, name), name
+        assert getattr(montyhall, layer.__name__.rpartition(".")[2]) is layer
+    assert set(montyhall.__all__) <= set(dir(montyhall))
+    assert {"analytic", "oracle", "planner", "simulate"} <= set(dir(montyhall))
+
+
+def test_an_unknown_package_attribute_raises_attribute_error():
+    for name in ("run_trial", "np", "_round", "__wrapped__"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(montyhall, name)
+
+
+def _main(argv: list[str], status: int = 0) -> str:
+    return f"from montyhall.cli import main; assert main({argv!r}) == {status}"
+
+
+#: What a fresh interpreter runs, and the modules of numpy and the package
+#: that it must then hold (``loaded``) and must not hold (``absent``).
+COLD_STARTS = {
+    "import": (
+        "import montyhall",
+        {"montyhall"},
+        {"numpy", *(f"montyhall.{m}" for m in ("analytic", "oracle", "planner", "simulate"))},
+    ),
+    "parser": (
+        "from montyhall.cli import build_parser; build_parser()",
+        {"montyhall", "montyhall.analytic", "montyhall.planner", "montyhall.cli"},
+        {"numpy", "montyhall.simulate", "montyhall.oracle"},
+    ),
+    "help": (_main(["--help"]), set(), {"numpy"}),
+    "plan": (_main(["plan", "--method", "chebyshev", "--at", "analytic"]), set(), {"numpy"}),
+    "analytic": (_main(["analytic", "--variant", "open-one", "--doors", "15"]), set(), {"numpy"}),
+    "usage error": (_main(["sweep", "--trials", "x"], 2), set(), {"numpy"}),
+    "oracle": ("import montyhall.oracle", {"montyhall.oracle"}, {"numpy"}),
+    "verify": (
+        _main(["verify", "--doors-max", "3"]),
+        {"montyhall.oracle", "numpy"},
+        {"montyhall.simulate"},
+    ),
+    "sweep": (
+        _main(["sweep", "--trials", "100", "--grid-step", "1/2"]),
+        {"montyhall.simulate", "numpy"},
+        set(),
+    ),
+}
+
+
+@pytest.mark.parametrize("code, loaded, absent", COLD_STARTS.values(), ids=COLD_STARTS)
+def test_a_cold_start_loads_only_the_layers_it_uses(code, loaded, absent):
+    # Module loads, not times: each case runs in a fresh interpreter.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    env.pop("MONTY_SEED", None)
+    probe = f"{code}\nimport sys; print(*sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    modules = set(done.stdout.splitlines()[-1].split())
+    assert loaded <= modules and not absent & modules, (loaded - modules, absent & modules)
 
 
 def test_readme_quick_tour_shows_what_its_comments_say():
