@@ -2,30 +2,23 @@
 games: closed forms over exact rationals, a brute-force enumeration oracle,
 seeded Monte Carlo, and CLT/Chebyshev trial-count planning.
 
-The top-level namespace re-exports the four layers' public names.  Each
-layer is imported on first use of it or of one of its names (PEP 562), so
-``import montyhall`` loads none of them, and numpy loads with ``simulate``
-or with the first numpy-backed call of ``oracle`` or ``planner``.
+The top-level namespace re-exports the four layers' public names.
+``analytic`` and ``planner`` load with the package; ``oracle`` and
+``simulate`` load on first use of them or of one of their names (PEP 562),
+so ``import montyhall`` loads no numpy, which loads with ``simulate`` or
+with the first numpy-backed call of ``oracle`` or ``planner``.
 """
 
 import importlib
 
+from . import analytic, planner
+from .analytic import *  # noqa: F401,F403
+from .planner import *  # noqa: F401,F403
+
 __version__ = "0.1.0"
 
-#: Each layer's ``__all__``, in the layer's order.
-_EXPORTS = {
-    "analytic": (
-        "GameVariant",
-        "PartitionProbabilities",
-        "CELL_ORDER",
-        "GRID_STEP_DEFAULT",
-        "as_probability",
-        "switch_probability_grid",
-        "win_given_switch",
-        "win_given_stay",
-        "win_marginal",
-        "partition_probabilities",
-    ),
+#: The ``__all__`` of each layer that loads on first use, in its order.
+_LAZY = {
     "oracle": (
         "CarDistribution",
         "Trajectory",
@@ -36,7 +29,6 @@ _EXPORTS = {
         "random_car_distribution",
         "verify_closed_forms",
     ),
-    "planner": ("PlanMethod", "SampleSizePlan", "sample_size", "band_halfwidth"),
     "simulate": (
         "RNG_ALGORITHM",
         "DEFAULT_CHUNK_SIZE",
@@ -50,13 +42,19 @@ _EXPORTS = {
         "sweep",
     ),
 }
-_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+_LAYER_OF = {name: layer for layer, names in _LAZY.items() for name in names}
 
-__all__ = [*_LAYER_OF, "__version__"]
+__all__ = [
+    *analytic.__all__,
+    *_LAZY["oracle"],
+    *planner.__all__,
+    *_LAZY["simulate"],
+    "__version__",
+]
 
 
 def __getattr__(name: str):
-    layer = name if name in _EXPORTS else _LAYER_OF.get(name)
+    layer = name if name in _LAZY else _LAYER_OF.get(name)
     if layer is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     # Importing a layer binds it here, so this runs once per layer name.
@@ -65,4 +63,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS, *__all__})
+    return sorted({*globals(), *_LAZY, *_LAYER_OF})

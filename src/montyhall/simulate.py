@@ -365,11 +365,9 @@ def _draw(column: _Column, lanes: np.ndarray, success: np.ndarray, accepted: np.
 def _win_mask(hit, switch, reach, out: np.ndarray) -> np.ndarray:
     """Write to ``out`` which games win among games whose pick hit the car
     (``hit``), that switched (``switch``), and whose pick or switcher's slot
-    reached it (``reach``, which holds every hit; ``None``: every game);
-    each may be a constant that broadcasts.  A stayer wins on a hit, and a
-    switcher on a reach that is not a hit: ``hit ^ (switch & reach)``."""
-    if reach is None:
-        return np.bitwise_xor(switch, hit, out=out)
+    reached it (``reach``, which holds every hit); each may be a constant
+    that broadcasts.  A stayer wins on a hit, and a switcher on a reach that
+    is not a hit: ``hit ^ (switch & reach)``."""
     np.bitwise_and(switch, reach, out=out)
     return np.bitwise_xor(out, hit, out=out)
 
@@ -379,13 +377,10 @@ def _round(columns, lanes, work, games: int) -> tuple[list[int], list[int]]:
     lanes of the hit, switch and reach ``columns`` (the car lanes twice;
     ``None`` for a column with one outcome), and ``work`` five boolean arrays
     of that shape, overwritten here: the three outcomes, the games kept and
-    the games won.  A reach that reads no lane (``m == 1``) is every game,
-    so its array is left as it is and not read.  Each chunk keeps its first
-    ``games`` accepted games; the lanes past its cut are cleared in the kept
-    and won arrays.  Return each chunk's wins and kept games."""
+    the games won.  Each chunk keeps its first ``games`` accepted games; the
+    lanes past its cut are cleared in the kept and won arrays.  Return each
+    chunk's wins and kept games."""
     *outcomes, kept, won = work
-    if lanes[2] is None:
-        columns, outcomes[2] = columns[:2], None
     masked = False
     for column, lane, success in zip(columns, lanes, outcomes):
         if lane is None:
